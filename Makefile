@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race bench fuzz chaos scale
+.PHONY: build test vet race bench fuzz chaos scale perfsmoke
 
 build:
 	$(GO) build ./...
@@ -47,11 +47,19 @@ scale: vet
 	SCENLAB_N=$${SCENLAB_N:-1000} $(GO) test ./internal/scenlab -race -count=1 -timeout 1800s -v
 
 # Brief mutation runs of the native fuzz targets (the checked-in corpora
-# under internal/dom/testdata/fuzz, internal/core/testdata/fuzz and
-# internal/httpwire/testdata/fuzz run on every plain `go test`). Each target
-# must be fuzzed in its own invocation.
+# under internal/dom/testdata/fuzz, internal/core/testdata/fuzz,
+# internal/httpwire/testdata/fuzz and internal/jsescape/testdata/fuzz run on
+# every plain `go test`). Each target must be fuzzed in its own invocation.
 fuzz:
 	$(GO) test ./internal/dom -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 15s
 	$(GO) test ./internal/dom -run '^$$' -fuzz '^FuzzDiffApply$$' -fuzztime 15s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzUnmarshalDelta$$' -fuzztime 15s
 	$(GO) test ./internal/httpwire -run '^$$' -fuzz '^FuzzChannelFrame$$' -fuzztime 15s
+	$(GO) test ./internal/jsescape -run '^$$' -fuzz '^FuzzEscapeMatchesReference$$' -fuzztime 15s
+
+# Session benchmark smoke: perfbench is its own Go module, so the root
+# `go test ./...` never builds it. Runs every workload briefly, tracing off
+# and on; its correctness gate is byte-identical convergence to a fresh
+# snippet join plus exactly-once actions.
+perfsmoke:
+	cd perfbench && $(GO) test -count=1 .

@@ -316,38 +316,79 @@ type contentCall struct {
 // cache mode): "the whole response content generation procedure is executed
 // only once for each new document content, and the generated XML format
 // response content is reusable for multiple participant browsers" (§4.1.2).
+// BuildContent runs only the extraction; the Figure 4 snapshot is marshaled
+// once, on the first full-snapshot demand (see marshal), so a version that
+// only ever reaches delta readers never pays the escape() encoding.
 type PreparedContent struct {
 	version int64
 	docTime int64
-	xml     []byte
 	// content is the extracted message (head children and region payloads):
-	// the delta path compares heads through it and reconstructs the
-	// participant-equivalent tree from it (participantTree).
+	// the snapshot is marshaled from it, the delta path compares heads
+	// through it and reconstructs the participant-equivalent tree from it
+	// (participantTree).
 	content *NewContent
 	// normOnce/normTree lazily cache the participant-equivalent view of
 	// this build — see participantTree. Only the delta path pays for it.
 	normOnce sync.Once
 	normTree *dom.Node
+	// extractTime is how long the Figure 3 clone, rewrite and extraction
+	// took; marshalTime adds the Figure 4 encoding once it has run.
+	extractTime time.Duration
+
+	// xmlOnce guards the lazily marshaled snapshot: xml, splice, resp and
+	// marshalTime are written inside it and read only after it.
+	xmlOnce sync.Once
+	xml     []byte
 	// splice is the offset of the closing </newContent> tag: per-participant
 	// userActions are inserted here by two appends, never a re-marshal.
-	splice  int
-	genTime time.Duration
+	splice int
 	// resp is the ready-to-send response wrapping xml. PreparedContent is
-	// immutable and WriteResponse only reads, so one response object fans
-	// out to every participant without a per-poll header allocation.
-	resp *httpwire.Response
+	// immutable once marshaled and WriteResponse only reads, so one response
+	// object fans out to every participant without a per-poll header
+	// allocation.
+	resp        *httpwire.Response
+	marshalTime time.Duration
+	// marshals counts runs of the lazy marshal (at most one; zero while only
+	// deltas were served from this build).
+	marshals atomic.Int32
 }
 
-// XML returns the marshaled Figure 4 message. The slice is shared across
-// participants and must not be mutated.
-func (p *PreparedContent) XML() []byte { return p.xml }
+// marshal renders the Figure 4 snapshot on its first demand — a first
+// poll, a base off the delta ring, an oversized or region-changing delta,
+// a non-delta reader, deltas shed or disabled, a userActions splice, XML or
+// ExportState. Concurrent demands wait on the one rendering.
+func (p *PreparedContent) marshal() {
+	p.xmlOnce.Do(func() {
+		start := time.Now()
+		p.setXML(p.content.Marshal())
+		p.marshalTime = time.Since(start)
+		p.marshals.Add(1)
+	})
+}
+
+func (p *PreparedContent) setXML(xml []byte) {
+	p.xml = xml
+	p.splice = len(xml) - len(closeNewContent)
+	p.resp = httpwire.NewResponse(200, "application/xml", xml)
+}
+
+// XML returns the marshaled Figure 4 message, marshaling it on first use.
+// The slice is shared across participants and must not be mutated.
+func (p *PreparedContent) XML() []byte {
+	p.marshal()
+	return p.xml
+}
 
 // DocTime returns the message timestamp.
 func (p *PreparedContent) DocTime() int64 { return p.docTime }
 
 // GenTime returns how long the Figure 3 pipeline took to produce this
-// content — the paper's M5 metric.
-func (p *PreparedContent) GenTime() time.Duration { return p.genTime }
+// content's Figure 4 message — extraction plus marshal, the paper's M5
+// metric. It forces the marshal if nothing has demanded it yet.
+func (p *PreparedContent) GenTime() time.Duration {
+	p.marshal()
+	return p.extractTime + p.marshalTime
+}
 
 // participantTree reconstructs what a participant document's top-level
 // regions look like after applying this build's message in full: each
@@ -386,6 +427,7 @@ func (p *PreparedContent) participantTree() *dom.Node {
 // payload is never re-rendered: the result is the shared bytes around one
 // freshly encoded actions element.
 func (p *PreparedContent) WithUserActions(actions []Action) []byte {
+	p.marshal()
 	if len(actions) == 0 {
 		return p.xml
 	}
@@ -931,6 +973,7 @@ func (a *Agent) deliver(p *participantState, ts int64, deltaOK bool) (deliverOut
 			}
 		}
 		if len(outbox) == 0 {
+			prep.marshal()
 			return deliverOut{resp: prep.resp, body: prep.xml, docTime: prep.docTime, hasNew: true}, nil
 		}
 		return deliverOut{body: prep.WithUserActions(outbox), docTime: prep.docTime, hasNew: true, actions: outbox}, nil
@@ -1270,9 +1313,10 @@ func (a *Agent) reapStaleReaders(cacheMode bool, lagFloor int64) {
 	}
 }
 
-// BuildContent runs the full Figure 3 generation pipeline against the
-// host's live document and returns the prepared message. Exported so the
-// experiment harness can measure M5 (content generation time) directly.
+// BuildContent runs the Figure 3 generation pipeline against the host's
+// live document and returns the prepared message; its Figure 4 snapshot is
+// marshaled on first demand. Exported so the experiment harness can
+// measure M5 (content generation time, GenTime) directly.
 func (a *Agent) BuildContent(cacheMode bool) (*PreparedContent, error) {
 	a.builds.Add(1)
 	version := a.Browser.Version()
@@ -1293,15 +1337,11 @@ func (a *Agent) BuildContent(cacheMode bool) (*PreparedContent, error) {
 	if err != nil {
 		return nil, err
 	}
-	xml := nc.Marshal()
 	return &PreparedContent{
-		version: version,
-		docTime: nc.DocTime,
-		xml:     xml,
-		content: nc,
-		splice:  len(xml) - len(closeNewContent),
-		genTime: time.Since(start),
-		resp:    httpwire.NewResponse(200, "application/xml", xml),
+		version:     version,
+		docTime:     nc.DocTime,
+		content:     nc,
+		extractTime: time.Since(start),
 	}, nil
 }
 
@@ -1496,8 +1536,12 @@ func (a *Agent) buildDelta(prev, cur *PreparedContent) *preparedDelta {
 		}
 	}
 	xml := d.Marshal()
-	if len(xml) >= len(cur.xml) {
-		return nil // oversized: the snapshot is cheaper to ship and apply
+	// Oversized: the snapshot is cheaper to ship and apply. escape() never
+	// shrinks its input, so a delta shorter than the raw payloads is shorter
+	// than the snapshot without marshaling it; only a delta at least that
+	// long needs the snapshot's exact length.
+	if len(xml) >= cur.content.payloadLen() && len(xml) >= len(cur.XML()) {
+		return nil
 	}
 	return &preparedDelta{
 		baseDocTime: prev.docTime,

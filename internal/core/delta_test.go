@@ -181,8 +181,8 @@ func TestDeltaWireBytesAreSmall(t *testing.T) {
 	if d == nil {
 		t.Fatal("no delta for a small edit")
 	}
-	if len(d.xml)*4 > len(prep.xml) {
-		t.Fatalf("delta %dB vs full %dB; expected ≤ 25%%", len(d.xml), len(prep.xml))
+	if len(d.xml)*4 > len(prep.XML()) {
+		t.Fatalf("delta %dB vs full %dB; expected ≤ 25%%", len(d.xml), len(prep.XML()))
 	}
 }
 

@@ -95,7 +95,7 @@ func (d *DeltaContent) AppendMarshal(dst []byte) []byte {
 			dst = append(dst, "<hChild"...)
 			dst = strconv.AppendInt(dst, int64(i+1), 10)
 			dst = append(dst, "><![CDATA["...)
-			dst = jsescape.AppendEscape(dst, headChildPayload(h))
+			dst = appendHeadChildPayload(dst, h)
 			dst = append(dst, "]]></hChild"...)
 			dst = strconv.AppendInt(dst, int64(i+1), 10)
 			dst = append(dst, ">\n"...)
@@ -119,7 +119,7 @@ func appendRegionPatch(dst []byte, name string, patches []dom.Patch) []byte {
 	dst = append(dst, '<')
 	dst = append(dst, name...)
 	dst = append(dst, "><![CDATA["...)
-	dst = jsescape.AppendEscape(dst, string(appendPatches(nil, patches)))
+	dst = jsescape.AppendEscape(dst, appendPatches(nil, patches))
 	dst = append(dst, "]]></"...)
 	dst = append(dst, name...)
 	dst = append(dst, ">\n"...)

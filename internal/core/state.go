@@ -8,7 +8,6 @@ import (
 
 	"rcb/internal/browser"
 	"rcb/internal/dom"
-	"rcb/internal/httpwire"
 )
 
 // Versioned session state codec. ExportState serializes everything an agent
@@ -223,23 +222,35 @@ func (a *Agent) exportLocked() ([]byte, error) {
 		return pi < pj
 	})
 
+	// Collect the builds under cmu and marshal the snapshots no poll has
+	// demanded yet only after releasing it, so a marshal never stalls the
+	// polls that take cmu.
+	type exportBuild struct {
+		mode bool
+		prep *PreparedContent
+		ring []*PreparedContent
+	}
+	var builds []exportBuild
 	a.cmu.Lock()
 	for _, mode := range [2]bool{false, true} {
 		prep := a.prepared[mode]
 		if prep == nil || prep.version != version {
 			continue
 		}
-		ps := preparedSnapshot{CacheMode: mode, DocTime: prep.docTime, XML: string(prep.xml)}
-		if ring := a.prevRing[mode]; len(ring) > 0 {
-			ps.PrevDocTime = ring[0].docTime
-			ps.PrevXML = string(ring[0].xml)
-			for _, b := range ring[1:] {
-				ps.Ring = append(ps.Ring, ringSnapshot{DocTime: b.docTime, XML: string(b.xml)})
+		builds = append(builds, exportBuild{mode, prep, a.prevRing[mode]})
+	}
+	a.cmu.Unlock()
+	for _, b := range builds {
+		ps := preparedSnapshot{CacheMode: b.mode, DocTime: b.prep.docTime, XML: string(b.prep.XML())}
+		if len(b.ring) > 0 {
+			ps.PrevDocTime = b.ring[0].docTime
+			ps.PrevXML = string(b.ring[0].XML())
+			for _, r := range b.ring[1:] {
+				ps.Ring = append(ps.Ring, ringSnapshot{DocTime: r.docTime, XML: string(r.XML())})
 			}
 		}
 		st.Prepared = append(st.Prepared, ps)
 	}
-	a.cmu.Unlock()
 
 	return json.Marshal(st)
 }
@@ -386,13 +397,10 @@ func (a *Agent) ImportState(data []byte) error {
 // nil, which only disables the delta fast path.
 func importedPrepared(version, docTime int64, xml string) *PreparedContent {
 	b := []byte(xml)
-	prep := &PreparedContent{
-		version: version,
-		docTime: docTime,
-		xml:     b,
-		splice:  len(b) - len(closeNewContent),
-		resp:    httpwire.NewResponse(200, "application/xml", b),
-	}
+	prep := &PreparedContent{version: version, docTime: docTime}
+	// The snapshot arrives marshaled: fill it through the lazy path's guard
+	// so no demand ever re-renders it.
+	prep.xmlOnce.Do(func() { prep.setXML(b) })
 	if nc, err := Unmarshal(b); err == nil {
 		prep.content = nc
 	}

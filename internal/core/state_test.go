@@ -375,6 +375,14 @@ func TestDeltaRingStateRoundTrip(t *testing.T) {
 	if got := w.agent.DeltaBasesRetained(); got != 3 {
 		t.Fatalf("DeltaBasesRetained = %d, want 3", got)
 	}
+	// alice rode deltas, so only the joins' build has a marshaled snapshot:
+	// the export itself must marshal the rest.
+	cur, ring := w.agent.modeBuilds(false)
+	for _, b := range append([]*PreparedContent{cur}, ring[:2]...) {
+		if n := b.marshals.Load(); n != 0 {
+			t.Fatalf("build %d marshaled %d times before export, want 0", b.docTime, n)
+		}
+	}
 
 	first, err := w.agent.ExportState()
 	if err != nil {

@@ -73,11 +73,19 @@ func decodeAttrs(s string) []dom.Attr {
 	return attrs
 }
 
-// headChildPayload packs tag, attribute list and innerHTML into the single
-// string that is escape()d into the CDATA section.
-func headChildPayload(h HeadChild) string {
-	return h.Tag + "\n" + encodeAttrs(h.Attrs) + "\n" + h.Inner
+// appendHeadChildPayload escape()s one head child's payload — tag,
+// attribute list and innerHTML joined by newlines — into dst. The parts are
+// encoded one by one rather than concatenated first: escape() works rune by
+// rune and every part boundary is an ASCII newline, so the result is the
+// encoding of the joined string without building it.
+func appendHeadChildPayload(dst []byte, h HeadChild) []byte {
+	dst = jsescape.AppendEscape(dst, h.Tag)
+	dst = append(dst, escapedNewline...)
+	return appendTopElementPayload(dst, h.Attrs, h.Inner)
 }
+
+// escapedNewline is escape("\n"), the separator inside packed payloads.
+const escapedNewline = "%0A"
 
 func parseHeadChildPayload(s string) (HeadChild, error) {
 	parts := strings.SplitN(s, "\n", 3)
@@ -87,8 +95,12 @@ func parseHeadChildPayload(s string) (HeadChild, error) {
 	return HeadChild{Tag: parts[0], Attrs: decodeAttrs(parts[1]), Inner: parts[2]}, nil
 }
 
-func topElementPayload(t *TopElement) string {
-	return encodeAttrs(t.Attrs) + "\n" + t.Inner
+// appendTopElementPayload escape()s an attribute list and innerHTML,
+// joined by a newline, into dst (see appendHeadChildPayload).
+func appendTopElementPayload(dst []byte, attrs []dom.Attr, inner string) []byte {
+	dst = jsescape.AppendEscape(dst, encodeAttrs(attrs))
+	dst = append(dst, escapedNewline...)
+	return jsescape.AppendEscape(dst, inner)
 }
 
 func parseTopElementPayload(s string) (*TopElement, error) {
@@ -110,8 +122,8 @@ func (c *NewContent) Marshal() []byte {
 }
 
 // AppendMarshal appends the Figure 4 rendering of the message to dst and
-// returns the extended slice. Payloads are escape()d directly into dst —
-// no intermediate strings beyond the payload packing itself.
+// returns the extended slice. Payloads are escape()d directly into dst,
+// part by part, with no intermediate payload strings.
 func (c *NewContent) AppendMarshal(dst []byte) []byte {
 	dst = append(dst, "<?xml version='1.0' encoding='utf-8'?>\n<newContent>\n<docTime>"...)
 	dst = strconv.AppendInt(dst, c.DocTime, 10)
@@ -122,7 +134,7 @@ func (c *NewContent) AppendMarshal(dst []byte) []byte {
 			dst = append(dst, "<hChild"...)
 			dst = strconv.AppendInt(dst, int64(i+1), 10)
 			dst = append(dst, "><![CDATA["...)
-			dst = jsescape.AppendEscape(dst, headChildPayload(h))
+			dst = appendHeadChildPayload(dst, h)
 			dst = append(dst, "]]></hChild"...)
 			dst = strconv.AppendInt(dst, int64(i+1), 10)
 			dst = append(dst, ">\n"...)
@@ -147,7 +159,7 @@ func appendTopElement(dst []byte, name string, t *TopElement) []byte {
 	dst = append(dst, '<')
 	dst = append(dst, name...)
 	dst = append(dst, "><![CDATA["...)
-	dst = jsescape.AppendEscape(dst, topElementPayload(t))
+	dst = appendTopElementPayload(dst, t.Attrs, t.Inner)
 	dst = append(dst, "]]></"...)
 	dst = append(dst, name...)
 	dst = append(dst, ">\n"...)
@@ -161,6 +173,22 @@ func appendUserActions(dst []byte, actions []Action) []byte {
 	dst = jsescape.AppendEscape(dst, EncodeActions(actions))
 	dst = append(dst, "]]></userActions>\n"...)
 	return dst
+}
+
+// payloadLen returns the raw length of the message's document payloads. A
+// lower bound on the marshaled length, since escape() never shrinks its
+// input: the delta path compares against it before forcing a marshal.
+func (c *NewContent) payloadLen() int {
+	n := 0
+	for _, h := range c.Head {
+		n += len(h.Tag) + len(h.Inner)
+	}
+	for _, t := range [...]*TopElement{c.Body, c.FrameSet, c.NoFrames} {
+		if t != nil {
+			n += len(t.Inner)
+		}
+	}
+	return n
 }
 
 // Unmarshal parses a Figure 4 message. Payload CDATA content is escape()

@@ -7,6 +7,204 @@ import (
 	"unicode/utf8"
 )
 
+// The reference oracle: the original rune-at-a-time escape() and unescape(),
+// kept verbatim so the byte-table kernels can be checked against them on
+// arbitrary input (FuzzEscapeMatchesReference).
+
+func refUnreserved(c rune) bool {
+	switch {
+	case c >= 'A' && c <= 'Z':
+		return true
+	case c >= 'a' && c <= 'z':
+		return true
+	case c >= '0' && c <= '9':
+		return true
+	}
+	switch c {
+	case '@', '*', '_', '+', '-', '.', '/':
+		return true
+	}
+	return false
+}
+
+func refAppendEscape(dst []byte, s string) []byte {
+	for _, r := range s {
+		switch {
+		case refUnreserved(r):
+			if r < 0x80 {
+				dst = append(dst, byte(r))
+			} else {
+				dst = append(dst, string(r)...)
+			}
+		case r < 0x100:
+			dst = append(dst, '%', upperhex[r>>4], upperhex[r&0xF])
+		case r <= 0xFFFF:
+			dst = refAppendU16(dst, uint16(r))
+		default:
+			v := uint32(r) - 0x10000
+			dst = refAppendU16(dst, uint16(0xD800+(v>>10)))
+			dst = refAppendU16(dst, uint16(0xDC00+(v&0x3FF)))
+		}
+	}
+	return dst
+}
+
+func refAppendU16(dst []byte, u uint16) []byte {
+	return append(dst, '%', 'u',
+		upperhex[u>>12], upperhex[(u>>8)&0xF], upperhex[(u>>4)&0xF], upperhex[u&0xF])
+}
+
+func refUnescape(s string) string {
+	var b strings.Builder
+	b.Grow(len(s))
+	i := 0
+	var pendingHigh rune
+	flushPending := func() {
+		if pendingHigh != 0 {
+			b.WriteRune('\uFFFD')
+			pendingHigh = 0
+		}
+	}
+	writeUnit := func(u rune) {
+		if u >= 0xD800 && u <= 0xDBFF {
+			flushPending()
+			pendingHigh = u
+			return
+		}
+		if u >= 0xDC00 && u <= 0xDFFF {
+			if pendingHigh != 0 {
+				r := 0x10000 + (pendingHigh-0xD800)<<10 + (u - 0xDC00)
+				pendingHigh = 0
+				b.WriteRune(r)
+				return
+			}
+			b.WriteRune('\uFFFD')
+			return
+		}
+		flushPending()
+		b.WriteRune(u)
+	}
+	for i < len(s) {
+		c := s[i]
+		if c != '%' {
+			flushPending()
+			r, size := refDecodeRune(s[i:])
+			b.WriteRune(r)
+			i += size
+			continue
+		}
+		if i+5 < len(s) && (s[i+1] == 'u' || s[i+1] == 'U') {
+			if v, ok := refHex4(s[i+2 : i+6]); ok {
+				writeUnit(rune(v))
+				i += 6
+				continue
+			}
+		}
+		if i+2 < len(s) {
+			if v, ok := refHex2(s[i+1 : i+3]); ok {
+				writeUnit(rune(v))
+				i += 3
+				continue
+			}
+		}
+		flushPending()
+		b.WriteByte('%')
+		i++
+	}
+	flushPending()
+	return b.String()
+}
+
+func refDecodeRune(s string) (rune, int) {
+	if len(s) == 0 {
+		return 0, 0
+	}
+	c := s[0]
+	if c < 0x80 {
+		return rune(c), 1
+	}
+	var n int
+	var r rune
+	switch {
+	case c&0xE0 == 0xC0:
+		n, r = 2, rune(c&0x1F)
+	case c&0xF0 == 0xE0:
+		n, r = 3, rune(c&0x0F)
+	case c&0xF8 == 0xF0:
+		n, r = 4, rune(c&0x07)
+	default:
+		return rune(c), 1
+	}
+	if len(s) < n {
+		return rune(c), 1
+	}
+	for i := 1; i < n; i++ {
+		if s[i]&0xC0 != 0x80 {
+			return rune(c), 1
+		}
+		r = r<<6 | rune(s[i]&0x3F)
+	}
+	return r, n
+}
+
+func refHexVal(c byte) (byte, bool) {
+	switch {
+	case c >= '0' && c <= '9':
+		return c - '0', true
+	case c >= 'a' && c <= 'f':
+		return c - 'a' + 10, true
+	case c >= 'A' && c <= 'F':
+		return c - 'A' + 10, true
+	}
+	return 0, false
+}
+
+func refHex2(s string) (uint16, bool) {
+	h, ok1 := refHexVal(s[0])
+	l, ok2 := refHexVal(s[1])
+	if !ok1 || !ok2 {
+		return 0, false
+	}
+	return uint16(h)<<4 | uint16(l), true
+}
+
+func refHex4(s string) (uint16, bool) {
+	var v uint16
+	for i := 0; i < 4; i++ {
+		d, ok := refHexVal(s[i])
+		if !ok {
+			return 0, false
+		}
+		v = v<<4 | uint16(d)
+	}
+	return v, true
+}
+
+// FuzzEscapeMatchesReference checks both kernels byte for byte against the
+// reference oracle on arbitrary input: invalid and overlong UTF-8, lone and
+// unpaired %uD8xx/%uDCxx surrogates, truncated and non-hex % sequences. The
+// escape side is checked through both instantiations and onto a non-empty
+// destination; the unescape side also decodes the escaped form back. The
+// seed corpus under testdata/fuzz covers each of those input classes.
+func FuzzEscapeMatchesReference(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		want := refAppendEscape(nil, s)
+		if got := AppendEscape(nil, s); string(got) != string(want) {
+			t.Fatalf("AppendEscape(%q) = %q, reference %q", s, got, want)
+		}
+		if got := AppendEscape([]byte("pre"), []byte(s)); string(got) != "pre"+string(want) {
+			t.Fatalf("AppendEscape(pre, []byte(%q)) = %q, reference pre+%q", s, got, want)
+		}
+		if got, want := Unescape(s), refUnescape(s); got != want {
+			t.Fatalf("Unescape(%q) = %q, reference %q", s, got, want)
+		}
+		enc := string(want)
+		if got, want := Unescape(enc), refUnescape(enc); got != want {
+			t.Fatalf("Unescape(%q) = %q, reference %q", enc, got, want)
+		}
+	})
+}
+
 func TestEscapeASCIIUnreserved(t *testing.T) {
 	in := "abcXYZ019@*_+-./"
 	if got := Escape(in); got != in {
