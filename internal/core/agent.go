@@ -95,10 +95,10 @@ type Agent struct {
 	// WakeDebounce coalesces document-change wake-ups of parked long-polls:
 	// a burst of host mutations inside the window wakes the fleet at most
 	// twice (once at the leading edge, once after the window with the latest
-	// version) instead of once per mutation. The trailing wake also
-	// precomputes the deltas the woken fleet is about to request (one diff
-	// per distinct acked base) before fan-out. Zero disables coalescing. Set
-	// before serving traffic.
+	// version) instead of once per mutation. Every wake round, coalesced or
+	// not, builds the content and the deltas the woken fleet is about to
+	// request (one diff per distinct acked base) before answering it. Zero
+	// disables coalescing. Set before serving traffic.
 	WakeDebounce time.Duration
 	// DisableDelta turns off incremental deltaContent responses: every
 	// content-carrying poll gets the full Figure 4 snapshot, as the paper
@@ -323,10 +323,14 @@ type PreparedContent struct {
 	version int64
 	docTime int64
 	// content is the extracted message (head children and region payloads):
-	// the snapshot is marshaled from it, the delta path compares heads
-	// through it and reconstructs the participant-equivalent tree from it
-	// (participantTree).
+	// the snapshot is marshaled from it and the delta path compares heads
+	// through it.
 	content *NewContent
+	// regions are the rewritten clone's body, frameset and noframes
+	// elements (deltaRegionTags order) that content's region payloads were
+	// serialized from — the raw material of participantTree. Nil for
+	// imported builds, and released once participantTree has run.
+	regions [3]*dom.Node
 	// normOnce/normTree lazily cache the participant-equivalent view of
 	// this build — see participantTree. Only the delta path pays for it.
 	normOnce sync.Once
@@ -394,30 +398,34 @@ func (p *PreparedContent) GenTime() time.Duration {
 // regions look like after applying this build's message in full: each
 // region element gets the message's attribute list and the ParseFragment
 // of its innerHTML payload — exactly the installation the snippet's full
-// apply performs. Deltas must be diffed between these trees, not the live
+// apply performs. Deltas must be diffed between these trees, not the raw
 // clones they were extracted from: DOM-API mutations can leave empty or
 // adjacent text nodes in the host document that serialization erases, so
 // the clone and the participant's parsed copy can disagree on child
-// indexes even though they serialize identically. The reconstruction is
+// indexes even though they serialize identically. dom.Canonicalize turns a
+// clone region into that parse in place, without the serialize-and-parse
+// round trip; a region it cannot vouch for (and an imported build, which
+// has no clone) is parsed from its payload instead. The reconstruction is
 // lazy and cached — the full-snapshot path never pays for it.
 func (p *PreparedContent) participantTree() *dom.Node {
 	p.normOnce.Do(func() {
 		root := dom.NewElement("html")
-		add := func(tag string, te *TopElement) {
+		for i, te := range [...]*TopElement{p.content.Body, p.content.FrameSet, p.content.NoFrames} {
 			if te == nil {
-				return
+				continue
 			}
-			el := dom.NewElement(tag)
-			el.Attrs = append([]dom.Attr(nil), te.Attrs...)
-			if te.Inner != "" {
-				dom.SetInnerHTML(el, te.Inner)
+			el := p.regions[i]
+			if el == nil || !dom.Canonicalize(el) {
+				el = dom.NewElement(deltaRegionTags[i])
+				el.Attrs = append([]dom.Attr(nil), te.Attrs...)
+				if te.Inner != "" {
+					dom.SetInnerHTML(el, te.Inner)
+				}
 			}
 			root.AppendChild(el)
 		}
-		add("body", p.content.Body)
-		add("frameset", p.content.FrameSet)
-		add("noframes", p.content.NoFrames)
 		p.normTree = root
+		p.regions = [3]*dom.Node{}
 	})
 	return p.normTree
 }
@@ -472,9 +480,9 @@ func NewAgent(b *browser.Browser, addr string) *Agent {
 		hub:           newDeliveryHub(),
 		channels:      make(map[string]*agentChannel),
 	}
-	// The trailing edge of a debounced wake runs on its own timer goroutine
-	// with the whole woken fleet in hand — the one place the deltas the
-	// fleet is about to ask for can be computed before fan-out.
+	// Every wake round has the whole woken fleet in hand before answering
+	// it — the place the content and deltas the fleet is about to ask for
+	// are computed once.
 	a.hub.preWake = a.warmWakeDeltas
 	b.OnChange(func() {
 		a.hub.notifyAllDebounced(a.WakeDebounce)
@@ -667,7 +675,9 @@ func (a *Agent) serveObject(req *httpwire.Request) *httpwire.Response {
 // ask for long-poll delivery (wait=<ms> form field) and find nothing new
 // park on the delivery hub; every other request — and every poll with
 // something to deliver — answers inline. respond is the server's completion
-// callback and may be invoked later from a hub wake-up goroutine.
+// callback and may be invoked later from a hub wake round, which answers
+// its waiters one after another: respond must hand the response off without
+// blocking (see httpwire.AsyncHandler).
 func (a *Agent) ServeWireAsync(req *httpwire.Request, respond func(*httpwire.Response)) {
 	if req.Method != "POST" || req.Path() != "/poll" {
 		// Everything but a poll — including the /action upstream — answers
@@ -1322,9 +1332,10 @@ func (a *Agent) BuildContent(cacheMode bool) (*PreparedContent, error) {
 	version := a.Browser.Version()
 	start := time.Now()
 	var nc *NewContent
+	var regions [3]*dom.Node
 	err := a.Browser.WithDocument(func(pageURL string, doc *dom.Document) error {
 		docTime := a.nextDocTime()
-		nc = generateContent(doc.Root, contentOptions{
+		nc, regions = generateContent(doc.Root, contentOptions{
 			pageURL:     pageURL,
 			docTime:     docTime,
 			cacheMode:   cacheMode,
@@ -1337,10 +1348,17 @@ func (a *Agent) BuildContent(cacheMode bool) (*PreparedContent, error) {
 	if err != nil {
 		return nil, err
 	}
+	for _, r := range regions {
+		if r != nil {
+			// Keep only the regions, not the rest of the clone.
+			r.Parent.RemoveChild(r)
+		}
+	}
 	return &PreparedContent{
 		version:     version,
 		docTime:     nc.DocTime,
 		content:     nc,
+		regions:     regions,
 		extractTime: time.Since(start),
 	}, nil
 }
@@ -1432,12 +1450,11 @@ func (a *Agent) releaseDeltaState() {
 	a.cmu.Unlock()
 }
 
-// warmWakeDeltas is the delivery hub's preWake hook: it runs on the trailing
-// edge of a debounced wake, after the parked waiters are collected but
-// before fan-out. It gathers the distinct (mode, acked docTime) pairs of the
-// woken waiters and of every attached channel, and computes those deltas
-// once — so a thousand-strong fleet hits a warm cache instead of racing all
-// its polls on the first diff of each pair.
+// warmWakeDeltas is the delivery hub's preWake hook: it runs at the start of
+// every wake round, after the parked waiters are collected but before any
+// is answered. It gathers the distinct (mode, acked docTime) pairs of the
+// woken waiters and of every attached channel, and builds the content and
+// those deltas once — so the round's answers are all warm cache hits.
 func (a *Agent) warmWakeDeltas(woken []*pollWaiter) {
 	if a.DisableDelta || a.ShedLevel() >= ShedNoDelta {
 		return

@@ -124,9 +124,10 @@ type contentOptions struct {
 }
 
 // generateContent runs the five steps of Figure 3 against a live document
-// root and returns the extracted message. The clone is mutated; the live
-// document is never touched.
-func generateContent(root *dom.Node, opt contentOptions) *NewContent {
+// root and returns the extracted message plus the rewritten clone's region
+// elements (see extractContent). The clone is mutated; the live document is
+// never touched.
+func generateContent(root *dom.Node, opt contentOptions) (*NewContent, [3]*dom.Node) {
 	// Step 1: clone the documentElement.
 	clone := root.Clone()
 
@@ -164,7 +165,7 @@ func generateContent(root *dom.Node, opt contentOptions) *NewContent {
 	rewriteEventAttributes(clone)
 
 	// Step 5: extract the XML-format response content.
-	return ContentFromDocument(clone, opt.docTime)
+	return extractContent(clone, opt.docTime)
 }
 
 // rewriteEventAttributes adds snippet hooks to interactive elements so that

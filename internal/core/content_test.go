@@ -124,7 +124,7 @@ const testPage = `<html><head><title>T</title>` +
 func TestGenerateContentNonCacheMode(t *testing.T) {
 	doc := dom.Parse(testPage)
 	before := dom.OuterHTML(doc.Root)
-	nc := generateContent(doc.Root, genOpts("http://www.site.com/", false, nil))
+	nc, _ := generateContent(doc.Root, genOpts("http://www.site.com/", false, nil))
 
 	// Step 1 invariant: the live document is untouched.
 	if dom.OuterHTML(doc.Root) != before {
@@ -164,7 +164,7 @@ func TestGenerateContentCacheMode(t *testing.T) {
 		"http://www.site.com/img/a.png": true,
 		// The CDN image and css/js are NOT cached → stay absolute.
 	}
-	nc := generateContent(doc.Root, genOpts("http://www.site.com/", true, cached))
+	nc, _ := generateContent(doc.Root, genOpts("http://www.site.com/", true, cached))
 	body := nc.Body.Inner
 	if !strings.Contains(body, `src="http://host.lan:3000/obj/t1"`) {
 		t.Errorf("cached object not rewritten to agent URL: %s", body)
@@ -176,7 +176,7 @@ func TestGenerateContentCacheMode(t *testing.T) {
 
 func TestGenerateContentEventRewriting(t *testing.T) {
 	doc := dom.Parse(testPage)
-	nc := generateContent(doc.Root, genOpts("http://www.site.com/", false, nil))
+	nc, _ := generateContent(doc.Root, genOpts("http://www.site.com/", false, nil))
 	body := nc.Body.Inner
 
 	// Step 4: the form's onsubmit gained the snippet call, preserving the
@@ -210,7 +210,7 @@ func TestRCBPathsMatchHostDocument(t *testing.T) {
 	// The path stamped on the participant copy must resolve to the
 	// corresponding element of the (un-rewritten) host document.
 	hostDoc := dom.Parse(testPage)
-	nc := generateContent(hostDoc.Root, genOpts("http://www.site.com/", false, nil))
+	nc, _ := generateContent(hostDoc.Root, genOpts("http://www.site.com/", false, nil))
 
 	// Rebuild the participant's view of the body.
 	participant := dom.NewElement("body")

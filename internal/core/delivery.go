@@ -78,11 +78,11 @@ type deliveryHub struct {
 	wakeTimer *time.Timer
 	fanouts   int64
 
-	// preWake, when set, runs between collecting a trailing wake's waiters
-	// and fanning them out — the window where the deltas the woken fleet is
-	// about to request can be precomputed once. Installed at construction,
-	// never mutated afterwards, so reads need no lock. It runs on the wake
-	// timer's own goroutine, off every request path.
+	// preWake, when set, runs between collecting a wake round's waiters and
+	// completing them — the window where the content and deltas the woken
+	// fleet is about to request are built once. Installed at construction,
+	// never mutated afterwards, so reads need no lock. It runs on the
+	// round's own goroutine, off every request and host-mutation path.
 	preWake func(woken []*pollWaiter)
 }
 
@@ -160,17 +160,18 @@ func (h *deliveryHub) parkedCount() int {
 }
 
 // notifyAll wakes every parked waiter — a new document version exists (or
-// is about to: the waiters' re-check runs the single-flight generation, so
-// N wakes still cost one BuildContent). Each waiter is fulfilled on its own
-// goroutine; the notifier (typically the host browser's mutation path)
-// never blocks on content generation or socket writes.
+// is about to). The woken waiters are answered by one wake round on its
+// own goroutine (see fanOut); the notifier (typically the host browser's
+// mutation path) never blocks on content generation or socket writes.
 func (h *deliveryHub) notifyAll() {
 	h.mu.Lock()
 	h.global++
 	h.lastWake = time.Now()
 	woken := h.collectAllLocked()
 	h.mu.Unlock()
-	wakeWaiters(woken)
+	if len(woken) > 0 {
+		go h.fanOut(woken)
+	}
 }
 
 // notifyAllDebounced is notifyAll with burst coalescing: the first change
@@ -201,12 +202,13 @@ func (h *deliveryHub) notifyAllDebounced(debounce time.Duration) {
 	h.lastWake = time.Now()
 	woken := h.collectAllLocked()
 	h.mu.Unlock()
-	wakeWaiters(woken)
+	if len(woken) > 0 {
+		go h.fanOut(woken)
+	}
 }
 
-// trailingWake flushes the coalesced tail of a mutation burst. Running on
-// the wake timer's goroutine — not a host-mutation or request path — it is
-// the one place the fleet's deltas can be precomputed before fan-out.
+// trailingWake flushes the coalesced tail of a mutation burst, running the
+// round on the wake timer's own goroutine.
 func (h *deliveryHub) trailingWake() {
 	h.mu.Lock()
 	h.wakeArmed = false
@@ -217,10 +219,28 @@ func (h *deliveryHub) trailingWake() {
 	h.lastWake = time.Now()
 	woken := h.collectAllLocked()
 	h.mu.Unlock()
-	if h.preWake != nil && len(woken) > 0 {
+	if len(woken) > 0 {
+		h.fanOut(woken)
+	}
+}
+
+// fanOut is one wake round: warm, then answer. preWake builds the content
+// and the deltas the woken waiters will ask for, once; the waiters are then
+// completed back to back on this goroutine, each a cache hit handed to a
+// non-blocking respond (httpwire.AsyncHandler's contract). One goroutine
+// per round, not per waiter, keeps the answers from piling onto the
+// agent's locks and single-flight waits and from interleaving with the
+// readers' own work.
+func (h *deliveryHub) fanOut(woken []*pollWaiter) {
+	for _, w := range woken {
+		w.timer.Stop()
+	}
+	if h.preWake != nil {
 		h.preWake(woken)
 	}
-	wakeWaiters(woken)
+	for _, w := range woken {
+		w.fulfill(&pollReply{})
+	}
 }
 
 // collectAllLocked detaches every parked waiter and counts the fan-out.
@@ -243,13 +263,6 @@ func (h *deliveryHub) wakeFanouts() int64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.fanouts
-}
-
-func wakeWaiters(woken []*pollWaiter) {
-	for _, w := range woken {
-		w.timer.Stop()
-		go w.fulfill(&pollReply{})
-	}
 }
 
 // notifyPID wakes the waiters of one participant — a mirror action landed

@@ -81,13 +81,6 @@ const DefaultLongPollWait = 20 * time.Second
 // response arrives.
 const longPollReadSlack = 10 * time.Second
 
-// parkDeniedThreshold separates "the agent refused to park this request"
-// (empty answer at round-trip speed; Run must pace itself) from "the agent
-// parked it and the hang elapsed" (empty answer at hang scale; re-issue
-// immediately). Comfortably above the WAN round trips the experiments
-// model, comfortably below any sensible hang.
-const parkDeniedThreshold = 100 * time.Millisecond
-
 // Snippet is the participant-side Ajax-Snippet: the polling loop and
 // content application procedure a participant browser's JavaScript runs
 // (paper §4.2), reproduced as a Go state machine driving a participant
@@ -187,11 +180,15 @@ type Snippet struct {
 	queue       []Action
 	stats       SnippetStats
 	lastObjects []browser.ObjectFetch
-	memo        ApplyMemo
+	// memoMu guards memo, not mu: an apply holds it across the browser's
+	// mutation lock, and desync or Rejoin may reset the memo from another
+	// goroutine meanwhile.
+	memoMu sync.Mutex
+	memo   ApplyMemo
 	// parkDenied records that the most recent poll asked the agent to park
-	// it and was answered instantly empty — the push channel is gone
-	// (Agent.Close), so Run must pace itself instead of re-issuing at
-	// network speed.
+	// it and got an empty answer marked as a refusal (Rcb-Retry-After, or
+	// AGENT_CLOSING once Agent.Close retired the push channel), so Run must
+	// pace itself instead of re-issuing at network speed.
 	parkDenied bool
 	// pushSuspended records that the most recent action push failed, so
 	// later actions go straight to the piggyback queue instead of paying a
@@ -421,7 +418,6 @@ func (s *Snippet) Rejoin() error {
 		s.stats.Relocates++
 	}
 	s.docTime = 0
-	s.memo = ApplyMemo{}
 	s.pushSuspended = false
 	s.rejoinNeeded = false
 	s.agentClosing = false
@@ -435,6 +431,7 @@ func (s *Snippet) Rejoin() error {
 	_, _, join := s.backoffsLocked()
 	join.Reset()
 	s.mu.Unlock()
+	s.resetMemo()
 	return nil
 }
 
@@ -748,7 +745,6 @@ func (s *Snippet) PollOnce() (updated bool, err error) {
 		req.Header.Set("Cookie", c)
 	}
 	req.Body = body
-	pollStart := time.Now()
 	resp, err := s.Browser.Client.DoTimeout(addr, req, readTimeout)
 	if err != nil {
 		// Failed polls requeue their actions so interaction is not lost on
@@ -800,20 +796,18 @@ func (s *Snippet) PollOnce() (updated bool, err error) {
 	// content, Ajax-Snippet simply ... send[s] a new polling request after a
 	// specified time interval."
 	if len(resp.Body) == 0 {
-		// An empty answer at round-trip speed to a request that asked to
-		// park means the agent refused to park it (hub closed): a genuine
-		// hang that timed out empty arrives at ~the server's cap, and a
-		// real wake always carries content or actions. An agent whose cap
-		// is under the threshold reads as refusing too — the resulting
-		// interval pacing is the right degradation there as well.
-		denied := wait > 0 && time.Since(pollStart) < parkDeniedThreshold
+		// An empty answer refuses the park only when the agent marks it:
+		// every deliberate refusal carries Rcb-Retry-After (shed ladder,
+		// parked-poll cap) or AGENT_CLOSING (hub closed). An unmarked one
+		// is a hang that timed out, or a spurious wake — a poll that parked
+		// at a version whose change notification was still on its way —
+		// and either way the right move is to park again at once; how fast
+		// it arrived says nothing.
 		closing := ParseCloseReason(resp.Header.Get(CloseReasonHeader)) == CloseAgentClosing
 		retryAfter := parseRetryAfterMS(resp.Header.Get(RetryAfterHeader))
 		s.mu.Lock()
 		s.stats.EmptyPolls++
-		// An explicit AgentClosing marker is authoritative: the push
-		// channel is gone however fast the answer arrived.
-		s.parkDenied = denied || (wait > 0 && closing)
+		s.parkDenied = wait > 0 && (closing || retryAfter > 0)
 		s.agentClosing = closing
 		if closing {
 			s.stats.LastCloseReason = CloseAgentClosing
@@ -872,9 +866,11 @@ func (s *Snippet) handleDeltaResponse(body []byte, ts int64) (bool, error) {
 		return false, fmt.Errorf("rcb-snippet: delta base %d does not match acknowledged %d (resyncing)", d.BaseDocTime, ts)
 	}
 	start := time.Now()
+	s.memoMu.Lock()
 	err = s.Browser.ApplyMutation(func(doc *dom.Document) error {
 		return s.memo.ApplyDelta(doc, d)
 	})
+	s.memoMu.Unlock()
 	apply := time.Since(start)
 	if err != nil {
 		s.desync()
@@ -897,8 +893,16 @@ func (s *Snippet) handleDeltaResponse(body []byte, ts int64) (bool, error) {
 func (s *Snippet) desync() {
 	s.mu.Lock()
 	s.docTime = 0
-	s.memo = ApplyMemo{}
 	s.mu.Unlock()
+	s.resetMemo()
+}
+
+// resetMemo forgets what the memo installed, so the next apply re-installs
+// every region.
+func (s *Snippet) resetMemo() {
+	s.memoMu.Lock()
+	s.memo = ApplyMemo{}
+	s.memoMu.Unlock()
 }
 
 // ApplyContent installs new document content into the participant browser,
@@ -913,9 +917,11 @@ func (s *Snippet) desync() {
 // referenced by the new content (unless FetchObjects is off).
 func (s *Snippet) ApplyContent(content *NewContent) error {
 	start := time.Now()
+	s.memoMu.Lock()
 	err := s.Browser.ApplyMutation(func(doc *dom.Document) error {
 		return s.memo.Apply(doc, content)
 	})
+	s.memoMu.Unlock()
 	apply := time.Since(start)
 	if err != nil {
 		return fmt.Errorf("rcb-snippet: apply content: %w", err)

@@ -110,7 +110,7 @@ func TestWakeDebounceMassPark(t *testing.T) {
 
 // TestWakePrecomputeWarmsDeltas pins the wake-time precomputation: run the
 // hub's preWake hook over a delta-advertising fleet parked on one acked
-// base, exactly as the trailing wake does, and require it to build the new
+// base, exactly as a wake round does, and require it to build the new
 // content and the fleet's (base, target) delta before any poll is served —
 // so the whole woken fleet then rides warm cache hits: the diff runs exactly
 // once per distinct base and the single content build is shared.

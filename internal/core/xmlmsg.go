@@ -296,7 +296,19 @@ func stripCDATA(s string) string {
 // element, following the paper's extraction order: head children first,
 // then the remaining top-level children (body, or frameset plus noframes).
 func ContentFromDocument(root *dom.Node, docTime int64) *NewContent {
+	c, _ := extractContent(root, docTime)
+	return c
+}
+
+// extractContent is ContentFromDocument that also returns the elements the
+// region payloads were serialized from, in deltaRegionTags order.
+func extractContent(root *dom.Node, docTime int64) (*NewContent, [3]*dom.Node) {
 	c := &NewContent{DocTime: docTime, HasDocument: true}
+	var regions [3]*dom.Node
+	top := func(i int, el *dom.Node) *TopElement {
+		regions[i] = el
+		return &TopElement{Attrs: append([]dom.Attr(nil), el.Attrs...), Inner: dom.InnerHTML(el)}
+	}
 	for _, child := range root.ChildElements() {
 		switch child.Tag {
 		case "head":
@@ -308,12 +320,12 @@ func ContentFromDocument(root *dom.Node, docTime int64) *NewContent {
 				})
 			}
 		case "body":
-			c.Body = &TopElement{Attrs: append([]dom.Attr(nil), child.Attrs...), Inner: dom.InnerHTML(child)}
+			c.Body = top(0, child)
 		case "frameset":
-			c.FrameSet = &TopElement{Attrs: append([]dom.Attr(nil), child.Attrs...), Inner: dom.InnerHTML(child)}
+			c.FrameSet = top(1, child)
 		case "noframes":
-			c.NoFrames = &TopElement{Attrs: append([]dom.Attr(nil), child.Attrs...), Inner: dom.InnerHTML(child)}
+			c.NoFrames = top(2, child)
 		}
 	}
-	return c
+	return c, regions
 }

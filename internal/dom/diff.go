@@ -155,13 +155,7 @@ func diffChildren(old, new *Node, path string, out *[]Patch) {
 	oc, nc := old.Children, new.Children
 	var pairs [][2]int
 	if len(oc)*len(nc) > lcsLimit {
-		for i := 0; i < len(oc) && i < len(nc); i++ {
-			if shallowCompatible(oc[i], nc[i]) {
-				pairs = append(pairs, [2]int{i, i})
-			} else {
-				break
-			}
-		}
+		pairs = compatiblePrefix(oc, nc)
 	} else {
 		pairs = lcsPairs(oc, nc)
 	}
@@ -197,18 +191,25 @@ func diffChildren(old, new *Node, path string, out *[]Patch) {
 }
 
 // lcsPairs returns the index pairs of a longest common subsequence of old
-// and new children under shallow compatibility.
+// and new children under shallow compatibility. The compatible common
+// prefix is paired directly — the backtrack below would take exactly those
+// (i, i) pairs first, since a compatible cell always extends its diagonal —
+// so unchanged child lists skip the table entirely. Each remaining child's
+// shape is computed once, not per table cell.
 func lcsPairs(oc, nc []*Node) [][2]int {
-	m, n := len(oc), len(nc)
+	pairs := compatiblePrefix(oc, nc)
+	p := len(pairs)
+	m, n := len(oc)-p, len(nc)-p
 	if m == 0 || n == 0 {
-		return nil
+		return pairs
 	}
-	// dp[i][j] = LCS length of oc[i:], nc[j:], flattened row-major.
+	osh, nsh := shapesOf(oc[p:]), shapesOf(nc[p:])
+	// dp[i][j] = LCS length of osh[i:], nsh[j:], flattened row-major.
 	dp := make([]int, (m+1)*(n+1))
 	idx := func(i, j int) int { return i*(n+1) + j }
 	for i := m - 1; i >= 0; i-- {
 		for j := n - 1; j >= 0; j-- {
-			if shallowCompatible(oc[i], nc[j]) {
+			if osh[i] == nsh[j] {
 				dp[idx(i, j)] = dp[idx(i+1, j+1)] + 1
 			} else if dp[idx(i+1, j)] >= dp[idx(i, j+1)] {
 				dp[idx(i, j)] = dp[idx(i+1, j)]
@@ -217,11 +218,13 @@ func lcsPairs(oc, nc []*Node) [][2]int {
 			}
 		}
 	}
-	pairs := make([][2]int, 0, dp[0])
+	if pairs == nil {
+		pairs = make([][2]int, 0, dp[0])
+	}
 	for i, j := 0, 0; i < m && j < n; {
 		switch {
-		case shallowCompatible(oc[i], nc[j]) && dp[idx(i, j)] == dp[idx(i+1, j+1)]+1:
-			pairs = append(pairs, [2]int{i, j})
+		case osh[i] == nsh[j] && dp[idx(i, j)] == dp[idx(i+1, j+1)]+1:
+			pairs = append(pairs, [2]int{p + i, p + j})
 			i++
 			j++
 		case dp[idx(i+1, j)] >= dp[idx(i, j+1)]:
@@ -231,6 +234,40 @@ func lcsPairs(oc, nc []*Node) [][2]int {
 		}
 	}
 	return pairs
+}
+
+// compatiblePrefix pairs oc[i] with nc[i] for as long as the two are
+// shallow-compatible.
+func compatiblePrefix(oc, nc []*Node) [][2]int {
+	var pairs [][2]int
+	for i := 0; i < len(oc) && i < len(nc) && shallowCompatible(oc[i], nc[i]); i++ {
+		if pairs == nil {
+			pairs = make([][2]int, 0, min(len(oc), len(nc)))
+		}
+		pairs = append(pairs, [2]int{i, i})
+	}
+	return pairs
+}
+
+// nodeShape is the part of a node shallow compatibility looks at: two
+// nodes are compatible exactly when their shapes are equal.
+type nodeShape struct {
+	typ   NodeType
+	tag   string
+	key   string
+	keyed bool
+}
+
+func shapesOf(nodes []*Node) []nodeShape {
+	out := make([]nodeShape, len(nodes))
+	for i, c := range nodes {
+		out[i] = nodeShape{typ: c.Type}
+		if c.Type == ElementNode {
+			out[i].tag = c.Tag
+			out[i].key, out[i].keyed = keyOf(c)
+		}
+	}
+	return out
 }
 
 // childPath extends a parent path with one child index.

@@ -4,7 +4,11 @@ package dom
 // corpora live under testdata/fuzz/<Target>/ and are exercised by plain
 // `go test`; `make fuzz` runs each target briefly with mutation.
 
-import "testing"
+import (
+	"math/rand"
+	"slices"
+	"testing"
+)
 
 // fuzzSizeCap bounds inputs so the fuzzer explores structure rather than
 // timing out on megabyte text runs.
@@ -47,7 +51,9 @@ func FuzzParse(f *testing.F) {
 // FuzzDiffApply checks convergence on fuzzed tree pairs: for any two parsed
 // documents, applying Diff's script to the first must reproduce the second's
 // serialization exactly, and Apply must never reject its own engine's
-// output.
+// output. Along the way every child-list alignment Diff performs must pair
+// exactly as the full-table reference does (lcsPairsReference), so the
+// prefix shortcut and the shape cache can never change a patch.
 func FuzzDiffApply(f *testing.F) {
 	seeds := [][2]string{
 		{"<html><body><p>a</p></body></html>", "<html><body><p>b</p></body></html>"},
@@ -65,6 +71,7 @@ func FuzzDiffApply(f *testing.F) {
 			t.Skip()
 		}
 		da, db := Parse(a), Parse(b)
+		checkAlignment(t, da.Root, db.Root)
 		want := OuterHTML(db.Root)
 		patches := Diff(da.Root, db.Root)
 		if err := Apply(da.Root, patches); err != nil {
@@ -74,4 +81,84 @@ func FuzzDiffApply(f *testing.F) {
 			t.Errorf("diff/apply diverged:\n got: %q\nwant: %q\na: %q\nb: %q", got, want, a, b)
 		}
 	})
+}
+
+// checkAlignment walks old and new the way diffNode does and compares each
+// lcsPairs result with the reference alignment.
+func checkAlignment(t *testing.T, old, new *Node) {
+	t.Helper()
+	if !shallowCompatible(old, new) || old.Type != ElementNode {
+		return
+	}
+	oc, nc := old.Children, new.Children
+	if len(oc)*len(nc) > lcsLimit {
+		return
+	}
+	got, want := lcsPairs(oc, nc), lcsPairsReference(oc, nc)
+	if !slices.Equal(got, want) {
+		t.Fatalf("lcsPairs under <%s> = %v, reference %v", old.Tag, got, want)
+	}
+	for _, pr := range got {
+		checkAlignment(t, oc[pr[0]], nc[pr[1]])
+	}
+}
+
+// lcsPairsReference is the full-table alignment lcsPairs must reproduce:
+// every cell compares the two children with shallowCompatible, and the
+// backtrack starts at (0, 0).
+func lcsPairsReference(oc, nc []*Node) [][2]int {
+	m, n := len(oc), len(nc)
+	if m == 0 || n == 0 {
+		return nil
+	}
+	dp := make([]int, (m+1)*(n+1))
+	idx := func(i, j int) int { return i*(n+1) + j }
+	for i := m - 1; i >= 0; i-- {
+		for j := n - 1; j >= 0; j-- {
+			if shallowCompatible(oc[i], nc[j]) {
+				dp[idx(i, j)] = dp[idx(i+1, j+1)] + 1
+			} else if dp[idx(i+1, j)] >= dp[idx(i, j+1)] {
+				dp[idx(i, j)] = dp[idx(i+1, j)]
+			} else {
+				dp[idx(i, j)] = dp[idx(i, j+1)]
+			}
+		}
+	}
+	pairs := make([][2]int, 0, dp[0])
+	for i, j := 0, 0; i < m && j < n; {
+		switch {
+		case shallowCompatible(oc[i], nc[j]) && dp[idx(i, j)] == dp[idx(i+1, j+1)]+1:
+			pairs = append(pairs, [2]int{i, j})
+			i++
+			j++
+		case dp[idx(i+1, j)] >= dp[idx(i, j+1)]:
+			i++
+		default:
+			j++
+		}
+	}
+	return pairs
+}
+
+// TestLCSPairsMatchReference runs the alignment oracle over the property
+// harness's trees: mutated clones (long shared prefixes, moved keyed
+// subtrees) and unrelated pairs (no prefix at all).
+func TestLCSPairsMatchReference(t *testing.T) {
+	for seed := 0; seed < 1500; seed++ {
+		r := rand.New(rand.NewSource(int64(seed) + 3_000_000))
+		ids := 0
+		old := genDocument(r)
+		var new *Node
+		if seed%5 == 4 {
+			new = genDocument(r)
+		} else {
+			new = old.Clone()
+			for applied := r.Intn(8) + 1; applied > 0; {
+				if mutate(r, new, &ids) {
+					applied--
+				}
+			}
+		}
+		checkAlignment(t, old, new)
+	}
 }

@@ -26,6 +26,12 @@ type Handler interface {
 // ordering on the persistent connection. When the server is closed with a
 // request still parked, the request is abandoned: the connection drops and
 // the handler's eventual respond call becomes a no-op.
+//
+// respond must be a non-blocking hand-off: a handler may complete many
+// parked requests back to back from one goroutine, so a respond that waited
+// on a socket write would stall every request after it. Server's respond is
+// a buffered channel send to the connection's goroutine, which does the
+// write; a wrapper that adds its own work must keep it as short.
 type AsyncHandler interface {
 	Handler
 	ServeWireAsync(req *Request, respond func(*Response))

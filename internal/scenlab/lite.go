@@ -249,7 +249,6 @@ func (l *lite) pollOnce() (time.Duration, error) {
 	req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
 	req.Header.Set("Cookie", "rcbpid="+l.currentPID())
 	req.Body = []byte(httpwire.EncodeForm(fields))
-	pollStart := time.Now()
 	resp, err := l.client.DoTimeout(l.f.addr(), req, wait+10*time.Second)
 	if err != nil {
 		l.requeue(acts)
@@ -266,6 +265,9 @@ func (l *lite) pollOnce() (time.Duration, error) {
 	if len(resp.Body) == 0 {
 		l.emptyPolls.Add(1)
 		l.stampProbe()
+		// Only a marked answer paces a long-poll, as in the snippet: an
+		// unmarked empty one is a timeout or a spurious wake, however fast
+		// it came, and the next poll parks at once.
 		delay := retryAfterOf(resp)
 		if core.ParseCloseReason(resp.Header.Get(core.CloseReasonHeader)) == core.CloseAgentClosing {
 			// The agent completed the park deliberately while shutting
@@ -276,12 +278,6 @@ func (l *lite) pollOnce() (time.Duration, error) {
 		}
 		if l.mode == liteInterval && delay < l.interval {
 			delay = l.interval
-		}
-		if wait > 0 && delay == 0 && time.Since(pollStart) < 50*time.Millisecond {
-			// A request that asked to park was answered instantly empty
-			// with no pacing hint: the agent refused the park (quiesce,
-			// shutdown). Pace instead of re-polling at network speed.
-			delay = 50 * time.Millisecond
 		}
 		return delay, nil
 	}
