@@ -224,14 +224,10 @@ type Agent struct {
 	handoverImported bool
 	handoverDone     bool
 
-	// hub parks long-polls and wakes them on document changes, outbox
-	// enqueues, and disconnects.
+	// hub holds every delivery subscriber — parked long-polls and attached
+	// channels — and wakes them on document changes, outbox enqueues,
+	// disconnects, and shutdown.
 	hub *deliveryHub
-
-	// chmu guards the persistent-channel registry (channel.go): at most one
-	// framed full-duplex channel per participant, keyed by pid.
-	chmu     sync.Mutex
-	channels map[string]*agentChannel
 
 	// builds counts Figure 3 pipeline executions — the observable the
 	// single-flight tests and cache-effectiveness metrics key on.
@@ -246,10 +242,9 @@ type Agent struct {
 	// deltasServed counts polls answered with a deltaContent message.
 	deltasServed atomic.Int64
 
-	// Persistent-channel observables (channel.go): open channels, frames in
-	// each direction, and upgrades refused or channels closed toward the
+	// Persistent-channel observables (channel.go): frames in each
+	// direction, and upgrades refused or channels closed toward the
 	// degradation ladder.
-	channelsOpen     atomic.Int64
 	framesOut        atomic.Int64
 	framesIn         atomic.Int64
 	channelFallbacks atomic.Int64
@@ -478,18 +473,12 @@ func NewAgent(b *browser.Browser, addr string) *Agent {
 		dedup:         make(map[string]*dedupState),
 		buildHist:     make(map[bool][]int64),
 		hub:           newDeliveryHub(),
-		channels:      make(map[string]*agentChannel),
 	}
 	// Every wake round has the whole woken fleet in hand before answering
 	// it — the place the content and deltas the fleet is about to ask for
 	// are computed once.
 	a.hub.preWake = a.warmWakeDeltas
-	b.OnChange(func() {
-		a.hub.notifyAllDebounced(a.WakeDebounce)
-		// Channel writers coalesce through their cap-1 notify slots, so the
-		// fleet wake needs no debounce of its own.
-		a.notifyAllChannels()
-	})
+	b.OnChange(func() { a.hub.notifyAllDebounced(a.WakeDebounce) })
 	return a
 }
 
@@ -499,14 +488,14 @@ func NewAgent(b *browser.Browser, addr string) *Agent {
 // interval-style. The agent remains usable afterwards — Close only retires
 // the push channels, typically just before the enclosing httpwire.Server
 // closes.
-func (a *Agent) Close() {
-	a.hub.close()
-	a.closeAllChannels(closeSignal{reason: CloseAgentClosing})
-}
+func (a *Agent) Close() { a.hub.close() }
 
 // ParkedPolls reports how many long-polls are currently parked — the
 // observable fan-out tests and benchmarks synchronize on.
-func (a *Agent) ParkedPolls() int { return a.hub.parkedCount() }
+func (a *Agent) ParkedPolls() int {
+	n, _ := a.hub.counts()
+	return n
+}
 
 // WakeFanouts reports how many document-change wake rounds actually woke
 // parked polls — with WakeDebounce set, a burst of M host mutations
@@ -712,7 +701,7 @@ func (a *Agent) ServeWireAsync(req *httpwire.Request, respond func(*httpwire.Res
 	if wait > 0 {
 		if a.ShedLevel() >= ShedInterval {
 			parkRefused = true
-		} else if a.MaxParkedPolls > 0 && a.hub.parkedCount() >= a.MaxParkedPolls {
+		} else if a.MaxParkedPolls > 0 && a.ParkedPolls() >= a.MaxParkedPolls {
 			parkRefused = true
 		}
 		if parkRefused {
@@ -1156,10 +1145,9 @@ func (a *Agent) DisconnectWith(pid string, reason CloseReason) {
 		}
 		a.logf("rcb-agent: participant %s disconnected: %s", pid, reason)
 	}
-	a.hub.notifyPID(pid)
-	// A live channel learns of the disconnect the same way a parked poll
-	// does: immediately, with the reason on the wire (a close frame here).
-	a.closeChannel(pid, closeSignal{reason: reason})
+	// Parked polls and a live channel learn of the disconnect at once, with
+	// the reason on the wire (a close frame, for the channel).
+	a.hub.disconnect(pid, closeSignal{reason: reason})
 }
 
 // rememberedCloses bounds the disconnect-reason memory.
@@ -1455,7 +1443,7 @@ func (a *Agent) releaseDeltaState() {
 // is answered. It gathers the distinct (mode, acked docTime) pairs of the
 // woken waiters and of every attached channel, and builds the content and
 // those deltas once — so the round's answers are all warm cache hits.
-func (a *Agent) warmWakeDeltas(woken []*pollWaiter) {
+func (a *Agent) warmWakeDeltas(woken []*pollWaiter, chans []*agentChannel) {
 	if a.DisableDelta || a.ShedLevel() >= ShedNoDelta {
 		return
 	}
@@ -1480,15 +1468,10 @@ func (a *Agent) warmWakeDeltas(woken []*pollWaiter) {
 			want[pair{mode, w.ts}] = struct{}{}
 		}
 	}
-	a.chmu.Lock()
-	chans := make([]*agentChannel, 0, len(a.channels))
-	for _, ch := range a.channels {
-		if ch.deltaOK {
-			chans = append(chans, ch)
-		}
-	}
-	a.chmu.Unlock()
 	for _, ch := range chans {
+		if !ch.deltaOK {
+			continue
+		}
 		ch.mu.Lock()
 		base := ch.base
 		ch.mu.Unlock()
@@ -1799,7 +1782,6 @@ func (a *Agent) Broadcast(act Action) {
 			a.outboxDepth.Add(int64(d))
 		}
 		a.hub.notifyPID(p.ID)
-		a.notifyChannel(p.ID)
 	}
 	a.pmu.RUnlock()
 	a.maybeEvalLoad()

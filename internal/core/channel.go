@@ -3,15 +3,16 @@ package core
 // The persistent full-duplex channel: one framed connection replacing the
 // long-poll/push-lane pair. A participant upgrades a normal HMAC-verified
 // POST /channel exchange into a frame stream (httpwire frame codec) and the
-// agent registers the connection with its delivery machinery as a push
-// sink: a build landing fans the shared prepared/delta bytes out to every
-// attached channel the moment it exists — no park/wake counters, no
-// per-update request parse, no per-update HMAC (the connection was
-// authenticated once, at the upgrade). Each channel's acked base picks its
-// delta from the multi-version ring, so channels at different bases share
-// the per-(base, target) encoded bytes rather than assuming one base. Upstream, the same socket carries
-// action frames and acks, retiring the separate /action lane while the
-// channel is up.
+// agent attaches the connection to the delivery hub as a persistent
+// subscriber, beside the parked polls: a build landing wakes the channel's
+// writer, which pushes the shared prepared/delta bytes the moment they
+// exist — no park/wake counters, no per-update request parse, no per-update
+// HMAC (the connection was authenticated once, at the upgrade). Each
+// channel's acked base picks its delta from the multi-version ring, so
+// channels at different bases share the per-(base, target) encoded bytes
+// rather than assuming one base. Upstream, the same socket carries action
+// frames and acks, retiring the separate /action lane while the channel is
+// up.
 //
 // This file is the server half; the client half (DeliveryDuplex) lives in
 // duplex.go. Both speak the frame schema below.
@@ -84,7 +85,7 @@ func decodeCloseSignal(payload []byte) closeSignal {
 		case "reason":
 			cs.reason = ParseCloseReason(f.Value)
 		case "retry":
-			cs.retry = parseRetryAfterMS(f.Value)
+			cs.retry = ParseRetryAfter(f.Value)
 		case "relocate":
 			cs.relocate = f.Value
 		}
@@ -95,9 +96,9 @@ func decodeCloseSignal(payload []byte) closeSignal {
 	return cs
 }
 
-// agentChannel is one registered persistent channel: the server-side state
+// agentChannel is one attached persistent channel: the server-side state
 // of a participant's framed connection. The writer goroutine owns delivery
-// (it is the participant's push sink); the reader goroutine handles the
+// (the hub's wakes land in its notify slot); the reader goroutine handles the
 // upstream direction. base — the docTime the client is known to hold — is
 // advanced by the writer as it sends and reset to zero by the reader when
 // the client reports a failed apply (FrameAck 0), forcing a full resend.
@@ -150,7 +151,10 @@ func (ch *agentChannel) requestClose(cs closeSignal) {
 
 // ChannelsOpen reports how many persistent channels are currently attached —
 // the observable duplex tests and benchmarks synchronize on.
-func (a *Agent) ChannelsOpen() int64 { return a.channelsOpen.Load() }
+func (a *Agent) ChannelsOpen() int64 {
+	_, n := a.hub.counts()
+	return int64(n)
+}
 
 // FramesOut reports frames written to channels (content, deltas, acks,
 // pongs, closes).
@@ -214,7 +218,7 @@ func (a *Agent) serveChannelUpgrade(req *httpwire.Request) *httpwire.Response {
 	return resp
 }
 
-// runChannel owns one upgraded connection for its lifetime: register,
+// runChannel owns one upgraded connection for its lifetime: attach,
 // spawn the reader, drive the writer, tear down. Runs on the server
 // connection's goroutine (the Hijack contract); returning closes the conn.
 func (a *Agent) runChannel(conn *httpwire.ChannelConn, pid string, ts int64, deltaOK bool) {
@@ -226,8 +230,7 @@ func (a *Agent) runChannel(conn *httpwire.ChannelConn, pid string, ts int64, del
 		done:    make(chan struct{}),
 		base:    ts,
 	}
-	a.registerChannel(ch)
-	a.channelsOpen.Add(1)
+	a.hub.attach(ch)
 	readerDone := make(chan struct{})
 	go func() {
 		defer close(readerDone)
@@ -239,8 +242,7 @@ func (a *Agent) runChannel(conn *httpwire.ChannelConn, pid string, ts int64, del
 	a.channelWriter(ch)
 	ch.shutdown()
 	<-readerDone
-	a.channelsOpen.Add(-1)
-	a.unregisterChannel(ch)
+	a.hub.detach(ch)
 	a.logf("rcb-agent: participant %s channel detached", pid)
 }
 
@@ -308,6 +310,8 @@ func (a *Agent) channelFlush(ch *agentChannel) bool {
 		a.smu.RUnlock()
 		if err != nil {
 			a.logf("rcb-agent: channel %s content generation: %v", ch.pid, err)
+			// No hub wake here: it would land in this channel's own notify
+			// slot and spin the writer on a persistent error.
 			a.requeueOutbox(ch.pid, out.actions)
 			return true // possibly transient; wait for the next wake
 		}
@@ -324,6 +328,7 @@ func (a *Agent) channelFlush(ch *agentChannel) bool {
 			// delivers them — channel failure may delay an action, never
 			// drop it.
 			a.requeueOutbox(ch.pid, out.actions)
+			a.hub.notifyPID(ch.pid)
 			return false
 		}
 		a.framesOut.Add(1)
@@ -452,8 +457,8 @@ func (a *Agent) channelAck(ch *agentChannel, ts int64) {
 }
 
 // requeueOutbox returns drained mirror actions to the front of a
-// participant's outbox after a failed channel write, so the recovery path
-// (fallback poll, reattached channel) still delivers them.
+// participant's outbox after a failed channel delivery, so the recovery
+// path (fallback poll, reattached channel) still delivers them.
 func (a *Agent) requeueOutbox(pid string, actions []Action) {
 	if len(actions) == 0 {
 		return
@@ -472,72 +477,5 @@ func (a *Agent) requeueOutbox(pid string, actions []Action) {
 	p.mu.Unlock()
 	if d := after - before; d != 0 {
 		a.outboxDepth.Add(int64(d))
-	}
-	a.hub.notifyPID(pid)
-}
-
-// registerChannel installs ch as pid's channel. A newer upgrade replaces an
-// older channel (typically a client re-upgrading after a fallback, its old
-// socket half-dead); the replaced one is torn down silently.
-func (a *Agent) registerChannel(ch *agentChannel) {
-	a.chmu.Lock()
-	old := a.channels[ch.pid]
-	a.channels[ch.pid] = ch
-	a.chmu.Unlock()
-	if old != nil {
-		old.shutdown()
-	}
-}
-
-// unregisterChannel removes ch unless a newer channel already replaced it.
-func (a *Agent) unregisterChannel(ch *agentChannel) {
-	a.chmu.Lock()
-	if a.channels[ch.pid] == ch {
-		delete(a.channels, ch.pid)
-	}
-	a.chmu.Unlock()
-}
-
-// notifyChannel wakes pid's channel writer, if one is attached.
-func (a *Agent) notifyChannel(pid string) {
-	a.chmu.Lock()
-	ch := a.channels[pid]
-	a.chmu.Unlock()
-	if ch != nil {
-		ch.wake()
-	}
-}
-
-// notifyAllChannels wakes every channel writer — the document-change
-// fan-out. Each writer re-reads shared prepared bytes; no per-channel work
-// happens here beyond a non-blocking send.
-func (a *Agent) notifyAllChannels() {
-	a.chmu.Lock()
-	for _, ch := range a.channels {
-		ch.wake()
-	}
-	a.chmu.Unlock()
-}
-
-// closeChannel schedules an orderly close of pid's channel, if attached.
-func (a *Agent) closeChannel(pid string, cs closeSignal) {
-	a.chmu.Lock()
-	ch := a.channels[pid]
-	a.chmu.Unlock()
-	if ch != nil {
-		ch.requestClose(cs)
-	}
-}
-
-// closeAllChannels schedules an orderly close of every attached channel.
-func (a *Agent) closeAllChannels(cs closeSignal) {
-	a.chmu.Lock()
-	chans := make([]*agentChannel, 0, len(a.channels))
-	for _, ch := range a.channels {
-		chans = append(chans, ch)
-	}
-	a.chmu.Unlock()
-	for _, ch := range chans {
-		ch.requestClose(cs)
 	}
 }

@@ -302,7 +302,7 @@ func TestChannelDisabledRefusal(t *testing.T) {
 // client falls back to polling and suspends upgrades.
 func TestChannelMeasuredShedClosesChannel(t *testing.T) {
 	w := newWorld(t, func(a *Agent) {
-		// channelsOpen counts toward the parked signal, so one attached
+		// attached channels count toward the parked signal, so one attached
 		// channel trips the high watermark on the first evaluation.
 		a.Shed = ShedWatermarks{ParkedHigh: 1, ParkedLow: 0}
 	})
@@ -315,7 +315,7 @@ func TestChannelMeasuredShedClosesChannel(t *testing.T) {
 		w.agent.EvaluateLoad()
 	}
 	// The writer checks the ladder on its next wake.
-	w.agent.notifyAllChannels()
+	w.agent.hub.notifyAll()
 	if err := <-done; err != nil {
 		t.Fatalf("shed close must degrade silently, got %v", err)
 	}

@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strconv"
+	"time"
 
 	"rcb/internal/httpwire"
 )
@@ -110,6 +112,17 @@ const (
 	// listen address of the agent now serving the session.
 	RelocateHeader = "Rcb-Relocate"
 )
+
+// ParseRetryAfter parses an Rcb-Retry-After value (milliseconds), zero
+// when absent or malformed. Every client of the poll protocol reads the hint
+// through it.
+func ParseRetryAfter(v string) time.Duration {
+	ms, err := strconv.ParseInt(v, 10, 64)
+	if err != nil || ms <= 0 {
+		return 0
+	}
+	return time.Duration(ms) * time.Millisecond
+}
 
 // CloseError is the error a Snippet surfaces when the agent terminated the
 // exchange with an explicit reason.

@@ -1,17 +1,19 @@
 package core
 
-// Long-poll delivery: the version-notification hub behind RCB-Agent's
-// hanging-GET channel.
+// The delivery hub: the one subscriber set behind RCB-Agent's push paths.
 //
 // The paper's protocol answers every polling request immediately — "if no
 // new content needs to be sent back, RCB-Agent sends a response with empty
 // content ... to avoid hanging requests" (§4.1.1) — which makes the polling
-// interval the staleness floor. The hub inverts that trade: a poll that
-// finds nothing new may park (httpwire.AsyncHandler) until the host
-// document changes, a mirror action lands in the participant's outbox, the
-// participant is disconnected, or a configurable maximum hang elapses —
-// whichever comes first. Timeouts degrade exactly to the paper's empty
-// response, so a long-poll client is never worse off than an interval one.
+// interval the staleness floor. The hub inverts that trade. A subscriber is
+// either a parked poll (httpwire.AsyncHandler), completed once by fulfill,
+// or a persistent channel (channel.go), completed per event by waking its
+// writer and finally by requestClose. Every event reaches both kinds with
+// one call under one lock: a document change (notifyAll), a mirror action
+// in the outbox (notifyPID), a disconnect, or shutdown (close). A parked
+// poll also ends when a configurable maximum hang elapses; timeouts degrade
+// exactly to the paper's empty response, so a long-poll client is never
+// worse off than an interval one.
 //
 // Correctness hinges on closing the check-then-park window: between a
 // poll's "nothing new" check and its registration, a document change or
@@ -19,7 +21,8 @@ package core
 // wake-up. The hub therefore keeps monotonic notification counters (one
 // global, one per participant); a poll snapshots them before its final
 // check and park refuses registration when either counter moved, forcing
-// the caller to re-check.
+// the caller to re-check. Channel writers need none: they re-check on every
+// wake their one-slot notify channel coalesces.
 
 import (
 	"sync"
@@ -56,7 +59,8 @@ type hubSnapshot struct {
 	pid    uint64
 }
 
-// deliveryHub tracks parked long-polls and the notification counters that
+// deliveryHub holds every subscriber waiting on delivery events — parked
+// long-polls and attached channels — and the notification counters that
 // close the check-then-park race. All methods are safe for concurrent use.
 type deliveryHub struct {
 	mu     sync.Mutex
@@ -68,6 +72,9 @@ type deliveryHub struct {
 	pidSeqs map[string]uint64
 	parked  map[string][]*pollWaiter
 	count   int
+	// chans holds the attached persistent channels, at most one per
+	// participant.
+	chans map[string]*agentChannel
 
 	// Burst coalescing (notifyAllDebounced): lastWake stamps the most
 	// recent global fan-out; wakeArmed marks a trailing wake already
@@ -80,16 +87,18 @@ type deliveryHub struct {
 
 	// preWake, when set, runs between collecting a wake round's waiters and
 	// completing them — the window where the content and deltas the woken
-	// fleet is about to request are built once. Installed at construction,
-	// never mutated afterwards, so reads need no lock. It runs on the
-	// round's own goroutine, off every request and host-mutation path.
-	preWake func(woken []*pollWaiter)
+	// fleet and the attached channels are about to request are built once.
+	// Installed at construction, never mutated afterwards, so reads need no
+	// lock. It runs on the round's own goroutine, off every request and
+	// host-mutation path.
+	preWake func(woken []*pollWaiter, chans []*agentChannel)
 }
 
 func newDeliveryHub() *deliveryHub {
 	return &deliveryHub{
 		pidSeqs: make(map[string]uint64),
 		parked:  make(map[string][]*pollWaiter),
+		chans:   make(map[string]*agentChannel),
 	}
 }
 
@@ -152,63 +161,80 @@ func (h *deliveryHub) remove(w *pollWaiter) bool {
 	return false
 }
 
-// parkedCount reports how many polls are currently parked.
-func (h *deliveryHub) parkedCount() int {
+// attach installs ch as its participant's channel. A newer upgrade replaces
+// an older channel (typically a client re-upgrading after a fallback, its
+// old socket half-dead); the replaced one is torn down silently.
+func (h *deliveryHub) attach(ch *agentChannel) {
+	h.mu.Lock()
+	old := h.chans[ch.pid]
+	h.chans[ch.pid] = ch
+	h.mu.Unlock()
+	if old != nil {
+		old.shutdown()
+	}
+}
+
+// detach removes ch unless a newer channel already replaced it.
+func (h *deliveryHub) detach(ch *agentChannel) {
+	h.mu.Lock()
+	if h.chans[ch.pid] == ch {
+		delete(h.chans, ch.pid)
+	}
+	h.mu.Unlock()
+}
+
+// counts reports the subscribers: parked polls and attached channels.
+func (h *deliveryHub) counts() (polls, channels int) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.count
+	return h.count, len(h.chans)
 }
 
-// notifyAll wakes every parked waiter — a new document version exists (or
-// is about to). The woken waiters are answered by one wake round on its
-// own goroutine (see fanOut); the notifier (typically the host browser's
-// mutation path) never blocks on content generation or socket writes.
-func (h *deliveryHub) notifyAll() {
-	h.mu.Lock()
-	h.global++
-	h.lastWake = time.Now()
-	woken := h.collectAllLocked()
-	h.mu.Unlock()
-	if len(woken) > 0 {
-		go h.fanOut(woken)
-	}
-}
+// notifyAll wakes every subscriber — a new document version exists (or is
+// about to). It is notifyAllDebounced without a debounce window.
+func (h *deliveryHub) notifyAll() { h.notifyAllDebounced(0) }
 
-// notifyAllDebounced is notifyAll with burst coalescing: the first change
-// after a quiet period wakes the fleet immediately, and every further
-// change inside the debounce window folds into a single trailing wake that
-// serves the latest version — so M rapid host mutations cost at most two
-// fan-outs instead of M. The notification counter still advances on every
-// call, so the check-then-park race stays closed: a poll arriving
-// mid-window re-checks inline and sees the newest content without any wake.
-// A zero debounce is plain notifyAll.
+// notifyAllDebounced wakes every subscriber with burst coalescing for
+// parked polls. The woken polls are answered by one wake round on its own
+// goroutine (see fanOut), so the notifier (typically the host browser's
+// mutation path) never blocks on content generation or socket writes. The
+// first change after a quiet period wakes the polls immediately, and every
+// further change inside the debounce window folds into a single trailing
+// wake that serves the latest version — so M rapid host mutations cost at
+// most two fan-outs instead of M. The notification counter still advances
+// on every call, so the check-then-park race stays closed: a poll arriving
+// mid-window re-checks inline and sees the newest content without any
+// wake. A zero debounce wakes the polls at once. Channel writers are nudged
+// on every call, un-debounced (their cap-1 notify slots already coalesce),
+// and only after the poll round's goroutine is started, so the round is
+// scheduled ahead of them.
 func (h *deliveryHub) notifyAllDebounced(debounce time.Duration) {
-	if debounce <= 0 {
-		h.notifyAll()
-		return
-	}
+	defer h.wakeChans()
 	h.mu.Lock()
 	h.global++
-	if h.closed || h.wakeArmed {
-		h.mu.Unlock()
-		return
-	}
-	if since := time.Since(h.lastWake); since < debounce {
-		h.wakeArmed = true
-		h.wakeTimer = time.AfterFunc(debounce-since, h.trailingWake)
-		h.mu.Unlock()
-		return
+	if debounce > 0 {
+		if h.closed || h.wakeArmed {
+			h.mu.Unlock()
+			return
+		}
+		if since := time.Since(h.lastWake); since < debounce {
+			h.wakeArmed = true
+			h.wakeTimer = time.AfterFunc(debounce-since, h.trailingWake)
+			h.mu.Unlock()
+			return
+		}
 	}
 	h.lastWake = time.Now()
-	woken := h.collectAllLocked()
+	woken, chans := h.collectAllLocked()
 	h.mu.Unlock()
 	if len(woken) > 0 {
-		go h.fanOut(woken)
+		go h.fanOut(woken, chans)
 	}
 }
 
 // trailingWake flushes the coalesced tail of a mutation burst, running the
-// round on the wake timer's own goroutine.
+// round on the wake timer's own goroutine. The channels were woken by the
+// notifying calls themselves.
 func (h *deliveryHub) trailingWake() {
 	h.mu.Lock()
 	h.wakeArmed = false
@@ -217,45 +243,65 @@ func (h *deliveryHub) trailingWake() {
 		return
 	}
 	h.lastWake = time.Now()
-	woken := h.collectAllLocked()
+	woken, chans := h.collectAllLocked()
 	h.mu.Unlock()
 	if len(woken) > 0 {
-		h.fanOut(woken)
+		h.fanOut(woken, chans)
 	}
 }
 
 // fanOut is one wake round: warm, then answer. preWake builds the content
-// and the deltas the woken waiters will ask for, once; the waiters are then
-// completed back to back on this goroutine, each a cache hit handed to a
-// non-blocking respond (httpwire.AsyncHandler's contract). One goroutine
-// per round, not per waiter, keeps the answers from piling onto the
-// agent's locks and single-flight waits and from interleaving with the
-// readers' own work.
-func (h *deliveryHub) fanOut(woken []*pollWaiter) {
+// and the deltas the woken waiters and the attached channels will ask for,
+// once; the waiters are then completed back to back on this goroutine,
+// each a cache hit handed to a non-blocking respond
+// (httpwire.AsyncHandler's contract). One goroutine per round, not per
+// waiter, keeps the answers from piling onto the agent's locks and
+// single-flight waits and from interleaving with the readers' own work.
+func (h *deliveryHub) fanOut(woken []*pollWaiter, chans []*agentChannel) {
 	for _, w := range woken {
 		w.timer.Stop()
 	}
 	if h.preWake != nil {
-		h.preWake(woken)
+		h.preWake(woken, chans)
 	}
 	for _, w := range woken {
 		w.fulfill(&pollReply{})
 	}
 }
 
-// collectAllLocked detaches every parked waiter and counts the fan-out.
-// Callers hold h.mu.
-func (h *deliveryHub) collectAllLocked() []*pollWaiter {
-	var woken []*pollWaiter
+// wakeChans nudges every channel writer: a non-blocking send each, the
+// writers re-read the shared prepared bytes.
+func (h *deliveryHub) wakeChans() {
+	h.mu.Lock()
+	for _, ch := range h.chans {
+		ch.wake()
+	}
+	h.mu.Unlock()
+}
+
+// collectAllLocked starts a wake round: when any poll is parked, it counts
+// the fan-out and takes the round's subscribers. Callers hold h.mu.
+func (h *deliveryHub) collectAllLocked() ([]*pollWaiter, []*agentChannel) {
+	if h.count == 0 {
+		return nil, nil
+	}
+	h.fanouts++
+	return h.takeAllLocked()
+}
+
+// takeAllLocked detaches every parked poll and lists the attached
+// channels, which stay attached. Callers hold h.mu.
+func (h *deliveryHub) takeAllLocked() (woken []*pollWaiter, chans []*agentChannel) {
 	for pid, list := range h.parked {
 		woken = append(woken, list...)
 		delete(h.parked, pid)
 	}
 	h.count = 0
-	if len(woken) > 0 {
-		h.fanouts++
+	chans = make([]*agentChannel, 0, len(h.chans))
+	for _, ch := range h.chans {
+		chans = append(chans, ch)
 	}
-	return woken
+	return woken, chans
 }
 
 // wakeFanouts reports how many global wake rounds actually woke waiters.
@@ -265,24 +311,42 @@ func (h *deliveryHub) wakeFanouts() int64 {
 	return h.fanouts
 }
 
-// notifyPID wakes the waiters of one participant — a mirror action landed
-// in its outbox, or it was disconnected.
-func (h *deliveryHub) notifyPID(pid string) {
+// notifyPID wakes the subscribers of one participant — a mirror action
+// landed in its outbox.
+func (h *deliveryHub) notifyPID(pid string) { h.wakePID(pid, nil) }
+
+// disconnect tells pid's subscribers it was removed: its parked polls are
+// answered (their re-check finds the participant gone and carries the
+// remembered reason) and its channel is closed with cs.
+func (h *deliveryHub) disconnect(pid string, cs closeSignal) { h.wakePID(pid, &cs) }
+
+// wakePID answers pid's parked polls and nudges its channel: a plain wake
+// when cs is nil, an orderly close with cs otherwise.
+func (h *deliveryHub) wakePID(pid string, cs *closeSignal) {
 	h.mu.Lock()
 	h.pidSeqs[pid]++
 	list := h.parked[pid]
 	delete(h.parked, pid)
 	h.count -= len(list)
+	ch := h.chans[pid]
 	h.mu.Unlock()
 	for _, w := range list {
 		w.timer.Stop()
 		go w.fulfill(&pollReply{})
 	}
+	switch {
+	case ch == nil:
+	case cs == nil:
+		ch.wake()
+	default:
+		ch.requestClose(*cs)
+	}
 }
 
-// close wakes everything with the shutdown reply and refuses future parks.
-// Polls arriving afterwards are answered immediately, interval-style, so a
-// closed agent still speaks the paper's protocol.
+// close answers every parked poll with the shutdown reply, sends every
+// attached channel an AGENT_CLOSING close, and refuses future parks. Polls
+// arriving afterwards are answered immediately, interval-style, so a closed
+// agent still speaks the paper's protocol.
 func (h *deliveryHub) close() {
 	h.mu.Lock()
 	if h.closed {
@@ -294,15 +358,13 @@ func (h *deliveryHub) close() {
 		h.wakeTimer.Stop()
 	}
 	h.wakeArmed = false
-	var woken []*pollWaiter
-	for pid, list := range h.parked {
-		woken = append(woken, list...)
-		delete(h.parked, pid)
-	}
-	h.count = 0
+	woken, chans := h.takeAllLocked()
 	h.mu.Unlock()
 	for _, w := range woken {
 		w.timer.Stop()
 		w.fulfill(&pollReply{closed: true})
+	}
+	for _, ch := range chans {
+		ch.requestClose(closeSignal{reason: CloseAgentClosing})
 	}
 }

@@ -231,7 +231,7 @@ func (s *Snippet) DuplexOnce(stop <-chan struct{}) error {
 func (s *Snippet) duplexRefused(resp *httpwire.Response) error {
 	reason := ParseCloseReason(resp.Header.Get(CloseReasonHeader))
 	s.mu.Lock()
-	if ra := parseRetryAfterMS(resp.Header.Get(RetryAfterHeader)); ra > 0 {
+	if ra := ParseRetryAfter(resp.Header.Get(RetryAfterHeader)); ra > 0 {
 		s.retryAfter = ra
 	}
 	if reason != CloseNone {

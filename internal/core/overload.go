@@ -241,7 +241,8 @@ func (a *Agent) EvaluateLoad() ShedLevel {
 	// Persistent channels are per-client held state exactly like parked
 	// long-polls — one socket, one goroutine pair, one delivery obligation —
 	// so they weigh on the same signal and the ladder sees channel pressure.
-	parked := a.hub.parkedCount() + int(a.channelsOpen.Load())
+	polls, chans := a.hub.counts()
+	parked := polls + chans
 	outbox := int(a.outboxDepth.Load())
 	var heap uint64
 	if w.HeapHigh > 0 {

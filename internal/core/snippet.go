@@ -278,7 +278,7 @@ func (s *Snippet) Join() error {
 			if reason := ParseCloseReason(se.Header.Get(CloseReasonHeader)); reason != CloseNone {
 				s.mu.Lock()
 				s.stats.LastCloseReason = reason
-				if ra := parseRetryAfterMS(se.Header.Get(RetryAfterHeader)); ra > 0 {
+				if ra := ParseRetryAfter(se.Header.Get(RetryAfterHeader)); ra > 0 {
 					s.retryAfter = ra
 				}
 				if reason == CloseMoved {
@@ -662,18 +662,6 @@ func normalizeAgentURL(addr string) string {
 	return "http://" + addr
 }
 
-// parseRetryAfterMS parses an Rcb-Retry-After header value (milliseconds).
-func parseRetryAfterMS(v string) time.Duration {
-	if v == "" {
-		return 0
-	}
-	ms, err := strconv.ParseInt(v, 10, 64)
-	if err != nil || ms <= 0 {
-		return 0
-	}
-	return time.Duration(ms) * time.Millisecond
-}
-
 // longPollWait resolves the hang to request per poll: 0 in interval mode.
 // A duplex snippet asks for the hang too — its polls are the long-poll
 // fallback rung of the degradation ladder.
@@ -760,7 +748,7 @@ func (s *Snippet) PollOnce() (updated bool, err error) {
 		s.mu.Lock()
 		s.queue = append(actions, s.queue...)
 		s.stats.PollFailures++
-		if ra := parseRetryAfterMS(resp.Header.Get(RetryAfterHeader)); ra > 0 {
+		if ra := ParseRetryAfter(resp.Header.Get(RetryAfterHeader)); ra > 0 {
 			// A server-assigned interval on a terminal answer is the floor
 			// for the retry delay, exactly as on shed responses.
 			s.retryAfter = ra
@@ -804,7 +792,7 @@ func (s *Snippet) PollOnce() (updated bool, err error) {
 		// and either way the right move is to park again at once; how fast
 		// it arrived says nothing.
 		closing := ParseCloseReason(resp.Header.Get(CloseReasonHeader)) == CloseAgentClosing
-		retryAfter := parseRetryAfterMS(resp.Header.Get(RetryAfterHeader))
+		retryAfter := ParseRetryAfter(resp.Header.Get(RetryAfterHeader))
 		s.mu.Lock()
 		s.stats.EmptyPolls++
 		s.parkDenied = wait > 0 && (closing || retryAfter > 0)

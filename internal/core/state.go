@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strings"
 	"time"
 
 	"rcb/internal/browser"
@@ -364,6 +365,11 @@ func (a *Agent) ImportState(data []byte) error {
 		if ps.CacheMode && st.Addr != a.Addr {
 			// Cache-mode XML embeds object URLs minted for the exporting
 			// agent's address; at a new address the next poll must rebuild.
+			continue
+		}
+		if !strings.HasSuffix(ps.XML, closeNewContent) {
+			// Not a newContent message: the per-participant userActions
+			// splice needs its closing tag. Drop it; the next poll rebuilds.
 			continue
 		}
 		// Rebuild the ring newest-first (Prev fields, then Ring), assigning

@@ -157,7 +157,7 @@ func TestWakePrecomputeWarmsDeltas(t *testing.T) {
 	for i, pid := range pids {
 		woken[i] = &pollWaiter{pid: pid, ts: base, deltaOK: true}
 	}
-	w.agent.warmWakeDeltas(woken)
+	w.agent.warmWakeDeltas(woken, nil)
 
 	if d := w.agent.ContentBuilds() - builds0; d != 1 {
 		t.Fatalf("precompute ran %d content builds, want exactly 1", d)

@@ -260,7 +260,7 @@ func (l *lite) pollOnce() (time.Duration, error) {
 		if term := l.handleRefusal("poll", resp); term {
 			return 0, nil
 		}
-		return retryAfterOf(resp), fmt.Errorf("poll returned %d", resp.StatusCode)
+		return core.ParseRetryAfter(resp.Header.Get(core.RetryAfterHeader)), fmt.Errorf("poll returned %d", resp.StatusCode)
 	}
 	if len(resp.Body) == 0 {
 		l.emptyPolls.Add(1)
@@ -268,7 +268,7 @@ func (l *lite) pollOnce() (time.Duration, error) {
 		// Only a marked answer paces a long-poll, as in the snippet: an
 		// unmarked empty one is a timeout or a spurious wake, however fast
 		// it came, and the next poll parks at once.
-		delay := retryAfterOf(resp)
+		delay := core.ParseRetryAfter(resp.Header.Get(core.RetryAfterHeader))
 		if core.ParseCloseReason(resp.Header.Get(core.CloseReasonHeader)) == core.CloseAgentClosing {
 			// The agent completed the park deliberately while shutting
 			// down; pace instead of re-parking at network speed.
@@ -287,13 +287,13 @@ func (l *lite) pollOnce() (time.Duration, error) {
 		// must be the one this poll advertised — a patch against any other
 		// docTime would corrupt a real participant's DOM silently, since
 		// the DOM-less driver can't detect divergence.
-		if b, ok := baseDocTimeOf(resp.Body); !ok || b != ts {
+		if b, ok := tagInt(resp.Body, baseDocTimeOpen); !ok || b != ts {
 			l.f.violate("lite %d: delta patched base %d, advertised ts %d", l.idx, b, ts)
 		}
 	} else {
 		l.contentPolls.Add(1)
 	}
-	if v, ok := docTimeOf(resp.Body); ok && v > 0 {
+	if v, ok := tagInt(resp.Body, docTimeOpen); ok && v > 0 {
 		// Adopt the message's timestamp verbatim: actions-only messages
 		// echo our own ts back, content messages advance it, and a
 		// post-handover resync is authoritative even if it goes backwards.
@@ -343,19 +343,6 @@ func (l *lite) stampProbe() {
 	}
 }
 
-// retryAfterOf parses the server-assigned retry hint, zero when absent.
-func retryAfterOf(resp *httpwire.Response) time.Duration {
-	v := resp.Header.Get(core.RetryAfterHeader)
-	if v == "" {
-		return 0
-	}
-	ms, err := strconv.Atoi(strings.TrimSpace(v))
-	if err != nil || ms <= 0 {
-		return 0
-	}
-	return time.Duration(ms) * time.Millisecond
-}
-
 // pidFromSetCookie extracts the rcbpid value from a Set-Cookie header.
 func pidFromSetCookie(cookie string) string {
 	for _, part := range strings.Split(cookie, ";") {
@@ -367,43 +354,28 @@ func pidFromSetCookie(cookie string) string {
 	return ""
 }
 
-var docTimeOpen = []byte("<docTime>")
+var (
+	docTimeOpen     = []byte("<docTime>")
+	baseDocTimeOpen = []byte("<baseDocTime>")
+)
 
-// docTimeOf scans a poll response body for its <docTime> stamp — both the
-// full newContent and the deltaContent message carry one, which is what
-// lets a DOM-less driver ride the delta path.
-func docTimeOf(body []byte) (int64, bool) {
-	i := bytes.Index(body, docTimeOpen)
+// tagInt scans a poll response body for the decimal value of the first
+// element opened by open. Both the full newContent and the deltaContent
+// message carry a <docTime>, which is what lets a DOM-less driver ride the
+// delta path; a deltaContent also names its <baseDocTime>, the honesty
+// check that multi-base ring serving patched against exactly the docTime
+// this lite advertised.
+func tagInt(body, open []byte) (int64, bool) {
+	i := bytes.Index(body, open)
 	if i < 0 {
 		return 0, false
 	}
 	var v int64
-	j := i + len(docTimeOpen)
+	j := i + len(open)
 	for ; j < len(body) && body[j] >= '0' && body[j] <= '9'; j++ {
 		v = v*10 + int64(body[j]-'0')
 	}
-	if j == i+len(docTimeOpen) {
-		return 0, false
-	}
-	return v, true
-}
-
-var baseDocTimeOpen = []byte("<baseDocTime>")
-
-// baseDocTimeOf scans a deltaContent body for the base the patch script was
-// computed against — the honesty check that multi-base ring serving patched
-// against exactly the docTime this lite advertised.
-func baseDocTimeOf(body []byte) (int64, bool) {
-	i := bytes.Index(body, baseDocTimeOpen)
-	if i < 0 {
-		return 0, false
-	}
-	var v int64
-	j := i + len(baseDocTimeOpen)
-	for ; j < len(body) && body[j] >= '0' && body[j] <= '9'; j++ {
-		v = v*10 + int64(body[j]-'0')
-	}
-	if j == i+len(baseDocTimeOpen) {
+	if j == i+len(open) {
 		return 0, false
 	}
 	return v, true
