@@ -17,12 +17,13 @@ vet:
 race: vet
 	$(GO) test -race ./...
 
-# Serve-path, push-path and delta benchmarks plus the JSON snapshots future
+# Serve-path, push-path, delta and join-path (Figure 4 codec, GET / to
+# applied snapshot) benchmarks plus the JSON snapshots future
 # PRs compare against: BENCH_fanout.json (serve scaling), BENCH_delivery.json
 # (interval vs long-poll staleness) and BENCH_delta.json (incremental vs
 # full apply for a small edit).
 bench: vet
-	$(GO) test -run '^$$' -bench 'FanoutScale|AblationFanout|ConcurrentPoll|MirrorSplice|LongPollFanout|DuplexFanout|DeltaApply|DeltaRing' -benchmem .
+	$(GO) test -run '^$$' -bench 'FanoutScale|AblationFanout|ConcurrentPoll|MirrorSplice|LongPollFanout|DuplexFanout|DeltaApply|DeltaRing|MessageCodec|JoinPath' -benchmem .
 	$(GO) run ./cmd/rcb-bench -fanout -out BENCH_fanout.json
 	$(GO) run ./cmd/rcb-bench -delivery -out BENCH_delivery.json
 	$(GO) run ./cmd/rcb-bench -delta -site msn.com -out BENCH_delta.json
@@ -54,6 +55,7 @@ fuzz:
 	$(GO) test ./internal/dom -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 15s
 	$(GO) test ./internal/dom -run '^$$' -fuzz '^FuzzDiffApply$$' -fuzztime 15s
 	$(GO) test ./internal/dom -run '^$$' -fuzz '^FuzzCanonicalize$$' -fuzztime 15s
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime 15s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzUnmarshalDelta$$' -fuzztime 15s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzImportState$$' -fuzztime 15s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzServePoll$$' -fuzztime 15s

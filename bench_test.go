@@ -10,6 +10,8 @@ package rcb
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -771,6 +773,66 @@ func BenchmarkMessageCodec(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkJoinPath measures a late joiner's path on msn.com in process,
+// stage by stage: after a host change, GET / (which admits the joiner and
+// starts the snapshot warm), the first poll (a ts=0 full snapshot, waiting
+// for whatever of the version's build and marshal the warm has not
+// finished), core.Unmarshal of the snapshot and ApplyMemo.Apply into the
+// initial page. The first poll follows GET / at once, so poll_us is what
+// the warm cannot hide with no network between the two.
+func BenchmarkJoinPath(b *testing.B) {
+	spec, _ := sites.SiteByName("msn.com")
+	w := newBenchWorld(b, spec)
+	var get, poll, decode, apply time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if err := w.host.ApplyMutation(func(doc *dom.Document) error {
+			doc.Body().SetAttr("data-join", strconv.Itoa(i))
+			return nil
+		}); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+
+		t0 := time.Now()
+		page := w.agent.ServeWire(httpwire.NewRequest("GET", "/"))
+		t1 := time.Now()
+		cookie, _, _ := strings.Cut(page.Header.Get("Set-Cookie"), ";")
+		req := httpwire.NewRequest("POST", "/poll")
+		req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+		req.Header.Set("Cookie", cookie)
+		req.Body = []byte("ts=0")
+		resp := w.agent.ServeWire(req)
+		t2 := time.Now()
+		content, err := core.Unmarshal(resp.Body)
+		if err != nil {
+			b.Fatal(err)
+		}
+		t3 := time.Now()
+		b.StopTimer()
+		doc := dom.Parse(string(page.Body))
+		b.StartTimer()
+		t4 := time.Now()
+		var memo core.ApplyMemo
+		if err := memo.Apply(doc, content); err != nil {
+			b.Fatal(err)
+		}
+		t5 := time.Now()
+		get, poll, decode, apply = get+t1.Sub(t0), poll+t2.Sub(t1), decode+t3.Sub(t2), apply+t5.Sub(t4)
+
+		b.StopTimer()
+		w.agent.Disconnect(strings.TrimPrefix(cookie, "rcbpid="))
+		b.StartTimer()
+	}
+	n := float64(b.N)
+	b.ReportMetric(float64(get.Microseconds())/n, "get_us")
+	b.ReportMetric(float64(poll.Microseconds())/n, "poll_us")
+	b.ReportMetric(float64(decode.Microseconds())/n, "decode_us")
+	b.ReportMetric(float64(apply.Microseconds())/n, "apply_us")
 }
 
 // BenchmarkAblationResponseAuth measures the §3.4 future-work cost the

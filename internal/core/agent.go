@@ -232,6 +232,9 @@ type Agent struct {
 	// builds counts Figure 3 pipeline executions — the observable the
 	// single-flight tests and cache-effectiveness metrics key on.
 	builds atomic.Int64
+	// warming is set while a join's snapshot warm runs (warmSnapshot), so
+	// a burst of joins starts one.
+	warming atomic.Bool
 	// actionPushes counts accepted /action upstream requests — the
 	// observable the fallback tests key on (an interval-mode or degraded
 	// snippet must never advance it).
@@ -619,6 +622,7 @@ func (a *Agent) serveInitialPage(_ *httpwire.Request) *httpwire.Response {
 	}
 	a.pmu.Unlock()
 	a.logf("rcb-agent: participant %s connected (cache mode %v)", pid, mode)
+	a.warmSnapshot(mode)
 
 	page := `<!DOCTYPE html><html><head><title>RCB Session</title>` +
 		`<script id="rcb-ajax-snippet">` + snippetScript + `</script>` +
@@ -629,6 +633,31 @@ func (a *Agent) serveInitialPage(_ *httpwire.Request) *httpwire.Response {
 	resp := httpwire.NewResponse(200, "text/html; charset=utf-8", []byte(page))
 	resp.Header.Set("Set-Cookie", "rcbpid="+pid+"; Path=/")
 	return resp
+}
+
+// warmSnapshot starts the Figure 4 marshal a new participant's first poll
+// will need, while the initial page travels to it and the snippet starts:
+// the build for mode and its lazy snapshot, both single-flight, so the first
+// poll waits only for what is left of them. One warm runs at a time per
+// agent; a join arriving while it runs starts none. The warm is wasted only
+// when the document changes before the first poll arrives.
+func (a *Agent) warmSnapshot(cacheMode bool) {
+	if !a.warming.CompareAndSwap(false, true) {
+		return
+	}
+	go func() {
+		defer a.warming.Store(false)
+		// The serve/state barrier, as for a poll: no warm runs while a
+		// checkpoint or handover fence holds the session still.
+		a.smu.RLock()
+		defer a.smu.RUnlock()
+		if a.relocatedTo != "" {
+			return
+		}
+		if prep, err := a.contentForMode(cacheMode); err == nil && prep != nil {
+			prep.marshal()
+		}
+	}()
 }
 
 // snippetScript is the JavaScript text embedded in the initial page. The

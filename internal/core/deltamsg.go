@@ -33,7 +33,6 @@ import (
 	"bytes"
 	"fmt"
 	"strconv"
-	"strings"
 
 	"rcb/internal/dom"
 	"rcb/internal/httpwire"
@@ -126,52 +125,73 @@ func appendRegionPatch(dst []byte, name string, patches []dom.Patch) []byte {
 	return dst
 }
 
-// UnmarshalDelta parses a deltaContent message.
+// UnmarshalDelta parses a deltaContent message with the same tag scan and
+// payload unescaping as Unmarshal; every element is the first of its name
+// in the message.
 func UnmarshalDelta(data []byte) (*DeltaContent, error) {
-	s := string(data)
-	d := &DeltaContent{}
-	docTime, ok := elementText(s, "docTime")
+	var tokBuf [64]msgToken
+	toks := scanTags(data, tokBuf[:0])
+	lo, hi, _, ok := element(toks, tagDocTime)
 	if !ok {
 		return nil, fmt.Errorf("core: delta message has no docTime")
 	}
-	t, err := strconv.ParseInt(strings.TrimSpace(docTime), 10, 64)
-	if err != nil {
-		return nil, fmt.Errorf("core: bad delta docTime %q", docTime)
+	d := &DeltaContent{}
+	var err error
+	if d.DocTime, err = parseTimestamp("delta docTime", data[lo:hi]); err != nil {
+		return nil, err
 	}
-	d.DocTime = t
-	base, ok := elementText(s, "baseDocTime")
-	if !ok {
+	if lo, hi, _, ok = element(toks, tagBaseDocTime); !ok {
 		return nil, fmt.Errorf("core: delta message has no baseDocTime")
 	}
-	if d.BaseDocTime, err = strconv.ParseInt(strings.TrimSpace(base), 10, 64); err != nil {
-		return nil, fmt.Errorf("core: bad baseDocTime %q", base)
+	if d.BaseDocTime, err = parseTimestamp("baseDocTime", data[lo:hi]); err != nil {
+		return nil, err
 	}
-	if headSec, ok := elementText(s, "docHead"); ok {
+	var head [][]byte
+	if _, _, headToks, ok := element(toks, tagDocHead); ok {
 		d.HasHead = true
-		if d.Head, err = parseHeadSection(headSec); err != nil {
-			return nil, err
+		head = headChildren(data, headToks)
+	}
+	regions := [...]struct {
+		tag     msgTag
+		name    string
+		dst     *[]dom.Patch
+		payload []byte
+		ok      bool
+	}{
+		{tag: tagBodyPatch, name: "bodyPatch", dst: &d.Body},
+		{tag: tagFramesetPatch, name: "framesetPatch", dst: &d.FrameSet},
+		{tag: tagNoframesPatch, name: "noframesPatch", dst: &d.NoFrames},
+	}
+	for i := range regions {
+		r := &regions[i]
+		if lo, hi, _, r.ok = element(toks, r.tag); r.ok {
+			r.payload = stripCDATA(data[lo:hi])
 		}
 	}
-	for _, region := range []struct {
-		name string
-		dst  *[]dom.Patch
-	}{{"bodyPatch", &d.Body}, {"framesetPatch", &d.FrameSet}, {"noframesPatch", &d.NoFrames}} {
-		payload, ok := elementText(s, region.name)
-		if !ok {
+	var actions []byte
+	lo, hi, _, hasActions := element(toks, tagUserActions)
+	if hasActions {
+		actions = stripCDATA(data[lo:hi])
+	}
+
+	u := newUnescaper(head, regions[0].payload, regions[1].payload, regions[2].payload, actions)
+	if d.Head, err = decodeHead(u, head); err != nil {
+		return nil, err
+	}
+	for _, r := range regions {
+		if !r.ok {
 			continue
 		}
-		patches, err := decodePatches(jsescape.Unescape(stripCDATA(payload)))
+		patches, err := decodePatches(u.text(r.payload))
 		if err != nil {
-			return nil, fmt.Errorf("core: %s: %w", region.name, err)
+			return nil, fmt.Errorf("core: %s: %w", r.name, err)
 		}
-		*region.dst = patches
+		*r.dst = patches
 	}
-	if payload, ok := elementText(s, "userActions"); ok {
-		actions, err := DecodeActions(jsescape.Unescape(stripCDATA(payload)))
-		if err != nil {
+	if hasActions {
+		if d.UserActions, err = DecodeActions(u.text(actions)); err != nil {
 			return nil, err
 		}
-		d.UserActions = actions
 	}
 	return d, nil
 }

@@ -11,6 +11,7 @@ package core
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"rcb/internal/dom"
@@ -19,6 +20,9 @@ import (
 // FuzzUnmarshalDelta checks the decoder invariants on arbitrary bytes:
 //
 //   - UnmarshalDelta never panics; failures are hard errors.
+//   - It fails exactly when refUnmarshalDelta (the original substring-search
+//     decoder, fuzzcodec_test.go) does, and otherwise decodes the same
+//     message.
 //   - A successful parse is stable: Marshal of the result parses again, and
 //     the second parse re-marshals byte-identically (encode∘decode is a
 //     fixed point past the first normalization).
@@ -55,7 +59,15 @@ func FuzzUnmarshalDelta(f *testing.F) {
 		if len(data) > fuzzDeltaSizeCap {
 			t.Skip()
 		}
-		if d, err := UnmarshalDelta(data); err == nil {
+		want, wantErr := refUnmarshalDelta(data)
+		d, err := UnmarshalDelta(data)
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("UnmarshalDelta error %v, reference error %v", err, wantErr)
+		}
+		if err == nil && !reflect.DeepEqual(d, want) {
+			t.Fatalf("UnmarshalDelta = %+v\nreference %+v", d, want)
+		}
+		if err == nil {
 			m1 := d.Marshal()
 			d2, err := UnmarshalDelta(m1)
 			if err != nil {

@@ -22,11 +22,11 @@ import (
 // refPackHead and refPackTop are the eager agent's payload packing: the
 // parts joined into one string, then escape()d as a whole.
 func refPackHead(h HeadChild) string {
-	return h.Tag + "\n" + encodeAttrs(h.Attrs) + "\n" + h.Inner
+	return h.Tag + "\n" + string(appendAttrForm(nil, h.Attrs)) + "\n" + h.Inner
 }
 
 func refPackTop(t *TopElement) string {
-	return encodeAttrs(t.Attrs) + "\n" + t.Inner
+	return string(appendAttrForm(nil, t.Attrs)) + "\n" + t.Inner
 }
 
 func refAppendHead(dst []byte, head []HeadChild) []byte {
@@ -239,6 +239,21 @@ func TestDeltaFleetNeverMarshals(t *testing.T) {
 	}
 }
 
+// settleJoinWarm waits until no join's snapshot warm (warmSnapshot) is
+// running, so build and marshal counts taken next see only the polls a
+// test makes. The flag is set before GET / returns, so a clear flag after
+// the joins means every warm they started has finished.
+func settleJoinWarm(t *testing.T, a *Agent) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for a.warming.Load() {
+		if time.Now().After(deadline) {
+			t.Fatal("a join's snapshot warm did not finish")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestConcurrentJoinersShareOneMarshal: 16 first polls (ts=0) racing on a
 // new version cost one build and one marshal, and all of them are answered
 // with the very same bytes.
@@ -260,6 +275,7 @@ func TestConcurrentJoinersShareOneMarshal(t *testing.T) {
 		req.Body = []byte("ts=0&delta=1")
 		reqs[i] = req
 	}
+	settleJoinWarm(t, w.agent)
 	hostEdit(t, w, 1)
 	builds0 := w.agent.ContentBuilds()
 
@@ -377,5 +393,52 @@ func TestDeltaVerdictLowerBound(t *testing.T) {
 	}
 	if n := cur.marshals.Load(); n != 1 {
 		t.Fatalf("collapse: %d marshals, want 1", n)
+	}
+}
+
+// TestJoinWarmsSnapshot: an admitted GET / starts the version's build and
+// snapshot marshal before any poll, and the joiner's first poll is answered
+// from that very snapshot with no further build or marshal. A refused join
+// warms nothing.
+func TestJoinWarmsSnapshot(t *testing.T) {
+	spec, _ := sites.SiteByName("msn.com")
+	w := newWorld(t, func(a *Agent) { a.MaxParticipants = 1 })
+	w.hostNavigate(t, "http://"+spec.Host()+"/")
+	builds0 := w.agent.ContentBuilds()
+
+	join := w.agent.ServeWire(httpwire.NewRequest("GET", "/"))
+	pid, _, _ := strings.Cut(strings.TrimPrefix(join.Header.Get("Set-Cookie"), "rcbpid="), ";")
+	if join.StatusCode != 200 || pid == "" {
+		t.Fatalf("join: status %d, pid %q", join.StatusCode, pid)
+	}
+	settleJoinWarm(t, w.agent)
+	prep, _ := w.agent.modeBuilds(false)
+	if prep == nil || prep.marshals.Load() != 1 {
+		t.Fatal("GET / did not warm the snapshot")
+	}
+	if got := w.agent.ContentBuilds() - builds0; got != 1 {
+		t.Fatalf("the warm ran %d builds, want 1", got)
+	}
+
+	req := httpwire.NewRequest("POST", "/poll")
+	req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+	req.Header.Set("Cookie", "rcbpid="+pid)
+	req.Body = []byte("ts=0")
+	resp := w.agent.ServeWire(req)
+	xml := prep.XML()
+	if resp.StatusCode != 200 || len(resp.Body) != len(xml) || &resp.Body[0] != &xml[0] {
+		t.Fatal("the first poll was not answered with the warmed snapshot")
+	}
+	if got := w.agent.ContentBuilds() - builds0; got != 1 || prep.marshals.Load() != 1 {
+		t.Fatalf("first poll after the warm: %d builds, %d marshals, want 1 and 1", got, prep.marshals.Load())
+	}
+
+	hostEdit(t, w, 1)
+	if refused := w.agent.ServeWire(httpwire.NewRequest("GET", "/")); refused.StatusCode == 200 {
+		t.Fatal("a join past MaxParticipants was admitted")
+	}
+	settleJoinWarm(t, w.agent)
+	if got := w.agent.ContentBuilds() - builds0; got != 1 {
+		t.Fatalf("a refused join warmed: %d builds, want 1", got)
 	}
 }

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 	"strings"
+	"unsafe"
 
 	"rcb/internal/dom"
 	"rcb/internal/httpwire"
@@ -51,14 +53,16 @@ type NewContent struct {
 	UserActions []Action
 }
 
-// encodeAttrs flattens an attribute list into form encoding, preserving
-// order.
-func encodeAttrs(attrs []dom.Attr) string {
-	fields := make([]httpwire.FormField, len(attrs))
+// appendAttrForm appends the form encoding of an attribute list, in order:
+// httpwire.EncodeForm's bytes, without building its field slice.
+func appendAttrForm(dst []byte, attrs []dom.Attr) []byte {
 	for i, a := range attrs {
-		fields[i] = httpwire.FormField{Name: a.Name, Value: a.Value}
+		if i > 0 {
+			dst = append(dst, '&')
+		}
+		dst = httpwire.AppendForm(dst, []httpwire.FormField{{Name: a.Name, Value: a.Value}})
 	}
-	return httpwire.EncodeForm(fields)
+	return dst
 }
 
 func decodeAttrs(s string) []dom.Attr {
@@ -84,31 +88,44 @@ func appendHeadChildPayload(dst []byte, h HeadChild) []byte {
 	return appendTopElementPayload(dst, h.Attrs, h.Inner)
 }
 
+// headChildPayloadLen is the length appendHeadChildPayload appends.
+func headChildPayloadLen(h HeadChild) int {
+	return jsescape.EscapedLen(h.Tag) + len(escapedNewline) + topElementPayloadLen(h.Attrs, h.Inner)
+}
+
 // escapedNewline is escape("\n"), the separator inside packed payloads.
 const escapedNewline = "%0A"
 
 func parseHeadChildPayload(s string) (HeadChild, error) {
-	parts := strings.SplitN(s, "\n", 3)
-	if len(parts) != 3 {
+	tag, rest, ok1 := strings.Cut(s, "\n")
+	attrs, inner, ok2 := strings.Cut(rest, "\n")
+	if !ok1 || !ok2 {
 		return HeadChild{}, fmt.Errorf("core: malformed head child payload")
 	}
-	return HeadChild{Tag: parts[0], Attrs: decodeAttrs(parts[1]), Inner: parts[2]}, nil
+	return HeadChild{Tag: tag, Attrs: decodeAttrs(attrs), Inner: inner}, nil
 }
 
 // appendTopElementPayload escape()s an attribute list and innerHTML,
 // joined by a newline, into dst (see appendHeadChildPayload).
 func appendTopElementPayload(dst []byte, attrs []dom.Attr, inner string) []byte {
-	dst = jsescape.AppendEscape(dst, encodeAttrs(attrs))
+	var form [256]byte
+	dst = jsescape.AppendEscape(dst, appendAttrForm(form[:0], attrs))
 	dst = append(dst, escapedNewline...)
 	return jsescape.AppendEscape(dst, inner)
 }
 
+// topElementPayloadLen is the length appendTopElementPayload appends.
+func topElementPayloadLen(attrs []dom.Attr, inner string) int {
+	var form [256]byte
+	return jsescape.EscapedLen(appendAttrForm(form[:0], attrs)) + len(escapedNewline) + jsescape.EscapedLen(inner)
+}
+
 func parseTopElementPayload(s string) (*TopElement, error) {
-	parts := strings.SplitN(s, "\n", 2)
-	if len(parts) != 2 {
+	attrs, inner, ok := strings.Cut(s, "\n")
+	if !ok {
 		return nil, fmt.Errorf("core: malformed top element payload")
 	}
-	return &TopElement{Attrs: decodeAttrs(parts[0]), Inner: parts[1]}, nil
+	return &TopElement{Attrs: decodeAttrs(attrs), Inner: inner}, nil
 }
 
 // closeNewContent is the fixed tail of every Figure 4 message. Prepared
@@ -116,16 +133,53 @@ func parseTopElementPayload(s string) (*TopElement, error) {
 // spliced in front of it without re-marshaling (see PreparedContent).
 const closeNewContent = "</newContent>\n"
 
-// Marshal renders the message in the exact shape of Figure 4.
+// Marshal renders the message in the exact shape of Figure 4, into a
+// buffer sized for it up front: a document-only message — the snapshot a
+// PreparedContent retains — fills it exactly.
 func (c *NewContent) Marshal() []byte {
-	return c.AppendMarshal(make([]byte, 0, 1<<10))
+	return c.AppendMarshal(make([]byte, 0, c.marshaledLen()))
+}
+
+// marshaledLen returns the length of the message's Figure 4 rendering,
+// counting each payload's escape() encoding without producing it. A
+// userActions element is estimated (spliceSizeHint), not counted.
+func (c *NewContent) marshaledLen() int {
+	n := len(figure4Open) + decimalLen(c.DocTime) + len("</docTime>\n") + len(closeNewContent)
+	if c.HasDocument {
+		n += len("<docContent>\n<docHead>\n") + len("</docHead>\n") + len("</docContent>\n")
+		for i, h := range c.Head {
+			n += len("<hChild><![CDATA[]]></hChild>\n") + 2*decimalLen(int64(i+1)) + headChildPayloadLen(h)
+		}
+		for _, t := range [...]struct {
+			name string
+			el   *TopElement
+		}{{"docBody", c.Body}, {"docFrameSet", c.FrameSet}, {"docNoFrames", c.NoFrames}} {
+			if t.el != nil {
+				n += len("<><![CDATA[]]></>\n") + 2*len(t.name) + topElementPayloadLen(t.el.Attrs, t.el.Inner)
+			}
+		}
+	}
+	if len(c.UserActions) > 0 {
+		n += spliceSizeHint(c.UserActions)
+	}
+	return n
+}
+
+// figure4Open is the fixed head of every Figure 4 message, up to the
+// docTime value.
+const figure4Open = "<?xml version='1.0' encoding='utf-8'?>\n<newContent>\n<docTime>"
+
+// decimalLen is the length of v in decimal.
+func decimalLen(v int64) int {
+	var b [20]byte
+	return len(strconv.AppendInt(b[:0], v, 10))
 }
 
 // AppendMarshal appends the Figure 4 rendering of the message to dst and
 // returns the extended slice. Payloads are escape()d directly into dst,
 // part by part, with no intermediate payload strings.
 func (c *NewContent) AppendMarshal(dst []byte) []byte {
-	dst = append(dst, "<?xml version='1.0' encoding='utf-8'?>\n<newContent>\n<docTime>"...)
+	dst = append(dst, figure4Open...)
 	dst = strconv.AppendInt(dst, c.DocTime, 10)
 	dst = append(dst, "</docTime>\n"...)
 	if c.HasDocument {
@@ -192,104 +246,285 @@ func (c *NewContent) payloadLen() int {
 }
 
 // Unmarshal parses a Figure 4 message. Payload CDATA content is escape()
-// encoded, so a lightweight scanner suffices: no raw '<' can occur inside
-// payloads.
+// encoded, so no raw '<' can occur inside payloads, and one scan for the
+// element tags (scanTags) finds the whole structure: each element is the
+// first start tag of its name inside its enclosing element and the first
+// matching end tag after that, on any input. Each payload is then unescaped
+// once, straight out of data into one buffer for the whole message, so the
+// result shares no memory with data.
 func Unmarshal(data []byte) (*NewContent, error) {
-	s := string(data)
-	c := &NewContent{}
-	docTime, ok := elementText(s, "docTime")
+	var tokBuf [64]msgToken
+	toks := scanTags(data, tokBuf[:0])
+	lo, hi, _, ok := element(toks, tagDocTime)
 	if !ok {
 		return nil, fmt.Errorf("core: message has no docTime")
 	}
-	t, err := strconv.ParseInt(strings.TrimSpace(docTime), 10, 64)
+	docTime, err := parseTimestamp("docTime", data[lo:hi])
 	if err != nil {
-		return nil, fmt.Errorf("core: bad docTime %q", docTime)
+		return nil, err
 	}
-	c.DocTime = t
+	c := &NewContent{DocTime: docTime}
 
-	if content, ok := elementText(s, "docContent"); ok {
+	var head [][]byte
+	var regions [3][]byte
+	var hasRegion [3]bool
+	if _, _, content, ok := element(toks, tagDocContent); ok {
 		c.HasDocument = true
-		if headSec, ok := elementText(content, "docHead"); ok {
-			head, err := parseHeadSection(headSec)
-			if err != nil {
-				return nil, err
-			}
-			c.Head = head
+		if _, _, headToks, ok := element(content, tagDocHead); ok {
+			head = headChildren(data, headToks)
 		}
-		if payload, ok := elementText(content, "docBody"); ok {
-			te, err := parseTopElementPayload(jsescape.Unescape(stripCDATA(payload)))
-			if err != nil {
-				return nil, err
+		for i, tag := range [...]msgTag{tagDocBody, tagDocFrameSet, tagDocNoFrames} {
+			if lo, hi, _, ok := element(content, tag); ok {
+				regions[i], hasRegion[i] = stripCDATA(data[lo:hi]), true
 			}
-			c.Body = te
-		}
-		if payload, ok := elementText(content, "docFrameSet"); ok {
-			te, err := parseTopElementPayload(jsescape.Unescape(stripCDATA(payload)))
-			if err != nil {
-				return nil, err
-			}
-			c.FrameSet = te
-		}
-		if payload, ok := elementText(content, "docNoFrames"); ok {
-			te, err := parseTopElementPayload(jsescape.Unescape(stripCDATA(payload)))
-			if err != nil {
-				return nil, err
-			}
-			c.NoFrames = te
 		}
 	}
-	if payload, ok := elementText(s, "userActions"); ok {
-		actions, err := DecodeActions(jsescape.Unescape(stripCDATA(payload)))
-		if err != nil {
+	var actions []byte
+	lo, hi, _, hasActions := element(toks, tagUserActions)
+	if hasActions {
+		actions = stripCDATA(data[lo:hi])
+	}
+
+	u := newUnescaper(head, regions[0], regions[1], regions[2], actions)
+	if c.Head, err = decodeHead(u, head); err != nil {
+		return nil, err
+	}
+	for i, dst := range [...]**TopElement{&c.Body, &c.FrameSet, &c.NoFrames} {
+		if hasRegion[i] {
+			if *dst, err = parseTopElementPayload(u.text(regions[i])); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if hasActions {
+		if c.UserActions, err = DecodeActions(u.text(actions)); err != nil {
 			return nil, err
 		}
-		c.UserActions = actions
 	}
 	return c, nil
 }
 
-// parseHeadSection parses the numbered hChild elements of a docHead section
-// — shared by the full newContent and deltaContent unmarshalers.
-func parseHeadSection(headSec string) ([]HeadChild, error) {
-	var head []HeadChild
-	for i := 1; ; i++ {
-		payload, ok := elementText(headSec, "hChild"+strconv.Itoa(i))
-		if !ok {
-			break
-		}
-		h, err := parseHeadChildPayload(jsescape.Unescape(stripCDATA(payload)))
-		if err != nil {
+// parseTimestamp parses the text of a docTime or baseDocTime element.
+func parseTimestamp(name string, b []byte) (int64, error) {
+	t, err := strconv.ParseInt(string(bytes.TrimSpace(b)), 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("core: bad %s %q", name, b)
+	}
+	return t, nil
+}
+
+// decodeHead unescapes and parses the payloads of a docHead's hChild
+// elements — shared by the full newContent and deltaContent decoders.
+func decodeHead(u *unescaper, payloads [][]byte) ([]HeadChild, error) {
+	if len(payloads) == 0 {
+		return nil, nil
+	}
+	head := make([]HeadChild, len(payloads))
+	for i, p := range payloads {
+		var err error
+		if head[i], err = parseHeadChildPayload(u.text(p)); err != nil {
 			return nil, err
 		}
-		head = append(head, h)
 	}
 	return head, nil
 }
 
-// elementText returns the text between <name> and </name> in s.
-func elementText(s, name string) (string, bool) {
-	open := "<" + name + ">"
-	close := "</" + name + ">"
-	i := strings.Index(s, open)
-	if i < 0 {
-		return "", false
+// msgTag names an element the Figure 4 and deltaContent decoders read.
+type msgTag uint8
+
+const (
+	tagNone msgTag = iota
+	tagDocTime
+	tagBaseDocTime
+	tagDocContent
+	tagDocHead
+	tagHChild
+	tagDocBody
+	tagDocFrameSet
+	tagDocNoFrames
+	tagBodyPatch
+	tagFramesetPatch
+	tagNoframesPatch
+	tagUserActions
+)
+
+// maxTagName bounds the name scanTags reads after a '<': the longest
+// element name, or "hChild" and nine digits.
+const maxTagName = len("hChild") + 9
+
+// lookupTag identifies an element name. hChild numbers are decimal without
+// leading zeros, as strconv.Itoa writes them; one too long to fit nine
+// digits is never reached, since the children before it would not fit in
+// any message.
+func lookupTag(name []byte) (msgTag, int) {
+	switch string(name) {
+	case "docTime":
+		return tagDocTime, 0
+	case "baseDocTime":
+		return tagBaseDocTime, 0
+	case "docContent":
+		return tagDocContent, 0
+	case "docHead":
+		return tagDocHead, 0
+	case "docBody":
+		return tagDocBody, 0
+	case "docFrameSet":
+		return tagDocFrameSet, 0
+	case "docNoFrames":
+		return tagDocNoFrames, 0
+	case "bodyPatch":
+		return tagBodyPatch, 0
+	case "framesetPatch":
+		return tagFramesetPatch, 0
+	case "noframesPatch":
+		return tagNoframesPatch, 0
+	case "userActions":
+		return tagUserActions, 0
 	}
-	rest := s[i+len(open):]
-	j := strings.Index(rest, close)
-	if j < 0 {
-		return "", false
+	digits, ok := bytes.CutPrefix(name, []byte("hChild"))
+	if !ok || len(digits) == 0 || len(digits) > 9 || digits[0] == '0' {
+		return tagNone, 0
 	}
-	return rest[:j], true
+	n := 0
+	for _, d := range digits {
+		if d < '0' || d > '9' {
+			return tagNone, 0
+		}
+		n = n*10 + int(d-'0')
+	}
+	return tagHChild, n
+}
+
+// msgToken is one start or end tag of a known element: the byte offsets of
+// its '<' and just past its '>'.
+type msgToken struct {
+	tag    msgTag
+	end    bool
+	n      int // the hChild number
+	lo, hi int
+}
+
+// scanTags appends every start and end tag of a known element in data to
+// toks, in order. A tag holds no '<' after its first byte, so each '<'
+// starts at most one: the scan finds exactly the occurrences a substring
+// search for "<name>" or "</name>" would, on any input.
+func scanTags(data []byte, toks []msgToken) []msgToken {
+	for i := 0; ; {
+		j := bytes.IndexByte(data[i:], '<')
+		if j < 0 {
+			return toks
+		}
+		lo := i + j
+		i = lo + 1
+		name := data[i:]
+		end := len(name) > 0 && name[0] == '/'
+		if end {
+			name = name[1:]
+		}
+		k := bytes.IndexByte(name[:min(len(name), maxTagName+1)], '>')
+		if k < 0 {
+			continue
+		}
+		if tag, n := lookupTag(name[:k]); tag != tagNone {
+			hi := i + k + 1
+			if end {
+				hi++
+			}
+			toks = append(toks, msgToken{tag: tag, end: end, n: n, lo: lo, hi: hi})
+		}
+	}
+}
+
+// element finds the first start tag of tag among toks and the first end tag
+// of it after that, returning the text between them as offsets into the
+// scanned data and the tokens inside it. ok is false when either is
+// missing.
+func element(toks []msgToken, tag msgTag) (lo, hi int, inner []msgToken, ok bool) {
+	for i, t := range toks {
+		if t.tag != tag || t.end {
+			continue
+		}
+		for j := i + 1; j < len(toks); j++ {
+			if e := toks[j]; e.tag == tag && e.end {
+				return t.hi, e.lo, toks[i+1 : j], true
+			}
+		}
+		return 0, 0, nil, false
+	}
+	return 0, 0, nil, false
+}
+
+// headChildren resolves the numbered hChild elements among a docHead's
+// tokens: for each number N from 1, the first <hChildN> and the first
+// </hChildN> after it, until the first N that lacks either. It returns each
+// child's CDATA content, in one pass over the tokens.
+func headChildren(data []byte, toks []msgToken) [][]byte {
+	starts := 0
+	for _, t := range toks {
+		if t.tag == tagHChild && !t.end {
+			starts++
+		}
+	}
+	if starts == 0 {
+		return nil
+	}
+	// open[N-1] and close[N-1] are token indexes plus one; zero is unset.
+	idx := make([]int, 2*starts)
+	open, close := idx[:starts], idx[starts:]
+	for i, t := range toks {
+		if t.tag != tagHChild || t.n > starts {
+			continue
+		}
+		switch k := t.n - 1; {
+		case !t.end && open[k] == 0:
+			open[k] = i + 1
+		case t.end && open[k] != 0 && close[k] == 0:
+			close[k] = i + 1
+		}
+	}
+	payloads := make([][]byte, 0, starts)
+	for k := 0; k < starts && close[k] != 0; k++ {
+		payloads = append(payloads, stripCDATA(data[toks[open[k]-1].hi:toks[close[k]-1].lo]))
+	}
+	return payloads
 }
 
 // stripCDATA unwraps a <![CDATA[...]]> section, tolerating surrounding
 // whitespace; non-CDATA text is returned as-is.
-func stripCDATA(s string) string {
-	t := strings.TrimSpace(s)
-	if strings.HasPrefix(t, "<![CDATA[") && strings.HasSuffix(t, "]]>") {
-		return t[len("<![CDATA[") : len(t)-len("]]>")]
+func stripCDATA(b []byte) []byte {
+	t := bytes.TrimSpace(b)
+	if bytes.HasPrefix(t, cdataOpen) && bytes.HasSuffix(t, cdataClose) {
+		return t[len(cdataOpen) : len(t)-len(cdataClose)]
 	}
 	return t
+}
+
+var cdataOpen, cdataClose = []byte("<![CDATA["), []byte("]]>")
+
+// unescaper decodes a message's payloads into one buffer, sized up front
+// from their escaped lengths (unescape() output is no longer for ASCII
+// text), and returns each as a string over its part of the buffer. Parts
+// already handed out are never written again: later payloads only append.
+type unescaper struct{ buf []byte }
+
+func newUnescaper(head [][]byte, payloads ...[]byte) *unescaper {
+	n := 0
+	for _, p := range head {
+		n += len(p)
+	}
+	for _, p := range payloads {
+		n += len(p)
+	}
+	return &unescaper{buf: make([]byte, 0, n)}
+}
+
+func (u *unescaper) text(escaped []byte) string {
+	start := len(u.buf)
+	u.buf = jsescape.AppendUnescape(u.buf, escaped)
+	if len(u.buf) == start {
+		return ""
+	}
+	return unsafe.String(&u.buf[start], len(u.buf)-start)
 }
 
 // ContentFromDocument extracts a NewContent message from a cloned document

@@ -9,21 +9,35 @@
 // and the Go participant snippet speak the same wire encoding a real
 // JavaScript engine would.
 //
-// Both directions are byte-table kernels that size their output once:
-// escape() encodes each ASCII byte by table lookup, unescape() copies runs
-// of plain ASCII bytes with one write and decodes %XX by table, and only
-// non-ASCII bytes and %uXXXX escapes take the rune-at-a-time path. The test
-// file keeps the original rune-at-a-time implementation as the reference
-// the kernels are fuzzed against.
+// Both directions read eight bytes at a time. escape() takes a word of
+// ASCII bytes per step and emits each lane with one load from a table of
+// packed outputs (the byte itself, or its %XX form) and one four-byte
+// store, so no branch depends on a byte's class; its exact output size is
+// a table sum over the same words. unescape() stores each word
+// speculatively into its output, jumps to the next '%' or non-ASCII byte
+// by counting the trailing zeros of a SWAR lane mask, and decodes %XX by
+// table. Only non-ASCII bytes, %uXXXX escapes and malformed '%' sequences
+// take the rune-at-a-time path, one sequence at a time, before the word
+// loop resumes. The test file keeps the original rune-at-a-time
+// implementation as the reference the kernels are fuzzed against.
 package jsescape
 
 import (
+	"encoding/binary"
+	"math/bits"
 	"slices"
-	"strings"
 	"unicode/utf8"
+	"unsafe"
 )
 
 const upperhex = "0123456789ABCDEF"
+
+// Lane constants for the word-at-a-time kernels: lsb has the low bit of
+// every byte lane set, msb the high bit.
+const (
+	lsb = 0x0101010101010101
+	msb = 0x8080808080808080
+)
 
 // escapedWidth[c] is the length of escape()'s output for the ASCII byte c:
 // 1 for the characters ECMA-262 B.2.1 keeps as-is (ASCII alphanumerics and
@@ -35,6 +49,20 @@ var escapedWidth = func() (t [256]uint8) {
 	}
 	for _, c := range []byte("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789@*_+-./") {
 		t[c] = 1
+	}
+	return t
+}()
+
+// escapeCode[c] packs escape()'s output for the ASCII byte c into one word:
+// the byte itself or its %XX form, little-endian in the low three bytes, and
+// the output length in the top byte. One four-byte store emits any lane.
+var escapeCode = func() (t [utf8.RuneSelf]uint32) {
+	for c := range t {
+		if escapedWidth[c] == 1 {
+			t[c] = uint32(c) | 1<<24
+		} else {
+			t[c] = '%' | uint32(upperhex[c>>4])<<8 | uint32(upperhex[c&0xF])<<16 | 3<<24
+		}
 	}
 	return t
 }()
@@ -51,87 +79,171 @@ var unhex = func() (t [256]uint8) {
 	return t
 }()
 
+// bytesOf views s as a byte slice without copying; the kernels only read
+// it. Both a string and a slice header begin with the data pointer.
+func bytesOf[T string | []byte](s T) []byte {
+	if len(s) == 0 {
+		return nil
+	}
+	return unsafe.Slice(*(**byte)(unsafe.Pointer(&s)), len(s))
+}
+
 // Escape returns the JavaScript escape() encoding of s. Code points below
 // U+0100 become %XX; all others become %uXXXX. Input is treated as a sequence
 // of UTF-16 code units, exactly as a JavaScript engine would: code points
 // outside the BMP are encoded as surrogate pairs (%uD8xx%uDCxx).
 func Escape(s string) string {
-	return string(AppendEscape(nil, s))
+	b := AppendEscape(nil, s)
+	return unsafe.String(unsafe.SliceData(b), len(b))
 }
 
-// AppendEscape appends the escape() encoding of s to dst and returns the
-// extended slice — the allocation-free form the agent's message assembly
-// uses to encode payloads directly into an outgoing buffer. dst grows at
-// most once, to the exact encoded size, and ASCII bytes are encoded by
-// table lookup; only non-ASCII bytes are decoded as runes. Invalid UTF-8
-// bytes encode as %uFFFD, as a range loop over s decodes them.
-func AppendEscape[T string | []byte](dst []byte, s T) []byte {
-	start, n := len(dst), escapedLen(s)
-	dst = slices.Grow(dst, n)[:start+n]
-	out := dst[start:]
-	k := 0
-	for i := 0; i < len(s); {
-		c := s[i]
-		switch escapedWidth[c] {
-		case 1:
-			out[k] = c
-			k++
-			i++
-			continue
-		case 3:
-			out[k], out[k+1], out[k+2] = '%', upperhex[c>>4], upperhex[c&0xF]
-			k += 3
-			i++
-			continue
-		}
-		r, size := decodeRune(s[i:])
-		i += size
-		switch {
-		case r < 0x100:
-			out[k], out[k+1], out[k+2] = '%', upperhex[r>>4], upperhex[r&0xF]
-			k += 3
-		case r <= 0xFFFF:
-			k += putU16(out[k:], uint16(r))
-		default:
-			// Encode as a UTF-16 surrogate pair, mirroring JS semantics.
-			v := uint32(r) - 0x10000
-			k += putU16(out[k:], uint16(0xD800+(v>>10)))
-			k += putU16(out[k:], uint16(0xDC00+(v&0x3FF)))
-		}
-	}
-	return dst
+// EscapedLen returns the length of the escape() encoding of s, summed a
+// word of ASCII bytes at a time. Callers that assemble several encodings
+// into one buffer size it exactly with this, and AppendEscape then never
+// grows it.
+func EscapedLen[T string | []byte](s T) int {
+	return escapedLen(bytesOf(s))
 }
 
-// escapedLen returns the length of the escape() encoding of s.
-func escapedLen[T string | []byte](s T) int {
+func escapedLen(s []byte) int {
 	n := 0
 	for i := 0; i < len(s); {
+		if i+8 <= len(s) {
+			if w := binary.LittleEndian.Uint64(s[i:]); w&msb == 0 {
+				n += int(escapedWidth[byte(w)]) + int(escapedWidth[byte(w>>8)]) +
+					int(escapedWidth[byte(w>>16)]) + int(escapedWidth[byte(w>>24)]) +
+					int(escapedWidth[byte(w>>32)]) + int(escapedWidth[byte(w>>40)]) +
+					int(escapedWidth[byte(w>>48)]) + int(escapedWidth[byte(w>>56)])
+				i += 8
+				continue
+			}
+		}
 		if c := s[i]; c < utf8.RuneSelf {
 			n += int(escapedWidth[c])
 			i++
 			continue
 		}
 		r, size := decodeRune(s[i:])
+		n += runeEscapedLen(r)
 		i += size
-		switch {
-		case r < 0x100:
-			n += 3
-		case r <= 0xFFFF:
-			n += 6
-		default:
-			n += 12
-		}
 	}
 	return n
 }
 
+// runeEscapedLen is the length of the escape() encoding of a non-ASCII rune.
+func runeEscapedLen(r rune) int {
+	switch {
+	case r < 0x100:
+		return 3
+	case r <= 0xFFFF:
+		return 6
+	default:
+		return 12
+	}
+}
+
+// AppendEscape appends the escape() encoding of s to dst and returns the
+// extended slice — the allocation-free form the agent's message assembly
+// uses to encode payloads directly into an outgoing buffer. When dst lacks
+// room it grows once, by the exact encoded size of what is left (see
+// EscapedLen); a dst presized with EscapedLen is never grown or recounted.
+// Invalid UTF-8 bytes encode as %uFFFD, as a range loop over s decodes them.
+// Bytes of dst's spare capacity past the result may be overwritten.
+func AppendEscape[T string | []byte](dst []byte, s T) []byte {
+	return appendEscape(dst, bytesOf(s))
+}
+
+func appendEscape(dst, s []byte) []byte {
+	k := len(dst)
+	if cap(dst)-k < len(s) {
+		dst = slices.Grow(dst, escapedLen(s))
+	}
+	buf := dst[:cap(dst)]
+	for i := 0; i < len(s); {
+		// The word loop: eight ASCII bytes per step, each lane one table
+		// load and one four-byte store with no branch on the byte's class;
+		// only the output offset carries from lane to lane. A word emits at
+		// most 24 bytes, and the store of its last lane writes one past.
+		for i+8 <= len(s) && len(buf)-k >= 25 {
+			w := binary.LittleEndian.Uint64(s[i:])
+			if w&msb != 0 {
+				break
+			}
+			b := buf[k : k+25]
+			v := escapeCode[byte(w)&0x7F]
+			binary.LittleEndian.PutUint32(b, v)
+			o := int(v >> 24)
+			v = escapeCode[byte(w>>8)&0x7F]
+			binary.LittleEndian.PutUint32(b[o:], v)
+			o += int(v >> 24)
+			v = escapeCode[byte(w>>16)&0x7F]
+			binary.LittleEndian.PutUint32(b[o:], v)
+			o += int(v >> 24)
+			v = escapeCode[byte(w>>24)&0x7F]
+			binary.LittleEndian.PutUint32(b[o:], v)
+			o += int(v >> 24)
+			v = escapeCode[byte(w>>32)&0x7F]
+			binary.LittleEndian.PutUint32(b[o:], v)
+			o += int(v >> 24)
+			v = escapeCode[byte(w>>40)&0x7F]
+			binary.LittleEndian.PutUint32(b[o:], v)
+			o += int(v >> 24)
+			v = escapeCode[byte(w>>48)&0x7F]
+			binary.LittleEndian.PutUint32(b[o:], v)
+			o += int(v >> 24)
+			v = escapeCode[byte(w>>56)&0x7F]
+			binary.LittleEndian.PutUint32(b[o:], v)
+			k += o + int(v>>24)
+			i += 8
+		}
+		if i == len(s) {
+			break
+		}
+		if len(buf)-k < 12 {
+			// Too little room for the widest rune form: size the rest
+			// exactly and grow only if it does not fit.
+			if need := escapedLen(s[i:]); len(buf)-k < need {
+				buf = slices.Grow(buf[:k], need)
+				buf = buf[:cap(buf)]
+			}
+		}
+		switch c := s[i]; escapedWidth[c] {
+		case 1:
+			buf[k] = c
+			k++
+			i++
+			continue
+		case 3:
+			buf[k], buf[k+1], buf[k+2] = '%', upperhex[c>>4], upperhex[c&0xF]
+			k += 3
+			i++
+			continue
+		}
+		r, size := decodeRune(s[i:])
+		i += size
+		switch {
+		case r < 0x100:
+			buf[k], buf[k+1], buf[k+2] = '%', upperhex[r>>4], upperhex[r&0xF]
+			k += 3
+		case r <= 0xFFFF:
+			k += putU16(buf[k:], uint16(r))
+		default:
+			// Encode as a UTF-16 surrogate pair, mirroring JS semantics.
+			v := uint32(r) - 0x10000
+			k += putU16(buf[k:], uint16(0xD800+(v>>10)))
+			k += putU16(buf[k:], uint16(0xDC00+(v&0x3FF)))
+		}
+	}
+	return buf[:k]
+}
+
 // decodeRune decodes the first rune of s the way a range loop over a string
 // does: an invalid or truncated sequence yields utf8.RuneError and width 1.
-func decodeRune[T string | []byte](s T) (rune, int) {
+func decodeRune(s []byte) (rune, int) {
 	if len(s) > utf8.UTFMax {
 		s = s[:utf8.UTFMax]
 	}
-	return utf8.DecodeRuneInString(string(s))
+	return utf8.DecodeRune(s)
 }
 
 // putU16 writes the %uXXXX form of one UTF-16 code unit to out and returns
@@ -143,50 +255,95 @@ func putU16(out []byte, u uint16) int {
 	return 6
 }
 
+// specialLanes sets the high bit of the first lane of w holding '%' or a
+// byte from 0x80 up (higher lanes may carry false positives from the
+// zero-byte borrow; only the lowest set bit is exact).
+func specialLanes(w uint64) uint64 {
+	x := w ^ (lsb * '%')
+	return ((x-lsb)&^x | w) & msb
+}
+
 // Unescape reverses Escape, implementing JavaScript unescape() (ECMA-262
 // B.2.2). Sequences that do not form a valid %XX or %uXXXX escape are copied
 // through literally, as JS does; there is no error case. Surrogate pairs
 // produced by Escape are recombined into their original code points; unpaired
 // surrogates decode to U+FFFD (Go strings cannot carry lone surrogates).
 // Plain bytes that are not valid UTF-8 decode as Latin-1 (see latin1Rune).
+// The result is built in its own buffer and shares no memory with s.
 func Unescape(s string) string {
-	var b strings.Builder
-	b.Grow(len(s))
-	var pendingHigh rune // buffered high surrogate awaiting its low half
-	flushPending := func() {
-		if pendingHigh != 0 {
-			b.WriteRune(utf8.RuneError)
-			pendingHigh = 0
-		}
+	if s == "" {
+		return ""
 	}
+	b := AppendUnescape(make([]byte, 0, len(s)), s)
+	return unsafe.String(unsafe.SliceData(b), len(b))
+}
+
+// AppendUnescape appends the unescape() decoding of s to dst and returns the
+// extended slice: the form a decoder uses to unescape payloads straight out
+// of a received message. Bytes of dst's spare capacity past the result may
+// be overwritten.
+func AppendUnescape[T string | []byte](dst []byte, s T) []byte {
+	return appendUnescape(dst, bytesOf(s))
+}
+
+func appendUnescape(dst, s []byte) []byte {
+	k := len(dst)
+	buf := slices.Grow(dst, len(s))
+	buf = buf[:cap(buf)]
+	// Invariant: len(buf)-k >= len(s)-i. Plain bytes and ASCII %XX escapes
+	// write no more than they read, so they keep it without a check, and
+	// the speculative word store always has eight bytes of room.
 	for i := 0; i < len(s); {
-		c := s[i]
-		if pendingHigh == 0 {
-			// The common cases: a run of plain ASCII bytes, copied with
-			// one write, and a %XX escape of an ASCII byte.
-			if c != '%' && c < utf8.RuneSelf {
-				j := i + 1
-				for j < len(s) && s[j] != '%' && s[j] < utf8.RuneSelf {
-					j++
-				}
-				b.WriteString(s[i:j])
-				i = j
+		if i+8 <= len(s) {
+			w := binary.LittleEndian.Uint64(s[i:])
+			binary.LittleEndian.PutUint64(buf[k:], w)
+			m := specialLanes(w)
+			if m == 0 {
+				i += 8
+				k += 8
 				continue
 			}
-			if c == '%' && i+2 < len(s) {
-				if h, l := unhex[s[i+1]], unhex[s[i+2]]; h < 8 && l < 16 {
-					b.WriteByte(h<<4 | l)
-					i += 3
-					continue
-				}
+			z := bits.TrailingZeros64(m) >> 3
+			i += z
+			k += z
+		} else if c := s[i]; c != '%' && c < utf8.RuneSelf {
+			buf[k] = c
+			i++
+			k++
+			continue
+		}
+		if s[i] == '%' && i+2 < len(s) {
+			if h, l := unhex[s[i+1]], unhex[s[i+2]]; h < 8 && l < 16 {
+				buf[k] = h<<4 | l
+				i += 3
+				k++
+				continue
 			}
 		}
+		var out []byte
+		out, i = unescapeSequence(buf[:k], s, i)
+		k = len(out)
+		buf = slices.Grow(out, len(s)-i)
+		buf = buf[:cap(buf)]
+	}
+	return buf[:k]
+}
+
+// unescapeSequence decodes the one sequence at s[i] the word loop leaves to
+// the rune path — a non-ASCII byte, a %XX above 0x7F, a %uXXXX or a '%'
+// that starts no escape — appending it to dst. A high surrogate waits for
+// the sequence after it, which completes the pair or is decoded after a
+// U+FFFD. It returns the extended dst and the offset past what it read.
+func unescapeSequence(dst, s []byte, i int) ([]byte, int) {
+	var high rune // a high surrogate awaiting its low half
+	for i < len(s) {
+		c := s[i]
 		if c != '%' {
-			flushPending()
+			if high != 0 {
+				dst = utf8.AppendRune(dst, utf8.RuneError)
+			}
 			r, size := latin1Rune(s[i:])
-			b.WriteRune(r)
-			i += size
-			continue
+			return utf8.AppendRune(dst, r), i + size
 		}
 		u, n := rune(-1), 1
 		if i+5 < len(s) && (s[i+1] == 'u' || s[i+1] == 'U') {
@@ -201,34 +358,35 @@ func Unescape(s string) string {
 		}
 		i += n
 		switch {
-		case u < 0: // not an escape: the '%' is copied literally
-			flushPending()
-			b.WriteByte('%')
-		case u >= 0xD800 && u <= 0xDBFF: // high surrogate
-			flushPending()
-			pendingHigh = u
-		case u >= 0xDC00 && u <= 0xDFFF: // low surrogate
-			if pendingHigh != 0 {
-				b.WriteRune(0x10000 + (pendingHigh-0xD800)<<10 + (u - 0xDC00))
-				pendingHigh = 0
-			} else {
-				b.WriteRune(utf8.RuneError)
+		case u >= 0xD800 && u <= 0xDBFF:
+			if high != 0 {
+				dst = utf8.AppendRune(dst, utf8.RuneError)
 			}
-		default:
-			flushPending()
-			b.WriteRune(u)
+			high = u
+			continue
+		case u >= 0xDC00 && u <= 0xDFFF && high != 0:
+			return utf8.AppendRune(dst, 0x10000+(high-0xD800)<<10+(u-0xDC00)), i
 		}
+		if high != 0 {
+			dst = utf8.AppendRune(dst, utf8.RuneError)
+		}
+		switch {
+		case u < 0: // not an escape: the '%' is copied literally
+			return append(dst, '%'), i
+		case u >= 0xDC00 && u <= 0xDFFF: // a lone low surrogate
+			return utf8.AppendRune(dst, utf8.RuneError), i
+		}
+		return utf8.AppendRune(dst, u), i
 	}
-	flushPending()
-	return b.String()
+	return utf8.AppendRune(dst, utf8.RuneError), i // high surrogate at the end
 }
 
 // latin1Rune decodes the first rune of s leniently: a lead byte followed by
 // the right number of continuation bytes decodes to its code point (even
-// when overlong or a surrogate; WriteRune turns the invalid ones into
+// when overlong or a surrogate; AppendRune turns the invalid ones into
 // U+FFFD), and any other byte yields its own value (a Latin-1 fallback), so
 // Unescape(Escape(x)) == x holds for every valid x.
-func latin1Rune(s string) (rune, int) {
+func latin1Rune(s []byte) (rune, int) {
 	c := s[0]
 	if c < utf8.RuneSelf {
 		return rune(c), 1

@@ -205,6 +205,75 @@ func FuzzEscapeMatchesReference(f *testing.F) {
 	})
 }
 
+// boundarySpecials are the input classes that leave the kernels' word
+// loops: each is swept across the first two word boundaries by
+// TestKernelsAtWordBoundaries.
+var boundarySpecials = []string{
+	"%41",        // valid %XX of an ASCII byte
+	"%e9",        // valid %XX above 0x7F
+	"%4G", "%G4", // invalid %XX
+	"%u20AC",                // valid %uXXXX
+	"%u20aG",                // invalid %uXXXX
+	"%uD834%uDD1E",          // surrogate pair
+	"%uD834",                // lone high surrogate
+	"%uDD1E",                // lone low surrogate
+	"%uD834%41",             // high surrogate then a plain escape
+	"é",                     // two-byte UTF-8
+	"€",                     // three-byte UTF-8
+	"𝄞",                     // astral (four bytes, a surrogate pair escaped)
+	"\xff",                  // invalid byte
+	"\xe2\x82",              // truncated sequence
+	"%", "%4", "%u", "%uD8", // a '%' starting no escape, as at len-1 and len-2
+	" ", "<", // ASCII bytes escape() encodes
+}
+
+// TestKernelsAtWordBoundaries places every boundarySpecials class at every
+// offset 0–16 of inputs of length 0–24, between plain and mixed fillers,
+// and checks both kernels against the reference: escape through both
+// instantiations, onto destinations with every spare capacity around the
+// exact size (so the grow-the-rest path is hit at every position), and
+// unescape of the input and of its escaped form.
+func TestKernelsAtWordBoundaries(t *testing.T) {
+	fillers := []string{"abcdefghijklmnopqrstuvwxyz", "a b<c>d=e&f g.h/i j"}
+	for _, sp := range boundarySpecials {
+		for _, fill := range fillers {
+			for n := 0; n <= 24; n++ {
+				for off := 0; off <= 16 && off+len(sp) <= n; off++ {
+					rest := n - off - len(sp)
+					s := fill[:off%len(fill)] + sp + strings.Repeat(fill, 2)[:rest]
+					checkKernels(t, s)
+				}
+			}
+		}
+	}
+}
+
+func checkKernels(t *testing.T, s string) {
+	t.Helper()
+	want := refAppendEscape(nil, s)
+	if got := AppendEscape(nil, s); string(got) != string(want) {
+		t.Fatalf("AppendEscape(%q) = %q, reference %q", s, got, want)
+	}
+	if n := EscapedLen(s); n != len(want) {
+		t.Fatalf("EscapedLen(%q) = %d, reference %d", s, n, len(want))
+	}
+	for spare := 0; spare <= len(want)+32; spare++ {
+		dst := append(make([]byte, 0, 3+spare), "pre"...)
+		if got := AppendEscape(dst, []byte(s)); string(got) != "pre"+string(want) {
+			t.Fatalf("AppendEscape(pre with %d spare, %q) = %q, reference pre+%q", spare, s, got, want)
+		}
+	}
+	if got, want := Unescape(s), refUnescape(s); got != want {
+		t.Fatalf("Unescape(%q) = %q, reference %q", s, got, want)
+	}
+	if got, want := AppendUnescape([]byte("pre"), []byte(s)), refUnescape(s); string(got) != "pre"+want {
+		t.Fatalf("AppendUnescape(pre, %q) = %q, reference pre+%q", s, got, want)
+	}
+	if got, want := Unescape(string(want)), refUnescape(string(want)); got != want {
+		t.Fatalf("Unescape(%q) = %q, reference %q", want, got, want)
+	}
+}
+
 func TestEscapeASCIIUnreserved(t *testing.T) {
 	in := "abcXYZ019@*_+-./"
 	if got := Escape(in); got != in {
@@ -341,20 +410,41 @@ func TestEscapeHTMLDocument(t *testing.T) {
 	}
 }
 
+// benchDocs are the kernel benchmark inputs: markup-dense ASCII HTML, and
+// the same text with one 'é' per KB, whose throughput must stay within
+// 1.2x of the ASCII case — the rare non-ASCII path must cost one sequence,
+// never a fall back to a slow loop for the rest of the input.
+func benchDocs() []struct{ name, doc string } {
+	ascii := strings.Repeat(`<div class="row" onclick="pick(1)">item &amp; more</div>`, 200)
+	var sparse strings.Builder
+	for i := 0; i < len(ascii); i += 1024 {
+		sparse.WriteString(ascii[i:min(i+1022, len(ascii))])
+		sparse.WriteString("é")
+	}
+	return []struct{ name, doc string }{{"ascii", ascii}, {"sparse-nonascii", sparse.String()}}
+}
+
 func BenchmarkEscapeHTML(b *testing.B) {
-	doc := strings.Repeat(`<div class="row" onclick="pick(1)">item &amp; more</div>`, 200)
-	b.SetBytes(int64(len(doc)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Escape(doc)
+	for _, d := range benchDocs() {
+		b.Run(d.name, func(b *testing.B) {
+			b.SetBytes(int64(len(d.doc)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Escape(d.doc)
+			}
+		})
 	}
 }
 
 func BenchmarkUnescapeHTML(b *testing.B) {
-	doc := Escape(strings.Repeat(`<div class="row" onclick="pick(1)">item &amp; more</div>`, 200))
-	b.SetBytes(int64(len(doc)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Unescape(doc)
+	for _, d := range benchDocs() {
+		doc := Escape(d.doc)
+		b.Run(d.name, func(b *testing.B) {
+			b.SetBytes(int64(len(doc)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Unescape(doc)
+			}
+		})
 	}
 }
