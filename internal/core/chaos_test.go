@@ -80,10 +80,10 @@ var chaosLinks = []netsim.Link{
 type chaosFault int
 
 const (
-	faultServerRestart chaosFault = iota // drop the listener, restart after a pause
-	faultMidParkRestart                  // same, but wait for a parked long-poll first
-	faultLinkFlap                        // reset established flows, total loss for a stretch
-	faultForceDisconnect                 // agent ejects a participant with a retryable reason
+	faultServerRestart   chaosFault = iota // drop the listener, restart after a pause
+	faultMidParkRestart                    // same, but wait for a parked long-poll first
+	faultLinkFlap                          // reset established flows, total loss for a stretch
+	faultForceDisconnect                   // agent ejects a participant with a retryable reason
 	chaosFaultKinds
 )
 

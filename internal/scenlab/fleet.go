@@ -193,11 +193,11 @@ type fleet struct {
 
 	tokenSeq atomic.Int64
 
-	startedAt time.Time
-	joinWall  time.Duration
-	joinBytes int64
+	startedAt  time.Time
+	joinWall   time.Duration
+	joinBytes  int64
 	joinBuilds int64
-	stats     []RoundStat
+	stats      []RoundStat
 
 	// Lite mix overrides, set by families before spawnLites.
 	allLongPoll bool

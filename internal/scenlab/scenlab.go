@@ -97,12 +97,12 @@ var (
 
 // Families in canonical order.
 const (
-	FamilyFlashCrowd    = "flashcrowd"
+	FamilyFlashCrowd     = "flashcrowd"
 	FamilyThunderingHerd = "herd"
-	FamilyChurn         = "churn"
-	FamilyLongHaul      = "longhaul"
-	FamilySearchRoles   = "searchroles"
-	FamilyWriterTurns   = "writerturns"
+	FamilyChurn          = "churn"
+	FamilyLongHaul       = "longhaul"
+	FamilySearchRoles    = "searchroles"
+	FamilyWriterTurns    = "writerturns"
 )
 
 // Families lists every scenario family the lab implements.
