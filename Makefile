@@ -59,6 +59,7 @@ fuzz:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzUnmarshalDelta$$' -fuzztime 15s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzImportState$$' -fuzztime 15s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzServePoll$$' -fuzztime 15s
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzChannelUpstream$$' -fuzztime 15s
 	$(GO) test ./internal/httpwire -run '^$$' -fuzz '^FuzzChannelFrame$$' -fuzztime 15s
 	$(GO) test ./internal/jsescape -run '^$$' -fuzz '^FuzzEscapeMatchesReference$$' -fuzztime 15s
 

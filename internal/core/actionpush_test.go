@@ -226,9 +226,9 @@ func TestIntervalModeNeverPushes(t *testing.T) {
 }
 
 // TestActionPushServerDownFallsBack covers transport failure: with the
-// server gone the push errors, the action lands in the piggyback queue (no
-// loss), the channel suspends (no doomed round trip per action), and a
-// successful poll after the server returns re-arms it.
+// server gone the push errors, the action stays in the outbox (no loss),
+// which suspends pushing (no doomed round trip per action), and a
+// successful poll after the server returns empties it and re-arms the push.
 func TestActionPushServerDownFallsBack(t *testing.T) {
 	w := newWorld(t, nil)
 	w.hostNavigate(t, "http://"+sites.Table1[1].Host()+"/")
@@ -242,10 +242,10 @@ func TestActionPushServerDownFallsBack(t *testing.T) {
 		t.Fatalf("stats after failed push = %+v: want 1 fallback, 0 pushed", st)
 	}
 	s.mu.Lock()
-	queued, suspended := len(s.queue), s.pushSuspended
+	queued := s.out.Len()
 	s.mu.Unlock()
-	if queued != 1 || !suspended {
-		t.Fatalf("queue=%d suspended=%v after failed push: the action must be queued and the channel suspended", queued, suspended)
+	if queued != 1 {
+		t.Fatalf("outbox=%d after failed push: the action must stay queued, suspending pushes", queued)
 	}
 	// A second action while suspended goes straight to the queue — no
 	// second endpoint attempt.
@@ -271,10 +271,10 @@ func TestActionPushServerDownFallsBack(t *testing.T) {
 		t.Fatalf("recovery poll piggybacked %d actions, want 2 (both fallbacks)", st.ActionsSent)
 	}
 	s.mu.Lock()
-	suspended = s.pushSuspended
+	queued = s.out.Len()
 	s.mu.Unlock()
-	if suspended {
-		t.Fatal("successful poll did not re-arm the push channel")
+	if queued != 0 {
+		t.Fatalf("successful poll left %d actions in the outbox; pushes stay suspended", queued)
 	}
 	s.PointerMove(3, 3)
 	if got := w.agent.ActionPushes(); got != 1 {
@@ -298,7 +298,7 @@ func TestActionPushRejectedFallsBack(t *testing.T) {
 		t.Fatalf("stats after rejected push = %+v: want 1 fallback, 0 pushed", st)
 	}
 	s.mu.Lock()
-	queued := len(s.queue)
+	queued := s.out.Len()
 	s.mu.Unlock()
 	if queued != 1 {
 		t.Fatalf("rejected action not preserved in the queue (len=%d)", queued)

@@ -183,11 +183,13 @@ func TestAgentCloseMarksAgentClosing(t *testing.T) {
 	}
 }
 
-// TestPushBackoffSuspendProbeAndReset checks the action-push half-open
-// circuit against a genuinely flapping server: a failed push suspends the
-// channel and starts the push schedule; while suspended, actions skip the
-// doomed round trip; once the pause passes a single probe is admitted; and
-// a successful poll resets the schedule entirely.
+// TestPushBackoffSuspendProbeAndReset checks the push suspension the
+// outbox derives against a genuinely flapping server: a failed push keeps
+// its action in the outbox, which suspends pushing; while suspended, later
+// actions skip the doomed round trip and wait behind it; a successful poll
+// carries the whole backlog in order and, by emptying the outbox, re-arms
+// the push. (The half-open probe of the stored circuit breaker is gone: an
+// action behind a failed push always waits for the poll.)
 func TestPushBackoffSuspendProbeAndReset(t *testing.T) {
 	w := newWorld(t, nil)
 	w.hostNavigate(t, "http://"+sites.Table1[1].Host()+"/")
@@ -205,47 +207,27 @@ func TestPushBackoffSuspendProbeAndReset(t *testing.T) {
 	w.agent.Close()
 	w.server.Close()
 
-	s.PointerMove(1, 1) // push fails → fallback + suspend
+	s.PointerMove(1, 1) // push fails → the action stays in the outbox
 	st := s.Stats()
-	if st.ActionFallbacks != 1 {
-		t.Fatalf("ActionFallbacks = %d, want 1", st.ActionFallbacks)
+	if st.ActionFallbacks != 1 || st.ActionsPushed != 0 {
+		t.Fatalf("after failed push: fallbacks=%d pushed=%d, want 1 and 0", st.ActionFallbacks, st.ActionsPushed)
 	}
-	s.mu.Lock()
-	attempts := s.pushBackoff.Attempts()
-	suspended := s.pushSuspended
-	s.mu.Unlock()
-	if !suspended || attempts != 1 {
-		t.Fatalf("after failed push: suspended=%v attempts=%d", suspended, attempts)
-	}
-	// Inside the pause, pushes are not even attempted: fallback count must
-	// not advance (the action goes straight to the queue).
-	s.mu.Lock()
-	s.pushResumeAt = time.Now().Add(time.Hour)
-	s.mu.Unlock()
+	// While the failed push's action waits, later actions are not even
+	// attempted: the fallback count must not advance.
 	s.PointerMove(2, 2)
+	s.PointerMove(3, 3)
 	if got := s.Stats().ActionFallbacks; got != 1 {
 		t.Fatalf("suspended push still paid a round trip (fallbacks=%d)", got)
 	}
-	// Past the pause, exactly one probe goes out; its failure doubles the
-	// schedule.
 	s.mu.Lock()
-	s.pushResumeAt = time.Now().Add(-time.Millisecond)
-	s.queue = nil // pushEligible requires an empty piggyback queue
+	queued := s.out.Len()
 	s.mu.Unlock()
-	s.PointerMove(3, 3)
-	st = s.Stats()
-	if st.ActionFallbacks != 2 {
-		t.Fatalf("probe push not attempted (fallbacks=%d)", st.ActionFallbacks)
+	if queued != 3 {
+		t.Fatalf("outbox holds %d actions while suspended, want 3", queued)
 	}
-	s.mu.Lock()
-	if got := s.pushBackoff.Attempts(); got != 2 {
-		s.mu.Unlock()
-		t.Fatalf("push attempts after failed probe = %d, want 2", got)
-	}
-	s.mu.Unlock()
 
-	// The server comes back; a successful poll re-arms the channel and
-	// resets the push schedule.
+	// The server comes back; a successful poll carries the backlog and
+	// re-arms the push.
 	l, err := w.corpus.Network.Listen(agentAddr)
 	if err != nil {
 		t.Fatal(err)
@@ -256,12 +238,20 @@ func TestPushBackoffSuspendProbeAndReset(t *testing.T) {
 	if _, err := s.PollOnce(); err != nil {
 		t.Fatal(err)
 	}
+	st = s.Stats()
+	if st.ActionsSent != 3 {
+		t.Fatalf("recovery poll piggybacked %d actions, want 3", st.ActionsSent)
+	}
 	s.mu.Lock()
-	suspended = s.pushSuspended
-	attempts = s.pushBackoff.Attempts()
+	queued = s.out.Len()
 	s.mu.Unlock()
-	if suspended || attempts != 0 {
-		t.Fatalf("after successful poll: suspended=%v attempts=%d, want re-armed and reset", suspended, attempts)
+	if queued != 0 {
+		t.Fatalf("outbox holds %d actions after the 200, want 0", queued)
+	}
+	s.PointerMove(4, 4)
+	st = s.Stats()
+	if st.ActionsPushed != 1 || st.ActionFallbacks != 1 {
+		t.Fatalf("after the poll: pushed=%d fallbacks=%d, want the push re-armed (1, 1)", st.ActionsPushed, st.ActionFallbacks)
 	}
 }
 
@@ -351,7 +341,7 @@ func TestRejoinResetsJoinBackoffAndSyncState(t *testing.T) {
 		t.Fatal("no baseline to test against")
 	}
 	s.mu.Lock()
-	_, _, join := s.backoffsLocked()
+	_, join := s.backoffsLocked()
 	join.Next()
 	join.Next()
 	s.mu.Unlock()

@@ -22,6 +22,7 @@ import (
 	"net"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"rcb/internal/httpwire"
@@ -42,8 +43,9 @@ const (
 	// desynced and the server must resend the full snapshot.
 	FrameAck byte = 4
 	// FrameActionAck confirms merged actions (server→client): the payload is
-	// the highest CSeq the agent has accepted from this client, so the
-	// client can drop its retransmit buffer up to that point.
+	// the highest CSeq of the ACTIONS frame just merged. The client writes
+	// frames in CSeq order on one socket, so the ack is cumulative and the
+	// client drops every outbox entry up to it.
 	FrameActionAck byte = 5
 	// FramePing/FramePong are the keepalive probe pair; the payload is
 	// echoed back verbatim.
@@ -118,14 +120,34 @@ type agentChannel struct {
 	mu      sync.Mutex
 	base    int64
 	pending *closeSignal // close-with-reason awaiting the writer
+
+	// Quiescence counters for the test harnesses: framesWritten counts
+	// frames committed to the socket (bumped before each write), and
+	// wakesPending the wakes queued in notify or being flushed. A channel
+	// whose wakesPending is zero and whose client has read framesWritten
+	// frames has nothing in flight.
+	framesWritten atomic.Int64
+	wakesPending  atomic.Int64
 }
 
 // wake nudges the writer; a wake while one is already queued coalesces.
 func (ch *agentChannel) wake() {
+	ch.wakesPending.Add(1)
 	select {
 	case ch.notify <- struct{}{}:
 	default:
+		ch.wakesPending.Add(-1)
 	}
+}
+
+// writeFrame writes one frame to the channel and counts it.
+func (a *Agent) writeFrame(ch *agentChannel, f httpwire.Frame) error {
+	ch.framesWritten.Add(1)
+	err := ch.conn.WriteFrame(f)
+	if err == nil {
+		a.framesOut.Add(1)
+	}
+	return err
 }
 
 // shutdown tears the channel down: unblocks both loops and closes the
@@ -255,7 +277,9 @@ func (a *Agent) channelWriter(ch *agentChannel) {
 			return
 		case <-ch.notify:
 		}
-		if !a.channelFlush(ch) {
+		ok := a.channelFlush(ch)
+		ch.wakesPending.Add(-1)
+		if !ok {
 			return
 		}
 	}
@@ -322,7 +346,7 @@ func (a *Agent) channelFlush(ch *agentChannel) bool {
 		if out.isDelta {
 			ftype = FrameDelta
 		}
-		if werr := ch.conn.WriteFrame(httpwire.Frame{Type: ftype, Payload: out.body}); werr != nil {
+		if werr := a.writeFrame(ch, httpwire.Frame{Type: ftype, Payload: out.body}); werr != nil {
 			// The socket died with mirror actions already drained from the
 			// outbox: put them back so the participant's recovery poll
 			// delivers them — channel failure may delay an action, never
@@ -331,7 +355,6 @@ func (a *Agent) channelFlush(ch *agentChannel) bool {
 			a.hub.notifyPID(ch.pid)
 			return false
 		}
-		a.framesOut.Add(1)
 		ch.mu.Lock()
 		if ch.base == base {
 			// Advance only if the reader didn't reset base to 0 (FrameAck 0,
@@ -347,9 +370,7 @@ func (a *Agent) channelFlush(ch *agentChannel) bool {
 // writeClose sends the FrameClose for cs, best-effort: the channel is
 // being torn down either way.
 func (a *Agent) writeClose(ch *agentChannel, cs closeSignal) {
-	if err := ch.conn.WriteFrame(httpwire.Frame{Type: FrameClose, Payload: encodeCloseSignal(cs)}); err == nil {
-		a.framesOut.Add(1)
-	}
+	_ = a.writeFrame(ch, httpwire.Frame{Type: FrameClose, Payload: encodeCloseSignal(cs)})
 	a.logf("rcb-agent: channel %s closed: %s", ch.pid, cs.reason)
 }
 
@@ -372,9 +393,8 @@ func (a *Agent) channelReader(ch *agentChannel) {
 			ts, _ := strconv.ParseInt(string(f.Payload), 10, 64)
 			a.channelAck(ch, ts)
 		case FramePing:
-			if err := ch.conn.WriteFrame(httpwire.Frame{Type: FramePong, Payload: f.Payload}); err == nil {
-				a.framesOut.Add(1)
-			}
+			// A failed write means the socket died; the next read ends us.
+			_ = a.writeFrame(ch, httpwire.Frame{Type: FramePong, Payload: f.Payload})
 		case FrameClose:
 			// The client detached (degradation, shutdown). The participant
 			// stays registered — a channel teardown is not a leave — and its
@@ -389,16 +409,16 @@ func (a *Agent) channelReader(ch *agentChannel) {
 
 // channelActions merges one upstream action frame — the poll protocol's
 // step 1 (data merging) arriving on the channel. The replay filter runs
-// first, exactly as on the poll and /action paths, so the client's
-// requeue-after-channel-death retransmits stay exactly-once. The merged
-// batch is confirmed with a FrameActionAck carrying the highest CSeq seen,
-// which lets the client prune its retransmit buffer.
+// first, exactly as on the poll and /action paths, so the client's resend
+// of its outbox after a channel death stays exactly-once. The merged batch
+// is confirmed with a FrameActionAck carrying the highest CSeq seen, which
+// lets the client drop its outbox up to there.
 func (a *Agent) channelActions(ch *agentChannel, payload string) {
 	a.smu.RLock()
 	if a.relocatedTo != "" {
 		// Past the relocation fence no state may change; wake the writer so
-		// it delivers the MOVED close, and let the client's retransmit path
-		// replay the actions at the new agent.
+		// it delivers the MOVED close, and let the client's outbox replay the
+		// actions at the new agent.
 		a.smu.RUnlock()
 		ch.wake()
 		return
@@ -430,9 +450,8 @@ func (a *Agent) channelActions(ch *agentChannel, payload string) {
 	a.smu.RUnlock()
 	if maxSeq > 0 {
 		buf := strconv.AppendInt(make([]byte, 0, 20), maxSeq, 10)
-		if err := ch.conn.WriteFrame(httpwire.Frame{Type: FrameActionAck, Payload: buf}); err == nil {
-			a.framesOut.Add(1)
-		}
+		// A lost ack costs only a resend the replay filter drops.
+		_ = a.writeFrame(ch, httpwire.Frame{Type: FrameActionAck, Payload: buf})
 	}
 }
 

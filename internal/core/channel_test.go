@@ -111,7 +111,7 @@ func TestChannelPushFanout(t *testing.T) {
 
 // TestChannelActionUpstream sends an action as a channel frame: it must
 // reach the policy exactly once, mirror out to a long-poll participant, and
-// the FrameActionAck must drain the client's retransmit buffer.
+// the FrameActionAck must empty the client's outbox.
 func TestChannelActionUpstream(t *testing.T) {
 	var decisions atomic.Int64
 	w := newWorld(t, func(a *Agent) {
@@ -154,10 +154,10 @@ func TestChannelActionUpstream(t *testing.T) {
 	if got := decisions.Load(); got != 1 {
 		t.Errorf("channel action reached the policy %d times, want exactly once", got)
 	}
-	waitUntil(t, "action ack drains retransmit buffer", func() bool {
+	waitUntil(t, "action ack drains the outbox", func() bool {
 		alice.mu.Lock()
 		defer alice.mu.Unlock()
-		return len(alice.chanSent) == 0
+		return alice.out.Len() == 0
 	})
 	if st := alice.Stats(); st.DuplexActionsSent != 1 {
 		t.Errorf("DuplexActionsSent = %d, want 1", st.DuplexActionsSent)
@@ -237,6 +237,12 @@ func TestChannelResyncOnZeroAck(t *testing.T) {
 // cookieFor returns the participant cookie header a snippet would send.
 func cookieFor(s *Snippet) string {
 	return s.Browser.Jar.Header(browser.HostOf("http://" + agentAddr + "/"))
+}
+
+// pidOf returns the participant id in a snippet's agent cookie.
+func pidOf(s *Snippet) string {
+	pid, _, _ := strings.Cut(strings.TrimPrefix(cookieFor(s), "rcbpid="), ";")
+	return pid
 }
 
 // TestChannelShedRefusal: at ShedInterval and above, the upgrade is refused

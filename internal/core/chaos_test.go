@@ -200,7 +200,7 @@ func runChaosScenario(t *testing.T, seed int64) {
 			// Full-duplex channel participants: every fault severs or refuses
 			// the channel, so these exercise the whole degradation ladder —
 			// duplex → long-poll fallback → backoff → re-upgrade — plus the
-			// retransmit buffer when a write raced a reset.
+			// outbox rewind when a write raced a reset.
 			s.Delivery = DeliveryDuplex
 			s.LongPollWait = 150 * time.Millisecond
 			s.ActionPush = rng.Intn(2) == 0
@@ -370,6 +370,11 @@ func runChaosScenario(t *testing.T, seed int64) {
 				}
 			}
 		}
+		// Quiescence: every action confirmed, and every frame the agent
+		// wrote to a live channel read by its snippet.
+		if done && allHold(snips, outboxEmpty) {
+			done = allHold(snips, func(s *Snippet) bool { return channelDrained(w.agent, pidOf(s), s) })
+		}
 		if done {
 			break
 		}
@@ -385,6 +390,13 @@ func runChaosScenario(t *testing.T, seed int64) {
 			for _, key := range fired {
 				if policy.count(key) == 0 {
 					lag = append(lag, "lost action "+key)
+				}
+			}
+			for i, s := range snips {
+				if !outboxEmpty(s) {
+					lag = append(lag, fmt.Sprintf("p%d outbox not empty", i))
+				} else if !channelDrained(w.agent, pidOf(s), s) {
+					lag = append(lag, fmt.Sprintf("p%d channel not drained", i))
 				}
 			}
 			fail("no convergence after healing: %s", strings.Join(lag, ", "))

@@ -443,19 +443,25 @@ func runConvergenceScenario(t *testing.T, corpus *sites.Corpus, idx int) {
 	}
 	mutateHost() // final version every replica must reach
 
-	// Actions fired by duplex participants travel the channel asynchronously;
-	// wait for the agent's policy pipeline to see each one before draining so
-	// the drain rounds below deliver the resulting mirror outboxes. Sync
-	// senders are excluded — their queued piggybacks flush during the drain.
-	actDeadline := time.Now().Add(5 * time.Second)
-	for _, rec := range fired {
-		if parts[rec.sender].snip.Delivery != DeliveryDuplex {
-			continue
-		}
-		for policy.count(rec.key) == 0 && time.Now().Before(actDeadline) {
-			time.Sleep(100 * time.Microsecond)
+	// Channel traffic is asynchronous, so the driver cannot see it move.
+	// quiesce waits until it has settled: first every duplex participant's
+	// outbox is empty (the agent merged each action, and enqueued its
+	// mirrors, before acking it), then every duplex channel has no wake
+	// pending and its snippet has read every frame the agent wrote to it.
+	// Sync participants need no wait: their polls are synchronous.
+	var duplexParts []*convParticipant
+	for _, p := range parts {
+		if p.snip.Delivery == DeliveryDuplex {
+			duplexParts = append(duplexParts, p)
 		}
 	}
+	quiesce := func() {
+		if !waitAll(duplexParts, func(p *convParticipant) bool { return outboxEmpty(p.snip) }) ||
+			!waitAll(duplexParts, func(p *convParticipant) bool { return channelDrained(agent, p.pid, p.snip) }) {
+			fail("duplex channel traffic never settled")
+		}
+	}
+	quiesce()
 
 	recvTotal := func() int {
 		n := 0
@@ -467,12 +473,6 @@ func runConvergenceScenario(t *testing.T, corpus *sites.Corpus, idx int) {
 			p.mu.Unlock()
 		}
 		return n
-	}
-	anyDuplex := false
-	for _, p := range parts {
-		if p.snip.Delivery == DeliveryDuplex {
-			anyDuplex = true
-		}
 	}
 	for round := 0; ; round++ {
 		if round > 40 {
@@ -486,11 +486,7 @@ func runConvergenceScenario(t *testing.T, corpus *sites.Corpus, idx int) {
 				moved = true
 			}
 		}
-		if anyDuplex {
-			// Channel deliveries are asynchronous; give in-flight frames a
-			// beat to land so the recvTotal check below observes them.
-			time.Sleep(time.Millisecond)
-		}
+		quiesce()
 		if recvTotal() != pre {
 			moved = true
 		}
@@ -577,4 +573,61 @@ func docHTML(t *testing.T, b *browser.Browser) string {
 		t.Fatal(err)
 	}
 	return html
+}
+
+// outboxEmpty reports whether every action s generated was confirmed by the
+// agent.
+func outboxEmpty(s *Snippet) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.out.Len() == 0
+}
+
+// channelDrained reports whether nothing is in flight on the agent's
+// channel to pid: no mirror action waits in pid's outbox, no wake is queued
+// or being flushed, and s has read every frame the agent committed to the
+// channel. The frame count is read from s first; both only grow. A
+// participant with no channel attached counts as drained — its polls are
+// its caller's to drive. DuplexFramesIn counts every channel s ever had,
+// so after a reattach the frame check is a lower bound only.
+func channelDrained(a *Agent, pid string, s *Snippet) bool {
+	read := s.Stats().DuplexFramesIn
+	a.hub.mu.Lock()
+	ch := a.hub.chans[pid]
+	a.hub.mu.Unlock()
+	if ch == nil {
+		return true
+	}
+	if p := a.participant(pid); p != nil {
+		p.mu.Lock()
+		queued := len(p.outbox)
+		p.mu.Unlock()
+		if queued > 0 {
+			return false
+		}
+	}
+	return ch.wakesPending.Load() == 0 && ch.framesWritten.Load() <= read
+}
+
+// waitAll waits up to 10 s for cond to hold for every item in one pass and
+// reports whether it did.
+func waitAll[T any](items []T, cond func(T) bool) bool {
+	deadline := time.Now().Add(10 * time.Second)
+	for !allHold(items, cond) {
+		if time.Now().After(deadline) {
+			return false
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	return true
+}
+
+// allHold reports whether cond holds for every item.
+func allHold[T any](items []T, cond func(T) bool) bool {
+	for _, it := range items {
+		if !cond(it) {
+			return false
+		}
+	}
+	return true
 }

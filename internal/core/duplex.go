@@ -69,43 +69,38 @@ func (s *Snippet) duplexDelay() time.Duration {
 	return s.retryAfter
 }
 
-// dispatchDuplex routes one stamped action over the live channel, if one is
-// attached. The action enters the retransmit buffer before the write: if
-// the channel dies with the ack outstanding, teardown requeues it for
-// piggybacking, and the agent's (CID, CSeq) filter absorbs the replay —
-// at-least-once on the wire, exactly-once in effect, the same contract as
-// every other upstream path.
-func (s *Snippet) dispatchDuplex(act Action) bool {
+// sendChannel writes the outbox's unsent tail to the live channel, if one
+// is attached, as one ACTIONS frame. Taking and writing both happen under
+// sendMu, so frames leave in CSeq order. A failed write closes the channel:
+// the read loop then ends and teardown rewinds the outbox, so the actions
+// ride the fallback poll or the next channel — at-least-once on the wire,
+// exactly-once in effect through the agent's (CID, CSeq) filter.
+func (s *Snippet) sendChannel() {
+	s.sendMu.Lock()
+	defer s.sendMu.Unlock()
 	s.mu.Lock()
 	ch := s.channel
-	if ch == nil {
-		s.mu.Unlock()
-		return false
+	var batch []Action
+	if ch != nil {
+		batch = s.out.Take()
 	}
-	s.chanSent = append(s.chanSent, act)
-	s.stats.DuplexActionsSent++
 	s.mu.Unlock()
-	payload := EncodeActions([]Action{act})
-	if err := ch.WriteFrame(httpwire.Frame{Type: FrameActions, Payload: []byte(payload)}); err != nil {
-		// The channel is dying under us. Move the action from the
-		// retransmit buffer to the piggyback queue — unless the teardown
-		// already swept it there.
-		s.mu.Lock()
-		for i := range s.chanSent {
-			if s.chanSent[i].CID == act.CID && s.chanSent[i].CSeq == act.CSeq {
-				s.chanSent = append(s.chanSent[:i], s.chanSent[i+1:]...)
-				s.queue = append(s.queue, act)
-				s.stats.ActionFallbacks++
-				break
-			}
-		}
-		s.mu.Unlock()
-		return true
+	s.writeActions(ch, batch)
+}
+
+// writeActions sends one ACTIONS frame; the caller holds sendMu.
+func (s *Snippet) writeActions(ch *httpwire.ChannelConn, batch []Action) {
+	if len(batch) == 0 {
+		return
+	}
+	if ch.WriteFrame(httpwire.Frame{Type: FrameActions, Payload: []byte(EncodeActions(batch))}) != nil {
+		ch.Close()
+		return
 	}
 	s.mu.Lock()
+	s.stats.DuplexActionsSent += int64(len(batch))
 	s.stats.DuplexFramesOut++
 	s.mu.Unlock()
-	return true
 }
 
 // DuplexOnce runs one persistent-channel session: upgrade the connection,
@@ -113,9 +108,10 @@ func (s *Snippet) dispatchDuplex(act Action) bool {
 // the channel ends. It blocks for the session's lifetime (Run calls it in
 // place of a PollOnce cycle) and returns nil for orderly degradations, a
 // CloseError when the agent ended the session with a reason, or the
-// transport error that killed the channel. Queued actions are flushed over
-// the channel the moment it opens; unacknowledged ones are requeued when it
-// closes.
+// transport error that killed the channel. Every unconfirmed action in the
+// outbox goes out in the channel's first frame; FrameActionAck confirms
+// them cumulatively, and teardown rewinds whatever is still unconfirmed
+// for the next transport.
 func (s *Snippet) DuplexOnce(stop <-chan struct{}) error {
 	addr, err := s.agentAddr()
 	if err != nil {
@@ -148,34 +144,22 @@ func (s *Snippet) DuplexOnce(stop <-chan struct{}) error {
 		return s.duplexRefused(resp)
 	}
 
-	// Channel up: attach it as the dispatch target and flush the piggyback
-	// queue over it, so actions queued during the fallback window arrive
-	// now instead of riding a poll that will never be sent.
+	// Channel up: publish it as the dispatch target and send every
+	// unconfirmed action in one frame, both under sendMu, so no dispatch can
+	// put a newer CSeq on the wire ahead of the backlog.
+	s.sendMu.Lock()
 	s.mu.Lock()
 	s.channel = ch
-	queued := s.queue
-	s.queue = nil
+	s.out.Rewind()
+	backlog := s.out.Take()
 	s.stats.DuplexUpgrades++
 	s.backoffsLocked()
 	s.duplexBackoff.Reset()
-	s.pushSuspended = false
 	s.parkDenied = false
 	s.retryAfter = 0
 	s.mu.Unlock()
-	if len(queued) > 0 {
-		if werr := ch.WriteFrame(httpwire.Frame{Type: FrameActions,
-			Payload: []byte(EncodeActions(queued))}); werr == nil {
-			s.mu.Lock()
-			s.chanSent = append(s.chanSent, queued...)
-			s.stats.DuplexActionsSent += int64(len(queued))
-			s.stats.DuplexFramesOut++
-			s.mu.Unlock()
-		} else {
-			s.mu.Lock()
-			s.queue = append(queued, s.queue...)
-			s.mu.Unlock()
-		}
-	}
+	s.writeActions(ch, backlog)
+	s.sendMu.Unlock()
 
 	// Keepalive and stop handling share a goroutine: pings flow while the
 	// session lives; a stop closes the channel out from under the read
@@ -208,57 +192,27 @@ func (s *Snippet) DuplexOnce(stop <-chan struct{}) error {
 	close(readerDone)
 	ch.Close()
 
-	// Teardown: detach, and sweep unacknowledged actions into the piggyback
-	// queue ahead of anything queued since — CSeq order is preserved, and
-	// the replay filter drops whatever the agent already merged.
+	// Teardown: detach and rewind, so every unconfirmed action rides the
+	// next transport in CSeq order; the replay filter drops whatever the
+	// agent already merged.
 	s.mu.Lock()
 	if s.channel == ch {
 		s.channel = nil
 	}
-	unacked := s.chanSent
-	s.chanSent = nil
-	if len(unacked) > 0 {
-		s.queue = append(unacked, s.queue...)
-	}
+	s.out.Rewind()
 	s.mu.Unlock()
 	return err
 }
 
-// duplexRefused classifies a non-101 answer to the upgrade handshake,
-// mirroring PollOnce's terminal-response handling: MOVED follows the
-// relocation, an unknown/stale identity rejoins, deliberate removal ends
-// the session, and load refusals quietly open the fallback window.
+// duplexRefused classifies a non-101 answer to the upgrade handshake
+// exactly like a close frame: its close-reason headers are the frame's
+// payload in header form.
 func (s *Snippet) duplexRefused(resp *httpwire.Response) error {
-	reason := ParseCloseReason(resp.Header.Get(CloseReasonHeader))
-	s.mu.Lock()
-	if ra := ParseRetryAfter(resp.Header.Get(RetryAfterHeader)); ra > 0 {
-		s.retryAfter = ra
-	}
-	if reason != CloseNone {
-		s.stats.LastCloseReason = reason
-	}
-	switch reason {
-	case CloseMoved:
-		if addr := resp.Header.Get(RelocateHeader); addr != "" {
-			s.relocateTo = normalizeAgentURL(addr)
-		}
-		s.rejoinNeeded = true
-		s.mu.Unlock()
-	case CloseUnknown, CloseStaleReader:
-		s.rejoinNeeded = true
-		s.mu.Unlock()
-	case CloseLeave, CloseKicked:
-		s.mu.Unlock()
-	default:
-		// Load refusal (OVERCOMMITTED, SESSION_FULL, AGENT_CLOSING) or a
-		// reason-less denial: not a session event, just this channel being
-		// declined. Fall back to polling and retry the upgrade later.
-		s.mu.Unlock()
-		s.suspendDuplex()
-		return nil
-	}
-	return fmt.Errorf("rcb-snippet: channel upgrade: %w",
-		&CloseError{Reason: reason, Status: resp.StatusCode})
+	return s.duplexEnded("channel upgrade", closeSignal{
+		reason:   ParseCloseReason(resp.Header.Get(CloseReasonHeader)),
+		retry:    ParseRetryAfter(resp.Header.Get(RetryAfterHeader)),
+		relocate: resp.Header.Get(RelocateHeader),
+	}, resp.StatusCode)
 }
 
 // duplexReadLoop consumes frames until the channel ends. Content and delta
@@ -291,29 +245,30 @@ func (s *Snippet) duplexReadLoop(ch *httpwire.ChannelConn, stop <-chan struct{})
 		case FrameActionAck:
 			seq, _ := strconv.ParseInt(string(f.Payload), 10, 64)
 			s.mu.Lock()
-			kept := s.chanSent[:0]
-			for _, a := range s.chanSent {
-				if a.CSeq > seq {
-					kept = append(kept, a)
-				}
-			}
-			s.chanSent = kept
+			s.out.Ack(seq)
 			s.mu.Unlock()
 		case FramePong:
 			// Keepalive answered; the read deadline was already pushed out.
 		case FrameClose:
-			return s.duplexClosed(decodeCloseSignal(f.Payload))
+			cs := decodeCloseSignal(f.Payload)
+			return s.duplexEnded("channel closed", cs, cs.reason.StatusCode())
 		default:
 			// Unknown frame type: ignore, for forward compatibility.
 		}
 	}
 }
 
-// duplexClosed classifies the agent's close frame — the frame analogue of a
-// terminal poll response, with the same routing as duplexRefused.
-func (s *Snippet) duplexClosed(cs closeSignal) error {
+// duplexEnded routes the reason a channel was refused or closed, mirroring
+// PollOnce's terminal-response handling: MOVED follows the relocation, an
+// unknown/stale identity rejoins, deliberate removal ends the session, and
+// a load refusal (OVERCOMMITTED, SESSION_FULL, AGENT_CLOSING) or a
+// reason-less denial quietly opens the fallback window — not a session
+// event, just this channel being declined — and returns nil.
+func (s *Snippet) duplexEnded(op string, cs closeSignal, status int) error {
 	s.mu.Lock()
-	s.stats.LastCloseReason = cs.reason
+	if cs.reason != CloseNone {
+		s.stats.LastCloseReason = cs.reason
+	}
 	if cs.retry > 0 {
 		s.retryAfter = cs.retry
 	}
@@ -323,21 +278,16 @@ func (s *Snippet) duplexClosed(cs closeSignal) error {
 			s.relocateTo = normalizeAgentURL(cs.relocate)
 		}
 		s.rejoinNeeded = true
-		s.mu.Unlock()
 	case CloseUnknown, CloseStaleReader:
 		s.rejoinNeeded = true
-		s.mu.Unlock()
 	case CloseLeave, CloseKicked:
-		s.mu.Unlock()
 	default:
-		// The agent shed this channel (or is shutting down): degrade to the
-		// poll path, retry the upgrade when the window passes.
 		s.mu.Unlock()
 		s.suspendDuplex()
 		return nil
 	}
-	return fmt.Errorf("rcb-snippet: channel closed: %w",
-		&CloseError{Reason: cs.reason, Status: cs.reason.StatusCode()})
+	s.mu.Unlock()
+	return fmt.Errorf("rcb-snippet: %s: %w", op, &CloseError{Reason: cs.reason, Status: status})
 }
 
 // duplexContent applies one full-content frame: the poll path's

@@ -11,6 +11,7 @@ package core
 import (
 	"errors"
 	"net"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -170,3 +171,126 @@ func FuzzServePoll(f *testing.F) {
 // fuzzPollSizeCap bounds poll bodies; real polls are well under 1 KB
 // unless they carry a form submission.
 const fuzzPollSizeCap = 1 << 14
+
+// FuzzChannelUpstream feeds an arbitrary ACTIONS payload and an arbitrary
+// ACK payload to an attached channel. The agent must not panic; it must
+// answer the ACTIONS frame with a FrameActionAck exactly when the payload
+// decodes to actions carrying a replay stamp, naming their highest CSeq —
+// so a malformed frame gets none; and the channel must still deliver a
+// content frame for the next document change.
+func FuzzChannelUpstream(f *testing.F) {
+	f.Add(EncodeActions([]Action{{Kind: ActionMouseMove, X: 1, CID: "c", CSeq: 3}, {Kind: ActionMouseMove, X: 2, CID: "c", CSeq: 2}}), "7")
+	f.Add(`[{"kind":"forminput","target":"1.2","value":"v","cid":"c","cseq":1}]`, "0")
+	f.Add(`[{"kind":"mousemove"}]`, "")
+	f.Add(`[notjson`, "-5")
+	f.Add(`[]`, "99999999999999999999")
+	f.Add(`{"kind":"click"}`, "x")
+
+	f.Fuzz(func(t *testing.T, actions, ack string) {
+		if len(actions) > fuzzPollSizeCap || len(ack) > 64 {
+			t.Skip()
+		}
+		a := offlineAgent(t)
+		pid := wireJoin(t, a)
+		server, client := net.Pipe()
+		ran := make(chan struct{})
+		go func() {
+			defer close(ran)
+			a.runChannel(httpwire.NewChannelConn(server, nil), pid, 0, false)
+		}()
+		ch := httpwire.NewChannelConn(client, nil)
+		// The agent's reader writes action acks, and its writer content, on
+		// the same synchronous pipe while this goroutine writes frames; the
+		// buffer lets the frame reader keep draining meanwhile. An iteration
+		// draws one frame per edit at most, well under its size.
+		frames := make(chan httpwire.Frame, 1024)
+		quit := make(chan struct{})
+		defer func() {
+			close(quit)
+			ch.Close()
+			<-ran
+		}()
+		go func() {
+			for {
+				fr, err := ch.ReadFrame()
+				if err != nil {
+					close(frames)
+					return
+				}
+				select {
+				case frames <- fr:
+				case <-quit:
+					return
+				}
+			}
+		}()
+		next := func(what string) httpwire.Frame {
+			t.Helper()
+			select {
+			case fr, ok := <-frames:
+				if !ok {
+					t.Fatalf("channel ended waiting for %s (actions %q, ack %q)", what, actions, ack)
+				}
+				return fr
+			case <-time.After(5 * time.Second):
+				t.Fatalf("no frame for %s (actions %q, ack %q)", what, actions, ack)
+			}
+			return httpwire.Frame{}
+		}
+		first := next("the initial snapshot")
+		initial, err := Unmarshal(first.Payload)
+		if first.Type != FrameContent || err != nil {
+			t.Fatalf("initial frame type %d: %v", first.Type, err)
+		}
+
+		var wantAck string
+		if decoded, err := DecodeActions(actions); err == nil {
+			var maxSeq int64
+			for _, act := range decoded {
+				maxSeq = max(maxSeq, act.CSeq)
+			}
+			if maxSeq > 0 {
+				wantAck = strconv.FormatInt(maxSeq, 10)
+			}
+		}
+		for _, fr := range []httpwire.Frame{{Type: FrameActions, Payload: []byte(actions)}, {Type: FrameAck, Payload: []byte(ack)}} {
+			if err := ch.WriteFrame(fr); err != nil {
+				t.Fatalf("write frame %d: %v", fr.Type, err)
+			}
+		}
+		if err := a.Browser.ApplyMutation(func(doc *dom.Document) error {
+			doc.Body().SetAttr("data-fuzz", "1")
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+
+		var acks []string
+		for {
+			fr := next("a content frame after the upstream frames")
+			switch fr.Type {
+			case FrameActionAck:
+				acks = append(acks, string(fr.Payload))
+				continue
+			case FrameContent:
+			default:
+				t.Fatalf("unexpected frame type %d (actions %q, ack %q)", fr.Type, actions, ack)
+			}
+			c, err := Unmarshal(fr.Payload)
+			if err != nil {
+				t.Fatalf("content frame: %v", err)
+			}
+			// The snapshot carrying our edit was built after the ACK frame
+			// was read, so every ack the ACTIONS frame drew is already in.
+			if c.DocTime > initial.DocTime && c.Body != nil && slices.Contains(c.Body.Attrs, dom.Attr{Name: "data-fuzz", Value: "1"}) {
+				break
+			}
+		}
+		switch {
+		case wantAck == "" && len(acks) > 0:
+			t.Fatalf("ACTIONS %q drew acks %v, want none", actions, acks)
+		case wantAck != "" && (len(acks) != 1 || acks[0] != wantAck):
+			t.Fatalf("ACTIONS %q drew acks %v, want [%s]", actions, acks, wantAck)
+		}
+	})
+}

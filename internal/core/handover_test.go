@@ -97,7 +97,7 @@ func TestLiveHandoverEndToEnd(t *testing.T) {
 	alice.ActionPush = true
 	act := Action{Kind: ActionMouseMove, X: 9, Y: 9}
 	alice.mu.Lock()
-	alice.stampLocked(&act)
+	alice.outboxLocked().stamp(&act)
 	alice.mu.Unlock()
 	if err := alice.PushAction(act); err != nil {
 		t.Fatal(err)

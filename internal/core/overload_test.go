@@ -421,7 +421,7 @@ func TestDuplicateActionsFiltered(t *testing.T) {
 
 	act := Action{Kind: ActionMouseMove, X: 9, Y: 9}
 	s.mu.Lock()
-	s.stampLocked(&act)
+	s.outboxLocked().stamp(&act)
 	s.mu.Unlock()
 	if err := s.PushAction(act); err != nil {
 		t.Fatal(err)

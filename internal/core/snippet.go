@@ -23,7 +23,7 @@ type SnippetStats struct {
 	DeltaFailures    int64         // delta applies abandoned for a full resync
 	ActionsSent      int64         // actions piggybacked on polling requests
 	ActionsPushed    int64         // actions delivered through the /action upstream
-	ActionFallbacks  int64         // push attempts that degraded to the piggyback queue
+	ActionFallbacks  int64         // failed pushes: the action waits in the outbox for the next poll
 	PollFailures     int64         // polls that returned an error (transport or terminal)
 	Rejoins          int64         // automatic rejoin-and-resync cycles completed
 	Relocates        int64         // rejoins that followed an Rcb-Relocate address
@@ -55,7 +55,7 @@ const (
 	// exists, and Run re-issues the next request immediately after a
 	// response arrives. Staleness drops to the transfer time; an idle
 	// session costs one request per LongPollWait instead of one per
-	// PollInterval. Action piggybacking and requeue-on-failure work
+	// PollInterval. Action piggybacking and rewind-on-failure work
 	// exactly as in interval mode.
 	DeliveryLongPoll
 	// DeliveryDuplex upgrades the exchange to a single framed full-duplex
@@ -113,20 +113,16 @@ type Snippet struct {
 	// zero means DefaultLongPollWait. The agent may cap it further
 	// (Agent.MaxPollWait). Ignored in interval mode.
 	LongPollWait time.Duration
-	// ActionPush enables the fire-and-forget action upstream: in long-poll
-	// mode each locally generated user action is POSTed to the agent's
-	// /action endpoint the moment it occurs, on its own connection lane, so
-	// it never waits behind a parked polling request. The action entry
-	// points then block for the push round trip (bounded by
-	// actionPushTimeout), which preserves action ordering without a worker
-	// goroutine. Interval-mode snippets ignore it and keep the paper's
-	// piggyback path (their next request is already at most one interval
-	// away, and adding a second channel would double their request rate for
-	// little gain). Any push failure falls back to the piggyback queue —
-	// the action is never lost — and suspends further pushes until a poll
-	// succeeds again. Delivery is at-least-once, exactly like the piggyback
-	// path's requeue-on-failure: an ack lost after the agent merged the
-	// action replays it on the next poll.
+	// ActionPush enables the fire-and-forget action upstream in long-poll
+	// mode: an action generated while the outbox is empty is POSTed to the
+	// agent's /action endpoint at once, on its own connection lane, so it
+	// never waits behind a parked poll; the action entry points block for
+	// that round trip (bounded by actionPushTimeout). Actions behind an
+	// unconfirmed one — a failed push's included — wait for the next poll,
+	// so a dead agent costs one doomed round trip, not one per action.
+	// Interval-mode snippets ignore the flag: their next request is at most
+	// one interval away. A push whose answer was lost is replayed by the
+	// next poll and dropped by the agent's (CID, CSeq) filter.
 	ActionPush bool
 	// FetchObjects controls whether supplementary objects are downloaded
 	// after a content update (on by default; the experiment harness turns
@@ -142,10 +138,10 @@ type Snippet struct {
 	// ClientID identifies this snippet for the agent's action replay
 	// filter; every action is stamped with it plus a client-local sequence
 	// number. Auto-generated when left empty. Stable across rejoins, so a
-	// re-sent queue is deduplicated even under a new participant identity.
+	// re-sent outbox is deduplicated even under a new participant identity.
 	ClientID string
-	// RetryBase/RetryMax shape the unified retry backoff (poll, action
-	// push, join): delays double from RetryBase up to RetryMax with
+	// RetryBase/RetryMax shape the unified retry backoff (poll, join,
+	// channel re-upgrade): delays double from RetryBase up to RetryMax with
 	// half-to-full jitter, and reset on success. RetryBase defaults to
 	// PollInterval, RetryMax to 30 seconds.
 	RetryBase time.Duration
@@ -177,7 +173,10 @@ type Snippet struct {
 	pollAddrFor string
 	pollAddrErr error
 	docTime     int64
-	queue       []Action
+	// out holds every action not yet confirmed by the agent; each transport
+	// takes from its cursor, acknowledges what was merged, and rewinds on
+	// failure.
+	out         Outbox
 	stats       SnippetStats
 	lastObjects []browser.ObjectFetch
 	// memoMu guards memo, not mu: an apply holds it across the browser's
@@ -190,13 +189,6 @@ type Snippet struct {
 	// AGENT_CLOSING once Agent.Close retired the push channel), so Run must
 	// pace itself instead of re-issuing at network speed.
 	parkDenied bool
-	// pushSuspended records that the most recent action push failed, so
-	// later actions go straight to the piggyback queue instead of paying a
-	// doomed round trip each. A successful poll (proof the agent is
-	// reachable again) re-arms the push channel immediately; otherwise a
-	// single probe push is allowed once pushResumeAt passes (half-open).
-	pushSuspended bool
-	pushResumeAt  time.Time
 	// agentClosing records that the last poll was answered with the
 	// AgentClosing marker: the server completed it deliberately while
 	// shutting down, so Run backs off instead of re-parking immediately.
@@ -207,21 +199,20 @@ type Snippet struct {
 	// rejoinNeeded is set when the agent terminated the session with a
 	// retryable close reason; Run re-joins and resyncs before polling on.
 	rejoinNeeded bool
-	// channel is the live duplex connection, nil when none is attached;
-	// dispatch routes actions onto it. chanSent is the retransmit buffer:
-	// actions written to the channel but not yet covered by a FrameActionAck,
-	// requeued for piggybacking when the channel dies so delivery stays
-	// at-least-once (the agent's replay filter makes it exactly-once).
-	channel  *httpwire.ChannelConn
-	chanSent []Action
+	// channel is the live duplex connection, nil when none is attached; it
+	// is published under both mu and sendMu. sendMu orders upstream channel
+	// writes: attach, dispatch and QueueAction take from the outbox and
+	// write under it, so frames leave in CSeq order and the agent's max-CSeq
+	// ack is exactly cumulative. The write itself never holds mu — the frame
+	// reader needs mu to make progress, and the agent stops reading while its
+	// ack write to a stalled reader blocks.
+	channel *httpwire.ChannelConn
+	sendMu  sync.Mutex
 	// duplexUntil suspends upgrade attempts after a refusal or channel loss:
 	// until it passes, a DeliveryDuplex snippet runs the long-poll path, then
 	// re-attempts the upgrade — degradation and recovery on one clock.
 	duplexUntil   time.Time
-	cseq          int64
-	clientID      string
 	pollBackoff   *Backoff
-	pushBackoff   *Backoff
 	joinBackoff   *Backoff
 	duplexBackoff *Backoff
 }
@@ -318,52 +309,46 @@ func (s *Snippet) CurrentAgentURL() string { return s.agentURL() }
 // QueueAction buffers an action for piggybacking on the next polling
 // request (paper §4.2.1: the POST method is used "so that action
 // information of a co-browsing participant can be directly piggybacked").
+// On a live duplex channel the next request is the channel itself, so the
+// action leaves at once, behind every earlier unconfirmed one.
 func (s *Snippet) QueueAction(act Action) {
 	s.mu.Lock()
-	s.stampLocked(&act)
-	s.queue = append(s.queue, act)
+	s.outboxLocked().Add(act)
 	s.mu.Unlock()
+	s.sendChannel()
 }
 
 // snippetSeq distinguishes auto-generated client IDs within a process.
 var snippetSeq atomic.Int64
 
-// stampLocked assigns the replay-filter identity (CID, CSeq) to an action
-// that doesn't have one yet. Retries and requeues keep the original stamp —
-// that is the whole point.
-func (s *Snippet) stampLocked(act *Action) {
-	if act.CID != "" {
-		return
-	}
-	if s.clientID == "" {
-		if s.ClientID != "" {
-			s.clientID = s.ClientID
-		} else {
-			s.clientID = "c" + strconv.FormatInt(time.Now().UnixNano(), 36) +
+// outboxLocked returns the outbox, first fixing its replay-filter client id
+// (ClientID, or an auto-generated one) if no action was stamped yet.
+func (s *Snippet) outboxLocked() *Outbox {
+	if s.out.CID == "" {
+		s.out.CID = s.ClientID
+		if s.out.CID == "" {
+			s.out.CID = "c" + strconv.FormatInt(time.Now().UnixNano(), 36) +
 				"-" + strconv.FormatInt(snippetSeq.Add(1), 10)
 		}
 	}
-	act.CID = s.clientID
-	s.cseq++
-	act.CSeq = s.cseq
+	return &s.out
 }
 
-// backoffsLocked lazily builds the four retry schedules; separate
-// instances, because a flapping push channel must not inflate poll retry
-// delays (and vice versa). The duplex schedule paces re-upgrade attempts
-// while the snippet rides its long-poll fallback.
-func (s *Snippet) backoffsLocked() (poll, push, join *Backoff) {
+// backoffsLocked lazily builds the three retry schedules; separate
+// instances, because a flapping join must not inflate poll retry delays
+// (and vice versa). The duplex schedule paces re-upgrade attempts while the
+// snippet rides its long-poll fallback.
+func (s *Snippet) backoffsLocked() (poll, join *Backoff) {
 	if s.pollBackoff == nil {
 		base := s.RetryBase
 		if base <= 0 {
 			base = s.PollInterval
 		}
 		s.pollBackoff = newBackoff(base, s.RetryMax, s.RetryRand)
-		s.pushBackoff = newBackoff(base, s.RetryMax, s.RetryRand)
 		s.joinBackoff = newBackoff(base, s.RetryMax, s.RetryRand)
 		s.duplexBackoff = newBackoff(base, s.RetryMax, s.RetryRand)
 	}
-	return s.pollBackoff, s.pushBackoff, s.joinBackoff
+	return s.pollBackoff, s.joinBackoff
 }
 
 // LastCloseReason reports the most recent close reason received from the
@@ -384,10 +369,9 @@ func (s *Snippet) RejoinNeeded() bool {
 
 // Rejoin re-registers with the agent and resets sync state so the next
 // poll fetches a full snapshot — the recovery path after a retryable close
-// reason (agent restart, stale-reader kick, expired identity). The
-// piggyback queue survives: unacknowledged actions are re-sent under the
-// same (CID, CSeq) stamps and the agent's replay filter keeps delivery
-// exactly-once.
+// reason (agent restart, stale-reader kick, expired identity). The outbox
+// survives: unconfirmed actions are re-sent under the same (CID, CSeq)
+// stamps and the agent's replay filter keeps delivery exactly-once.
 //
 // A pending Rcb-Relocate address is consumed here, exactly once: the join
 // goes to the new agent, and on failure the snippet falls back to the
@@ -418,7 +402,6 @@ func (s *Snippet) Rejoin() error {
 		s.stats.Relocates++
 	}
 	s.docTime = 0
-	s.pushSuspended = false
 	s.rejoinNeeded = false
 	s.agentClosing = false
 	// A fresh identity deserves a fresh upgrade attempt: after a relocation
@@ -428,7 +411,7 @@ func (s *Snippet) Rejoin() error {
 		s.duplexBackoff.Reset()
 	}
 	s.stats.Rejoins++
-	_, _, join := s.backoffsLocked()
+	_, join := s.backoffsLocked()
 	join.Reset()
 	s.mu.Unlock()
 	s.resetMemo()
@@ -442,81 +425,57 @@ const actionLane = "action"
 
 // actionPushTimeout bounds the /action round trip: the endpoint answers
 // immediately by design, so anything slower than this is a dead or
-// unreachable agent and the action must fall back to the piggyback queue.
+// unreachable agent and the action must wait in the outbox for a poll.
 const actionPushTimeout = 5 * time.Second
 
-// dispatch routes one locally generated user action upstream: through the
-// fire-and-forget action POST when the push channel is enabled and healthy,
-// otherwise into the piggyback queue for the next polling request. A failed
-// push falls back to the queue — degradation can delay an action, never
-// drop it — and suspends the channel so later actions don't pay a doomed
-// round trip each before a poll proves the agent reachable again.
-//
-// The fallback gives at-least-once delivery, the same contract the poll
-// path's requeue-on-transport-error already has: if the failure was a lost
-// or late ack rather than a lost request, the agent has applied the action
-// and the piggybacked retry replays it. Both windows require the agent to
-// go half-dead mid-exchange; a replay guard would need agent-side action
-// ids and is not worth it for pointer/form traffic.
+// dispatch routes one locally generated user action upstream. It joins the
+// outbox first, so every path sends from the same ordered buffer: a live
+// duplex channel writes the unsent tail at once; otherwise, with ActionPush
+// on in a hanging mode and nothing older unconfirmed, the action is POSTed
+// to /action, and a failure rewinds the outbox so it waits for the next
+// poll with everything after it; otherwise it waits for the next poll.
+// Delivery is at-least-once on the wire and exactly-once in effect through
+// the agent's (CID, CSeq) replay filter.
 func (s *Snippet) dispatch(act Action) {
 	s.mu.Lock()
-	s.stampLocked(&act)
+	out := s.outboxLocked()
+	push := s.channel == nil && out.Len() == 0 &&
+		s.ActionPush && s.Delivery != DeliveryInterval
+	out.Add(act)
+	var batch []Action
+	if push {
+		batch = out.Take()
+	}
 	s.mu.Unlock()
-	if s.dispatchDuplex(act) {
+	if !push {
+		s.sendChannel()
 		return
 	}
-	if !s.pushEligible() {
-		s.QueueAction(act)
-		return
-	}
-	if err := s.PushAction(act); err != nil {
-		s.mu.Lock()
-		s.pushSuspended = true
-		_, push, _ := s.backoffsLocked()
-		s.pushResumeAt = time.Now().Add(push.Next())
-		s.stats.ActionFallbacks++
-		if reason := CloseReasonOf(err); reason != CloseNone {
-			s.stats.LastCloseReason = reason
-		}
-		s.queue = append(s.queue, act)
+	err := s.PushAction(batch[0])
+	s.mu.Lock()
+	if err == nil {
+		s.out.AckBatch(batch)
 		s.mu.Unlock()
 		return
 	}
-	s.mu.Lock()
-	s.pushSuspended = false
-	_, push, _ := s.backoffsLocked()
-	push.Reset()
+	s.out.Rewind()
+	s.stats.ActionFallbacks++
+	if reason := CloseReasonOf(err); reason != CloseNone {
+		s.stats.LastCloseReason = reason
+	}
 	s.mu.Unlock()
-}
-
-// pushEligible reports whether the next action may use the /action
-// upstream. Interval-mode snippets never push (the paper's piggyback path
-// is their protocol), and a non-empty piggyback queue forces queueing so
-// actions are never reordered around earlier ones still waiting for a
-// poll. A suspended channel re-arms on the next successful poll, or — when
-// the agent stays unreachable on the poll path too — admits one probe push
-// per backoff step (half-open): the probe's success re-opens the channel,
-// its failure doubles the pause.
-func (s *Snippet) pushEligible() bool {
-	if !s.ActionPush || s.Delivery == DeliveryInterval {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.queue) != 0 {
-		return false
-	}
-	if !s.pushSuspended {
-		return true
-	}
-	return !s.pushResumeAt.After(time.Now())
+	// A channel that attached during the push has already carried the
+	// action once; resend after the rewind so nothing waits on a live
+	// channel for a dispatch that may never come.
+	s.sendChannel()
 }
 
 // PushAction sends one action to the agent's /action endpoint and waits for
 // the acknowledgment. The exchange rides the dedicated action lane, so it
 // proceeds even while this snippet's polling request is parked server-side.
-// Callers wanting the automatic piggyback fallback should go through the
-// action entry points (ClickElement, PointerMove, ...) instead.
+// It bypasses the outbox: callers wanting the automatic piggyback fallback
+// should go through the action entry points (ClickElement, PointerMove,
+// ...) instead.
 func (s *Snippet) PushAction(act Action) error {
 	body := httpwire.AppendForm(make([]byte, 0, 64), []httpwire.FormField{
 		{Name: "actions", Value: EncodeActions([]Action{act})},
@@ -555,8 +514,8 @@ func (s *Snippet) PushAction(act Action) error {
 // ClickElement dispatches a click action for the element with the given
 // data-rcb path in the participant's current document — what the rewritten
 // onclick handler does in a real browser. Like every action entry point it
-// goes through dispatch: pushed upstream immediately when ActionPush is
-// active, piggybacked on the next poll otherwise.
+// goes through dispatch: written to a live channel or pushed upstream
+// immediately when it can be, piggybacked on the next poll otherwise.
 func (s *Snippet) ClickElement(domID string) error {
 	path, err := s.rcbPathOf(domID, "")
 	if err != nil {
@@ -682,10 +641,13 @@ func (s *Snippet) longPollWait() time.Duration {
 // the connection carries a read deadline slightly past that hang so a dead
 // agent cannot park the snippet forever.
 func (s *Snippet) PollOnce() (updated bool, err error) {
+	addr, err := s.agentAddr()
+	if err != nil {
+		return false, err
+	}
 	s.mu.Lock()
 	ts := s.docTime
-	actions := s.queue
-	s.queue = nil
+	actions := s.out.Take()
 	s.stats.Polls++
 	s.stats.ActionsSent += int64(len(actions))
 	s.parkDenied = false
@@ -707,7 +669,7 @@ func (s *Snippet) PollOnce() (updated bool, err error) {
 		// An action-carrying request never parks: the agent merges actions
 		// before deciding to park, so a parked exchange that later fails
 		// (server shutdown, dropped link, tripped read deadline) would
-		// requeue and replay actions the host already applied. Asking for
+		// rewind and replay actions the host already applied. Asking for
 		// an immediate answer keeps the merged-but-unanswered window at
 		// round-trip scale, as in interval mode; the next poll, action-
 		// free, parks as usual.
@@ -723,10 +685,6 @@ func (s *Snippet) PollOnce() (updated bool, err error) {
 	if s.auth != nil {
 		target = s.auth.Sign("POST", target, body)
 	}
-	addr, err := s.agentAddr()
-	if err != nil {
-		return false, err
-	}
 	req := httpwire.NewRequest("POST", target)
 	req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
 	if c := s.Browser.Jar.Header(browser.HostOf(s.agentURL() + "/")); c != "" {
@@ -735,18 +693,18 @@ func (s *Snippet) PollOnce() (updated bool, err error) {
 	req.Body = body
 	resp, err := s.Browser.Client.DoTimeout(addr, req, readTimeout)
 	if err != nil {
-		// Failed polls requeue their actions so interaction is not lost on
-		// a transient drop. Replays of actions the agent did merge before
-		// the failure are absorbed by its (CID, CSeq) filter.
+		// A failed poll rewinds the outbox so interaction is not lost on a
+		// transient drop. Replays of actions the agent did merge before the
+		// failure are absorbed by its (CID, CSeq) filter.
 		s.mu.Lock()
-		s.queue = append(actions, s.queue...)
+		s.out.Rewind()
 		s.stats.PollFailures++
 		s.mu.Unlock()
 		return false, fmt.Errorf("rcb-snippet: poll: %w", err)
 	}
 	if resp.StatusCode != 200 {
 		s.mu.Lock()
-		s.queue = append(actions, s.queue...)
+		s.out.Rewind()
 		s.stats.PollFailures++
 		if ra := ParseRetryAfter(resp.Header.Get(RetryAfterHeader)); ra > 0 {
 			// A server-assigned interval on a terminal answer is the floor
@@ -772,13 +730,9 @@ func (s *Snippet) PollOnce() (updated bool, err error) {
 		}
 		return false, fmt.Errorf("rcb-snippet: poll returned %d", resp.StatusCode)
 	}
-	// A completed poll proves the agent reachable: re-arm the action push
-	// channel if a failed push had suspended it.
+	// A 200 means the agent merged the form's actions before answering.
 	s.mu.Lock()
-	s.pushSuspended = false
-	if s.pushBackoff != nil {
-		s.pushBackoff.Reset()
-	}
+	s.out.AckBatch(actions)
 	s.mu.Unlock()
 	// "If RCB-Agent indicates no new content with an empty response
 	// content, Ajax-Snippet simply ... send[s] a new polling request after a
@@ -1183,7 +1137,7 @@ func attrsEqual(a, b []dom.Attr) bool {
 // non-retryable close (LEAVE, KICKED) ends the loop, the one error that
 // genuinely means the session is over. Other errors are delivered to errf
 // when non-nil and the loop continues — a dropped poll must not end the
-// session (its piggybacked actions are requeued by PollOnce).
+// session (PollOnce rewinds the outbox, so its actions ride the next one).
 func (s *Snippet) Run(stop <-chan struct{}, errf func(error)) {
 	interval := s.PollInterval
 	if interval <= 0 {
@@ -1206,7 +1160,7 @@ func (s *Snippet) Run(stop <-chan struct{}, errf func(error)) {
 					return // the agent refused re-admission for good
 				}
 				s.mu.Lock()
-				_, _, join := s.backoffsLocked()
+				_, join := s.backoffsLocked()
 				d := join.Next()
 				if s.retryAfter > d {
 					d = s.retryAfter // server-assigned pacing floors the rejoin delay too
@@ -1254,7 +1208,7 @@ func (s *Snippet) Run(stop <-chan struct{}, errf func(error)) {
 func (s *Snippet) runDelay(err error, interval time.Duration) time.Duration {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	poll, _, _ := s.backoffsLocked()
+	poll, _ := s.backoffsLocked()
 	var d time.Duration
 	switch {
 	case err != nil, s.agentClosing:

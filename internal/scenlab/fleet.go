@@ -134,7 +134,8 @@ type sentinel struct {
 // fireInput dispatches a forminput action on the first rewritten input in
 // the sentinel's document (the generated pages' search box), stamped with
 // the sentinel's own replay identity. It rides the /action push lane so a
-// parked poll never delays it, falling back to the piggyback queue.
+// parked poll never delays it, falling back to the snippet's outbox — sent
+// at once on a live duplex channel, on the next poll otherwise.
 func (s *sentinel) fireInput(value string) error {
 	var path string
 	err := s.b.WithDocument(func(_ string, doc *dom.Document) error {
@@ -299,8 +300,8 @@ func (f *fleet) violations() []string {
 	return append([]string(nil), f.viols...)
 }
 
-// fireToken enqueues a uniquely keyed pointer action on a lite and records
-// the key for the exactly-once audit.
+// fireToken queues a uniquely keyed pointer action in a lite's outbox for
+// its next poll and records the key for the exactly-once audit.
 func (f *fleet) fireToken(l *lite) {
 	tok := int(f.tokenSeq.Add(1))
 	act := core.Action{Kind: core.ActionMouseMove, X: tok, Y: l.idx}
@@ -308,7 +309,9 @@ func (f *fleet) fireToken(l *lite) {
 	f.firedMu.Lock()
 	f.fired = append(f.fired, key)
 	f.firedMu.Unlock()
-	l.enqueue(act)
+	l.mu.Lock()
+	l.out.Add(act)
+	l.mu.Unlock()
 }
 
 // fireSentinelInput fires a uniquely valued forminput from a sentinel and
@@ -410,7 +413,7 @@ func (f *fleet) spawnLites(stagger time.Duration) {
 			wait:     f.liteWait,
 			interval: 200 * time.Millisecond,
 			rng:      rand.New(rand.NewSource(f.cfg.Seed ^ int64(i)*0x9E3779B9)),
-			cid:      fmt.Sprintf("lite%d", i),
+			out:      core.Outbox{CID: fmt.Sprintf("lite%d", i)},
 			stop:     make(chan struct{}),
 			done:     make(chan struct{}),
 		}

@@ -75,7 +75,6 @@ type lite struct {
 	wait     time.Duration // long-poll hang request
 	interval time.Duration // pacing in interval mode
 	rng      *rand.Rand    // owned by the run goroutine
-	cid      string
 
 	// ts is the docTime of the last content this lite holds; pid the
 	// current participant identity ("" = must (re)join). pid is written by
@@ -83,9 +82,11 @@ type lite struct {
 	ts  atomic.Int64
 	pid atomic.Value // string
 
-	mu    sync.Mutex
-	queue []core.Action
-	cseq  int64
+	// out is the upstream, the same outbox type the snippet sends from:
+	// stamped actions ride the next poll, are dropped on its 200, and are
+	// rewound on any failure.
+	mu  sync.Mutex
+	out core.Outbox
 
 	polls, contentPolls, deltaPolls, emptyPolls atomic.Int64
 	rejoins, moves                              atomic.Int64
@@ -101,36 +102,6 @@ func (l *lite) currentPID() string {
 		return v.(string)
 	}
 	return ""
-}
-
-// enqueue stamps an action with this lite's replay identity and queues it
-// for piggybacking on the next poll — the paper's upstream path.
-func (l *lite) enqueue(act core.Action) {
-	l.mu.Lock()
-	l.cseq++
-	act.CID, act.CSeq = l.cid, l.cseq
-	l.queue = append(l.queue, act)
-	l.mu.Unlock()
-}
-
-func (l *lite) takeActions() []core.Action {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	acts := l.queue
-	l.queue = nil
-	return acts
-}
-
-// requeue puts unacknowledged actions back at the front of the queue,
-// original stamps intact, so a transport failure or refused poll never
-// loses interaction — the agent's replay filter absorbs any duplicate.
-func (l *lite) requeue(acts []core.Action) {
-	if len(acts) == 0 {
-		return
-	}
-	l.mu.Lock()
-	l.queue = append(acts, l.queue...)
-	l.mu.Unlock()
 }
 
 // sleep pauses for d (with half-to-full jitter when jittered) unless the
@@ -228,7 +199,9 @@ func (l *lite) join() error {
 // should idle before the next one (interval pacing or a server-assigned
 // retry hint).
 func (l *lite) pollOnce() (time.Duration, error) {
-	acts := l.takeActions()
+	l.mu.Lock()
+	acts := l.out.Take()
+	l.mu.Unlock()
 	ts := l.ts.Load()
 	fields := []httpwire.FormField{{Name: "ts", Value: strconv.FormatInt(ts, 10)}}
 	if l.delta && ts > 0 {
@@ -250,13 +223,21 @@ func (l *lite) pollOnce() (time.Duration, error) {
 	req.Header.Set("Cookie", "rcbpid="+l.currentPID())
 	req.Body = []byte(httpwire.EncodeForm(fields))
 	resp, err := l.client.DoTimeout(l.f.addr(), req, wait+10*time.Second)
+	l.mu.Lock()
+	if err == nil && resp.StatusCode == 200 {
+		l.out.AckBatch(acts)
+	} else {
+		// A transport failure or refused poll never loses interaction: the
+		// actions go out again, stamps intact, and the agent's replay
+		// filter absorbs any duplicate.
+		l.out.Rewind()
+	}
+	l.mu.Unlock()
 	if err != nil {
-		l.requeue(acts)
 		return 0, err
 	}
 	l.polls.Add(1)
 	if resp.StatusCode != 200 {
-		l.requeue(acts)
 		if term := l.handleRefusal("poll", resp); term {
 			return 0, nil
 		}
