@@ -82,11 +82,6 @@ type Agent struct {
 	// DefaultCacheMode selects the mode for new participants. Mode can be
 	// changed per participant afterwards (SetParticipantMode).
 	DefaultCacheMode bool
-	// AutoSubmitForms, when set, immediately submits a form to the origin
-	// after merging a participant's formsubmit action. When unset the data
-	// is only merged into the host DOM (the host user submits manually, as
-	// Bob does in the shopping study).
-	AutoSubmitForms bool
 	// MaxPollWait caps how long a long-poll may park, whatever the client
 	// requested; zero means DefaultMaxPollWait. A parked poll that reaches
 	// the cap completes with the empty response — the §4.1.1 degradation,
@@ -105,12 +100,6 @@ type Agent struct {
 	// specifies. Deltas are also skipped per poll unless the request opts in
 	// with a delta=1 field, so foreign interval-mode clients never see them.
 	DisableDelta bool
-	// DeltaRingDepth sets how many replaced builds each mode retains as
-	// delta bases (the delta-base ring). A participant acknowledging any
-	// retained build's docTime is served an incremental delta; older acks
-	// fall back to the full snapshot. Zero means DefaultDeltaRingDepth. Set
-	// before serving traffic.
-	DeltaRingDepth int
 	// DisableChannel refuses persistent-channel upgrades (POST /channel):
 	// every upgrade attempt gets the retry-carrying OVERCOMMITTED refusal and
 	// participants stay on the long-poll/interval tiers. An operator knob for
@@ -272,19 +261,13 @@ type Agent struct {
 // effectively "never stale by lag".
 const maxBuildHist = 64
 
-// DefaultDeltaRingDepth is the delta-base ring depth when
-// Agent.DeltaRingDepth is zero: deep enough that a lossy participant a few
+// DefaultDeltaRingDepth is how many replaced builds each mode retains as
+// delta bases (the delta-base ring): a participant acknowledging any
+// retained build's docTime is served an incremental delta, older acks fall
+// back to the full snapshot. Deep enough that a lossy participant a few
 // versions behind still rides the delta path, shallow enough that the
 // retained builds stay a small multiple of one snapshot.
 const DefaultDeltaRingDepth = 4
-
-// deltaRingDepth resolves the effective ring depth.
-func (a *Agent) deltaRingDepth() int {
-	if a.DeltaRingDepth > 0 {
-		return a.DeltaRingDepth
-	}
-	return DefaultDeltaRingDepth
-}
 
 // deltaEntry records the delta decision for one (base → target) pair: d is
 // nil when a delta exists but was not worth sending (oversized, or the
@@ -1265,16 +1248,15 @@ func (a *Agent) contentForMode(cacheMode bool) (*PreparedContent, error) {
 			if cur != nil && prep.version > cur.version {
 				if !a.DisableDelta && a.ShedLevel() < ShedNoDelta {
 					// The replaced build joins the front of the delta-base
-					// ring (newest first), capped at the configured depth;
+					// ring (newest first), capped at DefaultDeltaRingDepth;
 					// every cached delta script targeted an old pair and is
 					// stale. With deltas off nothing consumes the bases, so
 					// don't multiply the retained payload.
-					depth := a.deltaRingDepth()
 					ring := a.prevRing[cacheMode]
-					grown := make([]*PreparedContent, 0, min(len(ring)+1, depth))
+					grown := make([]*PreparedContent, 0, min(len(ring)+1, DefaultDeltaRingDepth))
 					grown = append(grown, cur)
 					for _, b := range ring {
-						if len(grown) >= depth {
+						if len(grown) >= DefaultDeltaRingDepth {
 							break
 						}
 						grown = append(grown, b)
@@ -1706,9 +1688,10 @@ func (a *Agent) ApplyAction(act Action) error {
 		for _, f := range act.Fields {
 			values[f.Name] = f.Value
 		}
-		var form *dom.Node
-		err := a.Browser.ApplyMutation(func(doc *dom.Document) error {
-			form = ResolvePath(doc.Root, act.Target)
+		// The data is only merged into the host DOM: the host user submits
+		// by hand, as Bob does in the shopping study.
+		return a.Browser.ApplyMutation(func(doc *dom.Document) error {
+			form := ResolvePath(doc.Root, act.Target)
 			if form == nil || form.Tag != "form" {
 				return fmt.Errorf("stale form target %q", act.Target)
 			}
@@ -1717,13 +1700,6 @@ func (a *Agent) ApplyAction(act Action) error {
 			}
 			return nil
 		})
-		if err != nil {
-			return err
-		}
-		if a.AutoSubmitForms {
-			_, err = a.Browser.SubmitForm(form, act.Fields)
-		}
-		return err
 	case ActionClick:
 		return a.applyClick(act)
 	default:

@@ -75,7 +75,7 @@ func TestBackoffDefaults(t *testing.T) {
 // exponential ladder, hit the cap, and a single success resets it and
 // restores the long-poll zero delay.
 func TestPollBackoffGrowthAndResetOnSuccess(t *testing.T) {
-	s := &Snippet{
+	s := &Client{
 		PollInterval: time.Second,
 		Delivery:     DeliveryLongPoll,
 		RetryBase:    100 * time.Millisecond,
@@ -107,7 +107,7 @@ func TestPollBackoffGrowthAndResetOnSuccess(t *testing.T) {
 // server-assigned Rcb-Retry-After is the floor for the next poll delay even
 // when the local schedule would retry sooner.
 func TestRunDelayHonorsServerRetryAfter(t *testing.T) {
-	s := &Snippet{
+	s := &Client{
 		PollInterval: 50 * time.Millisecond,
 		Delivery:     DeliveryLongPoll,
 		RetryBase:    50 * time.Millisecond,
@@ -126,7 +126,7 @@ func TestRunDelayHonorsServerRetryAfter(t *testing.T) {
 // pacing layer: an empty poll marked AgentClosing is a success on the wire
 // but must climb the backoff ladder, not re-park at network speed.
 func TestRunDelayBacksOffOnAgentClosing(t *testing.T) {
-	s := &Snippet{
+	s := &Client{
 		PollInterval: time.Second,
 		Delivery:     DeliveryLongPoll,
 		RetryBase:    100 * time.Millisecond,

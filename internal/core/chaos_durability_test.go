@@ -139,9 +139,10 @@ func newDurabilityWorld(t *testing.T, seed int64) *durabilityWorld {
 			d.ledgerMu.Unlock()
 			return
 		}
-		if msg := err.Error(); strings.Contains(msg, "returned 4") || strings.Contains(msg, "returned 5") {
+		var bare *BareStatusError
+		if errors.As(err, &bare) {
 			d.ledgerMu.Lock()
-			d.violations = append(d.violations, who+": terminal response without close reason: "+msg)
+			d.violations = append(d.violations, who+": terminal response without close reason: "+err.Error())
 			d.ledgerMu.Unlock()
 		}
 	}

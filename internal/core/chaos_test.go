@@ -163,9 +163,10 @@ func runChaosScenario(t *testing.T, seed int64) {
 			ledgerMu.Unlock()
 			return
 		}
-		if msg := err.Error(); strings.Contains(msg, "returned 4") || strings.Contains(msg, "returned 5") {
+		var bare *BareStatusError
+		if errors.As(err, &bare) {
 			ledgerMu.Lock()
-			violations = append(violations, who+": terminal response without close reason: "+msg)
+			violations = append(violations, who+": terminal response without close reason: "+err.Error())
 			ledgerMu.Unlock()
 		}
 	}

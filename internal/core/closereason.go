@@ -124,15 +124,28 @@ func ParseRetryAfter(v string) time.Duration {
 	return time.Duration(ms) * time.Millisecond
 }
 
-// CloseError is the error a Snippet surfaces when the agent terminated the
-// exchange with an explicit reason.
+// CloseError is the error a protocol client surfaces when the agent
+// terminated the exchange with an explicit reason.
 type CloseError struct {
 	Reason CloseReason
 	Status int
+	// Relocate is the Rcb-Relocate address a MOVED close named, if any.
+	Relocate string
 }
 
 func (e *CloseError) Error() string {
 	return fmt.Sprintf("rcb: session closed by agent: %s (status %d)", e.Reason, e.Status)
+}
+
+// BareStatusError is the error a protocol client surfaces when the agent
+// refused an exchange without naming a close reason — an answer the
+// close-reason protocol never sends to a well-formed client.
+type BareStatusError struct {
+	Status int
+}
+
+func (e *BareStatusError) Error() string {
+	return fmt.Sprintf("rcb: agent returned %d with no close reason", e.Status)
 }
 
 // CloseReasonOf extracts the close reason from an error chain, or CloseNone

@@ -31,6 +31,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strconv"
 
@@ -73,6 +74,61 @@ const deltaPreamble = "<?xml version='1.0' encoding='utf-8'?>\n<deltaContent>\n"
 // message (as opposed to Figure 4's newContent).
 func MessageIsDelta(data []byte) bool {
 	return bytes.HasPrefix(data, []byte(deltaPreamble))
+}
+
+// ErrDeltaBase reports a deltaContent message whose baseDocTime is not the
+// docTime the client acknowledged: patching any other base would corrupt
+// the replica silently, so the client drops the message and resyncs.
+var ErrDeltaBase = errors.New("rcb: delta base does not match the acknowledged docTime")
+
+// msgHeader is what a protocol client reads from a message without decoding
+// its payloads: the kind, the docTime, a delta's base, and whether a full
+// message carries a document at all (one without only mirrors actions).
+type msgHeader struct {
+	delta   bool
+	docTime int64
+	base    int64
+	hasDoc  bool
+}
+
+var (
+	docTimeOpen     = []byte("<docTime>")
+	baseDocTimeOpen = []byte("<baseDocTime>")
+	docContentOpen  = []byte("<docContent>")
+)
+
+// readMsgHeader scans a newContent or deltaContent message's header. Every
+// variable payload rides escape()d, so no raw '<' can occur inside one and
+// the first occurrence of each tag is the element itself. A delta without a
+// baseDocTime reads as base 0, which no delta poll acknowledges.
+func readMsgHeader(body []byte) (msgHeader, error) {
+	m := msgHeader{delta: MessageIsDelta(body)}
+	var ok bool
+	if m.docTime, ok = tagInt(body, docTimeOpen); !ok {
+		return m, fmt.Errorf("core: message has no docTime")
+	}
+	if m.delta {
+		m.base, _ = tagInt(body, baseDocTimeOpen)
+		m.hasDoc = true
+	} else {
+		m.hasDoc = bytes.Contains(body, docContentOpen)
+	}
+	return m, nil
+}
+
+// tagInt returns the decimal value that follows the first occurrence of
+// open in body.
+func tagInt(body, open []byte) (int64, bool) {
+	i := bytes.Index(body, open)
+	if i < 0 {
+		return 0, false
+	}
+	var v int64
+	j := i + len(open)
+	for ; j < len(body) && body[j] >= '0' && body[j] <= '9'; j++ {
+		v = v*10 + int64(body[j]-'0')
+	}
+	return v, j > i+len(open)
 }
 
 // Marshal renders the delta message.

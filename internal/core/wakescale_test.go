@@ -139,6 +139,9 @@ func TestWakePrecomputeWarmsDeltas(t *testing.T) {
 		polls[i] = req
 	}
 	base := w.agent.LatestDocTime()
+	// A join's snapshot warm still in flight could build the new version
+	// below before builds0 is read; let it finish on the old one first.
+	settleJoinWarm(t, w.agent)
 
 	// The host mutates; no poll has landed yet, so no build exists for the
 	// new version when the trailing wake would fire.

@@ -120,7 +120,7 @@ func (f *fleet) runChurn() error {
 		churned := 0
 		for _, l := range f.lites {
 			if rng.Float64() < 0.15 {
-				if pid := l.currentPID(); pid != "" {
+				if pid := l.c.ParticipantID(); pid != "" {
 					ag.DisconnectWith(pid, reasons[wave%len(reasons)])
 					churned++
 				}

@@ -275,13 +275,12 @@ func (f *fleet) addr() string { return f.cur.Load().addr }
 
 func (f *fleet) agent() *core.Agent { return f.cur.Load().agent }
 
-// noteRelocate sanity-checks a MOVED relocation target; the fleet-wide
-// address has already been switched by the handover orchestration, so a
-// relocate pointing anywhere else is a protocol violation.
-func (f *fleet) noteRelocate(to string) {
-	if to != primaryAddr && to != handoverAddr {
-		f.violate("MOVED relocate to unknown address %q", to)
-	}
+// knownAgent reports whether a relocation target or a client's current
+// agent URL names one of the fleet's agents; anything else is a protocol
+// violation.
+func knownAgent(addr string) bool {
+	addr = strings.TrimPrefix(addr, "http://")
+	return addr == primaryAddr || addr == handoverAddr
 }
 
 func (f *fleet) violate(format string, args ...any) {
@@ -304,14 +303,11 @@ func (f *fleet) violations() []string {
 // its next poll and records the key for the exactly-once audit.
 func (f *fleet) fireToken(l *lite) {
 	tok := int(f.tokenSeq.Add(1))
-	act := core.Action{Kind: core.ActionMouseMove, X: tok, Y: l.idx}
 	key := fmt.Sprintf("mm:%d:%d", tok, l.idx)
 	f.firedMu.Lock()
 	f.fired = append(f.fired, key)
 	f.firedMu.Unlock()
-	l.mu.Lock()
-	l.out.Add(act)
-	l.mu.Unlock()
+	l.c.QueueAction(core.Action{Kind: core.ActionMouseMove, X: tok, Y: l.idx})
 }
 
 // fireSentinelInput fires a uniquely valued forminput from a sentinel and
@@ -370,28 +366,34 @@ func (f *fleet) spawnSentinels() error {
 		}
 		go func() {
 			defer close(sent.done)
-			s.Run(sent.stop, func(err error) { f.sentinelErr(sent.idx, err) })
+			s.Run(sent.stop, func(err error) { f.clientErr(fmt.Sprintf("sentinel %d", sent.idx), err) })
 		}()
 		f.sentinels = append(f.sentinels, sent)
 	}
 	return nil
 }
 
-// sentinelErr classifies a Run-loop error: terminal close reasons and
-// bare 4xx/5xx terminations are violations (nothing in these scenarios
-// leaves or kicks); retryable closes and transport noise are the weather
-// the loop is built for.
-func (f *fleet) sentinelErr(idx int, err error) {
+// clientErr classifies a lite's or a sentinel's Run-loop error. Violations:
+// a terminal close reason (nothing in these scenarios leaves or kicks), a
+// refusal with no close reason, a delta patched against a base the client
+// did not acknowledge, and a MOVED naming an address that is no agent of
+// this fleet. Retryable closes and transport noise are the weather the
+// loop is built for.
+func (f *fleet) clientErr(who string, err error) {
 	var ce *core.CloseError
-	if errors.As(err, &ce) {
+	var bare *core.BareStatusError
+	switch {
+	case errors.As(err, &ce):
 		if !ce.Reason.Retryable() {
-			f.violate("sentinel %d: terminal close %v", idx, ce.Reason)
+			f.violate("%s: terminal close %v", who, ce.Reason)
 		}
-		return
-	}
-	msg := err.Error()
-	if strings.Contains(msg, "returned 4") || strings.Contains(msg, "returned 5") {
-		f.violate("sentinel %d: bare termination: %v", idx, err)
+		if ce.Reason == core.CloseMoved && ce.Relocate != "" && !knownAgent(ce.Relocate) {
+			f.violate("%s: MOVED relocate to unknown address %q", who, ce.Relocate)
+		}
+	case errors.As(err, &bare):
+		f.violate("%s: bare termination: %v", who, err)
+	case errors.Is(err, core.ErrDeltaBase):
+		f.violate("%s: %v", who, err)
 	}
 }
 
@@ -402,31 +404,13 @@ func (f *fleet) spawnLites(stagger time.Duration) {
 	n := f.cfg.N
 	f.lites = make([]*lite, n)
 	for i := 0; i < n; i++ {
-		host := fmt.Sprintf("lite%d.lan", i)
-		l := &lite{
-			f:        f,
-			idx:      i,
-			host:     host,
-			client:   httpwire.NewClient(meteredDialer(f.net.Dialer(host), f.liteMeter)),
-			mode:     liteLongPoll,
-			delta:    f.allDelta || i%2 == 0,
-			wait:     f.liteWait,
-			interval: 200 * time.Millisecond,
-			rng:      rand.New(rand.NewSource(f.cfg.Seed ^ int64(i)*0x9E3779B9)),
-			out:      core.Outbox{CID: fmt.Sprintf("lite%d", i)},
-			stop:     make(chan struct{}),
-			done:     make(chan struct{}),
-		}
-		l.pid.Store("")
-		if !f.allLongPoll && i%4 == 3 {
-			l.mode = liteInterval
-		}
+		l := f.newLite(i)
 		f.lites[i] = l
 		var delay time.Duration
 		if stagger > 0 && n > 1 {
 			delay = stagger * time.Duration(i) / time.Duration(n)
 		}
-		go l.run(delay)
+		go l.run(f, delay)
 	}
 }
 
@@ -439,7 +423,7 @@ func (f *fleet) waitAllSynced(deadline time.Duration) error {
 	for {
 		synced := 0
 		for _, l := range f.lites {
-			if l.ts.Load() > 0 {
+			if l.c.DocTime() > 0 {
 				synced++
 			}
 		}
@@ -546,7 +530,7 @@ func (f *fleet) converge(deadline time.Duration) error {
 	for {
 		behind := 0
 		for _, l := range f.lites {
-			if l.ts.Load() < latest {
+			if l.c.DocTime() < latest {
 				behind++
 			}
 		}
@@ -562,6 +546,19 @@ func (f *fleet) converge(deadline time.Duration) error {
 			return fmt.Errorf("converge: %d participants behind docTime %d after %v", behind, latest, deadline)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+
+	// Every participant talks to an agent of this fleet: a followed
+	// relocation never leaves a client at an unknown address.
+	for _, l := range f.lites {
+		if url := l.c.CurrentAgentURL(); !knownAgent(url) {
+			f.violate("lite %d talks to unknown agent %q", l.idx, url)
+		}
+	}
+	for _, s := range f.sentinels {
+		if url := s.snip.CurrentAgentURL(); !knownAgent(url) {
+			f.violate("sentinel %d talks to unknown agent %q", s.idx, url)
+		}
 	}
 
 	// 4. Byte-identical sentinels vs a freshly joined reference replica.
@@ -651,7 +648,6 @@ func (f *fleet) checkByteBudgets() {
 // stopParticipants ends every lite and sentinel loop and waits them out.
 func (f *fleet) stopParticipants() {
 	for _, l := range f.lites {
-		l.stopped.Store(true)
 		close(l.stop)
 	}
 	for _, s := range f.sentinels {
@@ -675,7 +671,7 @@ func (f *fleet) stopParticipants() {
 func (f *fleet) close() {
 	f.stopParticipants()
 	for _, l := range f.lites {
-		l.client.Close()
+		l.hc.Close()
 	}
 	for _, s := range f.sentinels {
 		s.b.Close()
@@ -723,12 +719,13 @@ func (f *fleet) result() *Result {
 		}
 	}
 	for _, l := range f.lites {
-		res.Polls += l.polls.Load()
-		res.ContentPolls += l.contentPolls.Load()
-		res.DeltaPolls += l.deltaPolls.Load()
-		res.EmptyPolls += l.emptyPolls.Load()
-		res.Rejoins += l.rejoins.Load()
-		res.Moves += l.moves.Load()
+		st := l.c.Stats()
+		res.Polls += st.Polls
+		res.ContentPolls += st.ContentPolls
+		res.DeltaPolls += st.DeltaPolls
+		res.EmptyPolls += st.EmptyPolls
+		res.Rejoins += st.Rejoins
+		res.Moves += st.Relocates
 	}
 	ag := f.agent()
 	res.ContentBuilds = ag.ContentBuilds()

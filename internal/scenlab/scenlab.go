@@ -9,16 +9,16 @@
 // termination) — plus per-profile staleness and bytes-per-participant
 // budgets.
 //
-// The fleet mixes two participant implementations. The bulk is a scripted
-// wire-level driver ("lite"): it speaks the real poll protocol — join
-// cookie, ts acknowledgment, delta advertisement, long-poll parking,
-// action piggybacking with replay stamps, close-reason handling including
-// MOVED relocation — but tracks only the document timestamp instead of
-// materializing a DOM, which is what makes four-digit fleets affordable
-// in one test process. A small sentinel subset runs the full Snippet loop
-// (interval, long-poll, and duplex deliveries) and materializes real
-// documents; sentinels are the correctness oracle the convergence check
-// runs against.
+// The fleet runs one protocol client, core.Client, over two documents. The
+// bulk are "lites": the client over a docTime-only document — the same
+// join, ts acknowledgment, delta advertisement, long-poll parking,
+// replay-stamped piggyback actions, close-reason routing and MOVED
+// relocation a Snippet runs, byte for byte on the wire — that tracks only
+// the document timestamp instead of materializing a DOM, which is what
+// makes four-digit fleets affordable in one test process. A small sentinel
+// subset runs the full Snippet (interval, long-poll, and duplex
+// deliveries) and materializes real documents; sentinels are the
+// correctness oracle the convergence check runs against.
 //
 // Families cover the shapes that break naive agents: flash-crowd joins
 // inside one debounce window, thundering-herd wakes after a mass park,

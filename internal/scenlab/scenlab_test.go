@@ -8,7 +8,11 @@ package scenlab
 // under -race the per-process goroutine ceiling is the binding constraint.
 
 import (
+	"errors"
+	"fmt"
 	"testing"
+
+	"rcb/internal/core"
 )
 
 // testN sizes the lite fleet for one test run.
@@ -88,5 +92,34 @@ func TestWriterTurnsHandover(t *testing.T) {
 	res := runScenario(t, FamilyWriterTurns, ProfileInstant, 4)
 	if res.Moves == 0 {
 		t.Log("note: zero MOVED relocations observed — lites may have switched address before touching the fence")
+	}
+}
+
+// TestClientErrClassifier pins the one classifier lites and sentinels
+// share: each protocol violation arrives as a typed error and is flagged,
+// while retryable closes, followed relocations to a fleet agent and
+// transport noise are not.
+func TestClientErrClassifier(t *testing.T) {
+	wrap := func(err error) error { return fmt.Errorf("rcb-snippet: poll: %w", err) }
+	cases := []struct {
+		name    string
+		err     error
+		flagged bool
+	}{
+		{"bare 4xx", wrap(&core.BareStatusError{Status: 403}), true},
+		{"bare 5xx", wrap(&core.BareStatusError{Status: 503}), true},
+		{"terminal close", wrap(&core.CloseError{Reason: core.CloseKicked, Status: 403}), true},
+		{"base mismatch", fmt.Errorf("rcb-snippet: %w: base 5, acknowledged 4 (resyncing)", core.ErrDeltaBase), true},
+		{"moved to unknown", wrap(&core.CloseError{Reason: core.CloseMoved, Status: 503, Relocate: "rogue.lan:3000"}), true},
+		{"moved to standby", wrap(&core.CloseError{Reason: core.CloseMoved, Status: 503, Relocate: handoverAddr}), false},
+		{"retryable close", wrap(&core.CloseError{Reason: core.CloseOvercommitted, Status: 503}), false},
+		{"transport", errors.New("rcb-snippet: poll: connection reset"), false},
+	}
+	for _, tc := range cases {
+		f := &fleet{}
+		f.clientErr("lite 0", tc.err)
+		if got := len(f.violations()) > 0; got != tc.flagged {
+			t.Errorf("%s: flagged=%v (%v), want %v", tc.name, got, f.violations(), tc.flagged)
+		}
 	}
 }
