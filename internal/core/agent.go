@@ -66,9 +66,9 @@ const maxOutbox = 256
 //
 // Internal state is sharded across independent locks so the serve path
 // scales with participant count: the participant table (read-mostly, an
-// RWMutex plus per-participant locks), the object mapping table, the
-// prepared-content cache, the moderation queue, the docTime clock, and the
-// long-poll delivery hub each contend only with themselves.
+// RWMutex plus per-participant locks), the content pipeline's build cache
+// and object table, the moderation queue, and the delivery hub each contend
+// only with themselves.
 type Agent struct {
 	// Browser is the host browser whose document is shared.
 	Browser *browser.Browser
@@ -95,11 +95,6 @@ type Agent struct {
 	// request (one diff per distinct acked base) before answering it. Zero
 	// disables coalescing. Set before serving traffic.
 	WakeDebounce time.Duration
-	// DisableDelta turns off incremental deltaContent responses: every
-	// content-carrying poll gets the full Figure 4 snapshot, as the paper
-	// specifies. Deltas are also skipped per poll unless the request opts in
-	// with a delta=1 field, so foreign interval-mode clients never see them.
-	DisableDelta bool
 	// DisableChannel refuses persistent-channel upgrades (POST /channel):
 	// every upgrade attempt gets the retry-carrying OVERCOMMITTED refusal and
 	// participants stay on the long-poll/interval tiers. An operator knob for
@@ -112,11 +107,6 @@ type Agent struct {
 	// cap answer immediately with a retry-after hint instead of parking.
 	// Zero means unlimited.
 	MaxParkedPolls int
-	// MaxAckLag, when positive, disconnects (StaleReader) participants
-	// whose acknowledged docTime lags the current build by more than this
-	// many builds — a slow reader that can no longer catch up must not pin
-	// agent state.
-	MaxAckLag int
 	// MaxParkAge, when positive, bounds one parked poll's hang below
 	// MaxPollWait; a poll that parks the full age without the participant
 	// ever being woken marks the reader stale and disconnects it with
@@ -162,36 +152,10 @@ type Agent struct {
 	dedupTick int64
 	dedupNow  func() time.Time
 
-	// omu guards the object mapping tables (agent path ↔ absolute URL).
-	omu     sync.Mutex
-	mapping map[string]string // agent path "/obj/tN" → absolute URL
-	tokens  map[string]string // absolute URL → agent path
-
-	// cmu guards the prepared-content cache and the single-flight guard:
-	// of N concurrent polls that observe a new document version, exactly
-	// one runs the Figure 3 pipeline; the rest block on its result. The
-	// delta cache rides the same lock: prevRing holds the last few replaced
-	// builds per mode, newest first (every member is a valid delta base, so
-	// a participant that skipped versions stays on the delta path), delta
-	// holds the encoded script per (base → current) pair — or a recorded
-	// "not worth it" — and deltaInflight single-flights each pair's
-	// computation so N concurrent delta-eligible polls on one pair cost one
-	// dom.Diff.
-	cmu           sync.Mutex
-	prepared      map[bool]*PreparedContent
-	inflight      map[bool]*contentCall
-	prevRing      map[bool][]*PreparedContent
-	delta         map[bool]map[int64]*deltaEntry
-	deltaInflight map[bool]map[int64]*deltaCall
-
 	// amu guards the moderation queue and action sequencing.
 	amu       sync.Mutex
 	pending   []PendingAction
 	actionSeq int64
-
-	// tmu guards the monotonic docTime clock.
-	tmu         sync.Mutex
-	lastDocTime int64
 
 	// smu is the serve/state barrier. Every request path that can mutate
 	// session state holds the read side for its synchronous extent, so
@@ -218,9 +182,10 @@ type Agent struct {
 	// disconnects, and shutdown.
 	hub *deliveryHub
 
-	// builds counts Figure 3 pipeline executions — the observable the
-	// single-flight tests and cache-effectiveness metrics key on.
-	builds atomic.Int64
+	// pipeline builds, caches and diffs the content polls are answered
+	// with (pipeline.go).
+	pipeline *contentPipeline
+
 	// warming is set while a join's snapshot warm runs (warmSnapshot), so
 	// a burst of joins starts one.
 	warming atomic.Bool
@@ -228,9 +193,6 @@ type Agent struct {
 	// observable the fallback tests key on (an interval-mode or degraded
 	// snippet must never advance it).
 	actionPushes atomic.Int64
-	// diffBuilds counts dom.Diff delta computations; with the delta
-	// single-flight guard this advances once per (base, target, mode) pair.
-	diffBuilds atomic.Int64
 	// deltasServed counts polls answered with a deltaContent message.
 	deltasServed atomic.Int64
 
@@ -251,186 +213,6 @@ type Agent struct {
 
 	// shed holds the load-shedding ladder state (overload.go).
 	shed shedState
-
-	// buildHist remembers recent build docTimes per mode — the ruler the
-	// stale-reader reaper measures ack lag against. Guarded by cmu.
-	buildHist map[bool][]int64
-}
-
-// maxBuildHist bounds the per-mode build history; MaxAckLag beyond this is
-// effectively "never stale by lag".
-const maxBuildHist = 64
-
-// DefaultDeltaRingDepth is how many replaced builds each mode retains as
-// delta bases (the delta-base ring): a participant acknowledging any
-// retained build's docTime is served an incremental delta, older acks fall
-// back to the full snapshot. Deep enough that a lossy participant a few
-// versions behind still rides the delta path, shallow enough that the
-// retained builds stay a small multiple of one snapshot.
-const DefaultDeltaRingDepth = 4
-
-// deltaEntry records the delta decision for one (base → target) pair: d is
-// nil when a delta exists but was not worth sending (oversized, or the
-// top-level region set changed), so the question is not re-asked per poll.
-type deltaEntry struct {
-	base, target int64
-	d            *preparedDelta
-}
-
-// deltaCall is one in-flight delta computation concurrent polls wait on.
-type deltaCall struct {
-	base, target int64
-	done         chan struct{}
-	d            *preparedDelta
-}
-
-// contentCall is one in-flight BuildContent execution that concurrent polls
-// wait on instead of re-running the pipeline.
-type contentCall struct {
-	version int64
-	done    chan struct{}
-	prep    *PreparedContent
-	err     error
-}
-
-// PreparedContent caches one generated message per (document version,
-// cache mode): "the whole response content generation procedure is executed
-// only once for each new document content, and the generated XML format
-// response content is reusable for multiple participant browsers" (§4.1.2).
-// BuildContent runs only the extraction; the Figure 4 snapshot is marshaled
-// once, on the first full-snapshot demand (see marshal), so a version that
-// only ever reaches delta readers never pays the escape() encoding.
-type PreparedContent struct {
-	version int64
-	docTime int64
-	// content is the extracted message (head children and region payloads):
-	// the snapshot is marshaled from it and the delta path compares heads
-	// through it.
-	content *NewContent
-	// regions are the rewritten clone's body, frameset and noframes
-	// elements (deltaRegionTags order) that content's region payloads were
-	// serialized from — the raw material of participantTree. Nil for
-	// imported builds, and released once participantTree has run.
-	regions [3]*dom.Node
-	// normOnce/normTree lazily cache the participant-equivalent view of
-	// this build — see participantTree. Only the delta path pays for it.
-	normOnce sync.Once
-	normTree *dom.Node
-	// extractTime is how long the Figure 3 clone, rewrite and extraction
-	// took; marshalTime adds the Figure 4 encoding once it has run.
-	extractTime time.Duration
-
-	// xmlOnce guards the lazily marshaled snapshot: xml, splice, resp and
-	// marshalTime are written inside it and read only after it.
-	xmlOnce sync.Once
-	xml     []byte
-	// splice is the offset of the closing </newContent> tag: per-participant
-	// userActions are inserted here by two appends, never a re-marshal.
-	splice int
-	// resp is the ready-to-send response wrapping xml. PreparedContent is
-	// immutable once marshaled and WriteResponse only reads, so one response
-	// object fans out to every participant without a per-poll header
-	// allocation.
-	resp        *httpwire.Response
-	marshalTime time.Duration
-	// marshals counts runs of the lazy marshal (at most one; zero while only
-	// deltas were served from this build).
-	marshals atomic.Int32
-}
-
-// marshal renders the Figure 4 snapshot on its first demand — a first
-// poll, a base off the delta ring, an oversized or region-changing delta,
-// a non-delta reader, deltas shed or disabled, a userActions splice, XML or
-// ExportState. Concurrent demands wait on the one rendering.
-func (p *PreparedContent) marshal() {
-	p.xmlOnce.Do(func() {
-		start := time.Now()
-		p.setXML(p.content.Marshal())
-		p.marshalTime = time.Since(start)
-		p.marshals.Add(1)
-	})
-}
-
-func (p *PreparedContent) setXML(xml []byte) {
-	p.xml = xml
-	p.splice = len(xml) - len(closeNewContent)
-	p.resp = httpwire.NewResponse(200, "application/xml", xml)
-}
-
-// XML returns the marshaled Figure 4 message, marshaling it on first use.
-// The slice is shared across participants and must not be mutated.
-func (p *PreparedContent) XML() []byte {
-	p.marshal()
-	return p.xml
-}
-
-// DocTime returns the message timestamp.
-func (p *PreparedContent) DocTime() int64 { return p.docTime }
-
-// GenTime returns how long the Figure 3 pipeline took to produce this
-// content's Figure 4 message — extraction plus marshal, the paper's M5
-// metric. It forces the marshal if nothing has demanded it yet.
-func (p *PreparedContent) GenTime() time.Duration {
-	p.marshal()
-	return p.extractTime + p.marshalTime
-}
-
-// participantTree reconstructs what a participant document's top-level
-// regions look like after applying this build's message in full: each
-// region element gets the message's attribute list and the ParseFragment
-// of its innerHTML payload — exactly the installation the snippet's full
-// apply performs. Deltas must be diffed between these trees, not the raw
-// clones they were extracted from: DOM-API mutations can leave empty or
-// adjacent text nodes in the host document that serialization erases, so
-// the clone and the participant's parsed copy can disagree on child
-// indexes even though they serialize identically. dom.Canonicalize turns a
-// clone region into that parse in place, without the serialize-and-parse
-// round trip; a region it cannot vouch for (and an imported build, which
-// has no clone) is parsed from its payload instead. The reconstruction is
-// lazy and cached — the full-snapshot path never pays for it.
-func (p *PreparedContent) participantTree() *dom.Node {
-	p.normOnce.Do(func() {
-		root := dom.NewElement("html")
-		for i, te := range [...]*TopElement{p.content.Body, p.content.FrameSet, p.content.NoFrames} {
-			if te == nil {
-				continue
-			}
-			el := p.regions[i]
-			if el == nil || !dom.Canonicalize(el) {
-				el = dom.NewElement(deltaRegionTags[i])
-				el.Attrs = append([]dom.Attr(nil), te.Attrs...)
-				if te.Inner != "" {
-					dom.SetInnerHTML(el, te.Inner)
-				}
-			}
-			root.AppendChild(el)
-		}
-		p.normTree = root
-		p.regions = [3]*dom.Node{}
-	})
-	return p.normTree
-}
-
-// WithUserActions returns the cached message with a userActions element for
-// one participant spliced in before the closing tag. The cached document
-// payload is never re-rendered: the result is the shared bytes around one
-// freshly encoded actions element.
-func (p *PreparedContent) WithUserActions(actions []Action) []byte {
-	p.marshal()
-	if len(actions) == 0 {
-		return p.xml
-	}
-	out := make([]byte, 0, len(p.xml)+spliceSizeHint(actions))
-	out = append(out, p.xml[:p.splice]...)
-	out = appendUserActions(out, actions)
-	out = append(out, p.xml[p.splice:]...)
-	return out
-}
-
-// spliceSizeHint estimates the encoded size of a userActions element so the
-// splice buffer is sized in one allocation.
-func spliceSizeHint(actions []Action) int {
-	return 48 + 96*len(actions)
 }
 
 // DefaultMaxPollWait is the long-poll hang cap when Agent.MaxPollWait is
@@ -448,18 +230,11 @@ func NewAgent(b *browser.Browser, addr string) *Agent {
 		Addr:          addr,
 		Policy:        OpenPolicy(),
 		participants:  make(map[string]*participantState),
-		mapping:       make(map[string]string),
-		tokens:        make(map[string]string),
-		prepared:      make(map[bool]*PreparedContent),
-		inflight:      make(map[bool]*contentCall),
-		prevRing:      make(map[bool][]*PreparedContent),
-		delta:         make(map[bool]map[int64]*deltaEntry),
-		deltaInflight: make(map[bool]map[int64]*deltaCall),
 		closedReasons: make(map[string]CloseReason),
 		dedup:         make(map[string]*dedupState),
-		buildHist:     make(map[bool][]int64),
 		hub:           newDeliveryHub(),
 	}
+	a.pipeline = newContentPipeline(b, a.objectURL, a.deltasOn)
 	// Every wake round has the whole woken fleet in hand before answering
 	// it — the place the content and deltas the fleet is about to ask for
 	// are computed once.
@@ -637,7 +412,7 @@ func (a *Agent) warmSnapshot(cacheMode bool) {
 		if a.relocatedTo != "" {
 			return
 		}
-		if prep, err := a.contentForMode(cacheMode); err == nil && prep != nil {
+		if prep, err := a.pipeline.forMode(cacheMode); err == nil && prep != nil {
 			prep.marshal()
 		}
 	}()
@@ -655,9 +430,7 @@ const snippetScript = `/* RCB Ajax-Snippet: poll agent, apply newContent, piggyb
 // corresponding cache key").
 func (a *Agent) serveObject(req *httpwire.Request) *httpwire.Response {
 	target := req.Path()
-	a.omu.Lock()
-	absURL, ok := a.mapping[target]
-	a.omu.Unlock()
+	absURL, ok := a.pipeline.object(target)
 	if !ok {
 		return httpwire.NewResponse(404, "text/plain", []byte("unknown object\n"))
 	}
@@ -959,7 +732,7 @@ func (a *Agent) deliver(p *participantState, ts int64, deltaOK bool) (deliverOut
 		a.outboxDepth.Add(-int64(len(outbox)))
 	}
 
-	prep, err := a.contentForMode(mode)
+	prep, err := a.pipeline.forMode(mode)
 	if err != nil {
 		return deliverOut{actions: outbox}, err
 	}
@@ -974,8 +747,8 @@ func (a *Agent) deliver(p *participantState, ts int64, deltaOK bool) (deliverOut
 		// ts == 0 is a first delivery: the participant has no base to patch.
 		// The shed ladder's first step turns deltas off — the full snapshot
 		// costs bandwidth but releases the retained delta-base ring.
-		if deltaOK && !a.DisableDelta && ts > 0 && a.ShedLevel() < ShedNoDelta {
-			if d := a.deltaFor(mode, ts, prep); d != nil {
+		if deltaOK && ts > 0 && a.deltasOn() {
+			if d := a.pipeline.delta(mode, ts, prep); d != nil {
 				a.deltasServed.Add(1)
 				if len(outbox) == 0 {
 					return deliverOut{resp: d.resp, body: d.xml, docTime: d.docTime, isDelta: true, hasNew: true}, nil
@@ -1173,8 +946,8 @@ func (a *Agent) JoinRefusals() int64 { return a.joinRefusals.Load() }
 // parked-poll cap or the shed ladder.
 func (a *Agent) ParkRefusals() int64 { return a.parkRefusals.Load() }
 
-// StaleKicks reports participants disconnected as stale readers (ack lag or
-// park age).
+// StaleKicks reports participants disconnected as stale readers (park
+// age).
 func (a *Agent) StaleKicks() int64 { return a.staleKicks.Load() }
 
 // DuplicateActions reports actions dropped by the replay filter.
@@ -1187,7 +960,7 @@ func (a *Agent) OutboxDepth() int64 { return a.outboxDepth.Load() }
 // ContentBuilds reports how many times the Figure 3 pipeline has executed —
 // with the single-flight guard this advances once per (document version,
 // mode) no matter how many participants poll concurrently.
-func (a *Agent) ContentBuilds() int64 { return a.builds.Load() }
+func (a *Agent) ContentBuilds() int64 { return a.pipeline.builds.Load() }
 
 // ParticipantCount reports how many participants are connected without
 // copying the roster — Participants allocates one record per participant,
@@ -1201,253 +974,29 @@ func (a *Agent) ParticipantCount() int {
 // LatestDocTime reports the docTime of the newest prepared build across
 // modes (0 before any build). Scale harnesses use it to map a host mutation
 // to the docTime participants must reach, without re-rendering content.
-func (a *Agent) LatestDocTime() int64 {
-	a.cmu.Lock()
-	defer a.cmu.Unlock()
-	var latest int64
-	for _, prep := range a.prepared {
-		if prep != nil && prep.docTime > latest {
-			latest = prep.docTime
-		}
-	}
-	return latest
-}
-
-// contentForMode returns the prepared content for a mode, regenerating when
-// the host document changed. Returns nil when no page is loaded yet.
-//
-// Generation is single-flight: the first poll to observe a new version runs
-// BuildContent; concurrent polls for the same mode block on that execution
-// and share its result instead of redundantly re-running the pipeline.
-func (a *Agent) contentForMode(cacheMode bool) (*PreparedContent, error) {
-	version := a.Browser.Version()
-	if version == 0 {
-		return nil, nil
-	}
-	a.cmu.Lock()
-	// >= rather than ==: a poll that read the version before a concurrent
-	// bump stored newer content must take the cache, not rebuild it.
-	if prep := a.prepared[cacheMode]; prep != nil && prep.version >= version {
-		a.cmu.Unlock()
-		return prep, nil
-	}
-	if call := a.inflight[cacheMode]; call != nil && call.version >= version {
-		a.cmu.Unlock()
-		<-call.done
-		return call.prep, call.err
-	}
-	call := &contentCall{version: version, done: make(chan struct{})}
-	a.inflight[cacheMode] = call
-	a.cmu.Unlock()
-
-	prep, err := a.BuildContent(cacheMode)
-	a.cmu.Lock()
-	var lagFloor int64
-	if err == nil {
-		if cur := a.prepared[cacheMode]; cur == nil || prep.version >= cur.version {
-			if cur != nil && prep.version > cur.version {
-				if !a.DisableDelta && a.ShedLevel() < ShedNoDelta {
-					// The replaced build joins the front of the delta-base
-					// ring (newest first), capped at DefaultDeltaRingDepth;
-					// every cached delta script targeted an old pair and is
-					// stale. With deltas off nothing consumes the bases, so
-					// don't multiply the retained payload.
-					ring := a.prevRing[cacheMode]
-					grown := make([]*PreparedContent, 0, min(len(ring)+1, DefaultDeltaRingDepth))
-					grown = append(grown, cur)
-					for _, b := range ring {
-						if len(grown) >= DefaultDeltaRingDepth {
-							break
-						}
-						grown = append(grown, b)
-					}
-					a.prevRing[cacheMode] = grown
-					delete(a.delta, cacheMode)
-				} else if len(a.prevRing[cacheMode]) > 0 || len(a.delta[cacheMode]) > 0 {
-					// Deltas are off — statically or because the shed ladder
-					// climbed to ShedNoDelta. Rotating would hoard the very
-					// memory the ladder rung exists to free, so release the
-					// ring instead and keep it empty until deltas return.
-					delete(a.prevRing, cacheMode)
-					delete(a.delta, cacheMode)
-				}
-			}
-			a.prepared[cacheMode] = prep
-			// Record the build for the stale-reader ruler and compute the
-			// oldest docTime a reader may still acknowledge.
-			hist := append(a.buildHist[cacheMode], prep.docTime)
-			if len(hist) > maxBuildHist {
-				hist = hist[len(hist)-maxBuildHist:]
-			}
-			a.buildHist[cacheMode] = hist
-			if a.MaxAckLag > 0 && len(hist) > a.MaxAckLag {
-				lagFloor = hist[len(hist)-1-a.MaxAckLag]
-			}
-		}
-	}
-	if a.inflight[cacheMode] == call {
-		delete(a.inflight, cacheMode)
-	}
-	a.cmu.Unlock()
-	if lagFloor > 0 {
-		a.reapStaleReaders(cacheMode, lagFloor)
-	}
-	call.prep, call.err = prep, err
-	close(call.done)
-	return prep, err
-}
-
-// reapStaleReaders disconnects (StaleReader) every cacheMode-matching
-// participant whose acknowledged docTime has fallen behind lagFloor — the
-// docTime of the build MaxAckLag versions back. A reader that far behind is
-// consuming outbox memory and wake fan-outs without keeping up; kicking it
-// with a retryable reason converts it into a fresh full-snapshot join.
-// Participants that never polled (LastDocTime 0) are exempt: they have no
-// lag yet, only latency.
-func (a *Agent) reapStaleReaders(cacheMode bool, lagFloor int64) {
-	var stale []string
-	a.pmu.RLock()
-	for pid, p := range a.participants {
-		p.mu.Lock()
-		lagging := p.CacheMode == cacheMode && p.LastDocTime > 0 && p.LastDocTime < lagFloor
-		p.mu.Unlock()
-		if lagging {
-			stale = append(stale, pid)
-		}
-	}
-	a.pmu.RUnlock()
-	for _, pid := range stale {
-		a.staleKicks.Add(1)
-		a.DisconnectWith(pid, CloseStaleReader)
-	}
-}
+func (a *Agent) LatestDocTime() int64 { return a.pipeline.latestDocTime() }
 
 // BuildContent runs the Figure 3 generation pipeline against the host's
 // live document and returns the prepared message; its Figure 4 snapshot is
 // marshaled on first demand. Exported so the experiment harness can
 // measure M5 (content generation time, GenTime) directly.
 func (a *Agent) BuildContent(cacheMode bool) (*PreparedContent, error) {
-	a.builds.Add(1)
-	version := a.Browser.Version()
-	start := time.Now()
-	var nc *NewContent
-	var regions [3]*dom.Node
-	err := a.Browser.WithDocument(func(pageURL string, doc *dom.Document) error {
-		docTime := a.nextDocTime()
-		nc, regions = generateContent(doc.Root, contentOptions{
-			pageURL:     pageURL,
-			docTime:     docTime,
-			cacheMode:   cacheMode,
-			resolveRef:  hostResolver(a.Browser, pageURL),
-			cacheHas:    a.Browser.Cache.Has,
-			agentURLFor: a.registerObject,
-		})
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range regions {
-		if r != nil {
-			// Keep only the regions, not the rest of the clone.
-			r.Parent.RemoveChild(r)
-		}
-	}
-	return &PreparedContent{
-		version:     version,
-		docTime:     nc.DocTime,
-		content:     nc,
-		regions:     regions,
-		extractTime: time.Since(start),
-	}, nil
+	return a.pipeline.build(cacheMode)
 }
 
 // DiffBuilds reports how many delta scripts have been computed — with the
 // delta single-flight guard this advances once per (base, target, mode)
 // pair no matter how many delta-eligible polls race on it.
-func (a *Agent) DiffBuilds() int64 { return a.diffBuilds.Load() }
+func (a *Agent) DiffBuilds() int64 { return a.pipeline.diffs.Load() }
 
 // DeltasServed reports how many polls were answered with a deltaContent
 // message instead of the full snapshot.
 func (a *Agent) DeltasServed() int64 { return a.deltasServed.Load() }
 
-// deltaFor returns the shared delta response for a poll acknowledging base,
-// or nil when the poll must fall back to the full snapshot. A delta exists
-// between any delta-base ring member and the current build; each (base,
-// target) pair's computation is single-flight, and a "not worth it" outcome
-// (oversized script, top-level region change) is cached so the diff runs
-// once per pair no matter how many mixed-base polls race on it.
-func (a *Agent) deltaFor(cacheMode bool, base int64, prep *PreparedContent) *preparedDelta {
-	a.cmu.Lock()
-	var prev *PreparedContent
-	for _, cand := range a.prevRing[cacheMode] {
-		if cand.docTime == base {
-			prev = cand
-			break
-		}
-	}
-	if prev == nil || prep.content == nil || prev.content == nil {
-		a.cmu.Unlock()
-		return nil // base not retained: fell off the ring, or agent restarted
-	}
-	if e := a.delta[cacheMode][base]; e != nil && e.target == prep.docTime {
-		a.cmu.Unlock()
-		return e.d
-	}
-	if call := a.deltaInflight[cacheMode][base]; call != nil && call.target == prep.docTime {
-		a.cmu.Unlock()
-		<-call.done
-		return call.d
-	}
-	call := &deltaCall{base: base, target: prep.docTime, done: make(chan struct{})}
-	if a.deltaInflight[cacheMode] == nil {
-		a.deltaInflight[cacheMode] = make(map[int64]*deltaCall)
-	}
-	a.deltaInflight[cacheMode][base] = call
-	a.cmu.Unlock()
-
-	d := a.buildDelta(prev, prep)
-	a.cmu.Lock()
-	// Store only while still the registered call: a version rotation during
-	// the diff may have started a newer pair's computation on this base, and
-	// a stale (base, target) entry must not clobber its fresh cached result.
-	if a.deltaInflight[cacheMode][base] == call {
-		if a.delta[cacheMode] == nil {
-			a.delta[cacheMode] = make(map[int64]*deltaEntry)
-		}
-		a.delta[cacheMode][base] = &deltaEntry{base: call.base, target: call.target, d: d}
-		delete(a.deltaInflight[cacheMode], base)
-	}
-	a.cmu.Unlock()
-	call.d = d
-	close(call.done)
-	return d
-}
-
-// DeltaBasesRetained reports how many replaced builds are currently held as
-// delta bases across all modes — the memory the ShedNoDelta rung releases.
-func (a *Agent) DeltaBasesRetained() int {
-	a.cmu.Lock()
-	defer a.cmu.Unlock()
-	n := 0
-	for _, ring := range a.prevRing {
-		n += len(ring)
-	}
-	return n
-}
-
-// releaseDeltaState drops the delta-base ring, the cached delta scripts, and
-// any in-flight registrations. Called when the shed ladder climbs to
-// ShedNoDelta: deliver stops serving deltas at that rung, so the retained
-// builds are pure memory pressure. In-flight diffs finish and hand their
-// waiters a result, but the cleared registration keeps them from re-caching.
-func (a *Agent) releaseDeltaState() {
-	a.cmu.Lock()
-	clear(a.prevRing)
-	clear(a.delta)
-	clear(a.deltaInflight)
-	a.cmu.Unlock()
-}
+// deltasOn reports whether deltas are served: the shed ladder's
+// ShedNoDelta rung turns them off, trading bandwidth for the memory the
+// delta-base ring holds.
+func (a *Agent) deltasOn() bool { return a.ShedLevel() < ShedNoDelta }
 
 // warmWakeDeltas is the delivery hub's preWake hook: it runs at the start of
 // every wake round, after the parked waiters are collected but before any
@@ -1455,7 +1004,7 @@ func (a *Agent) releaseDeltaState() {
 // woken waiters and of every attached channel, and builds the content and
 // those deltas once — so the round's answers are all warm cache hits.
 func (a *Agent) warmWakeDeltas(woken []*pollWaiter, chans []*agentChannel) {
-	if a.DisableDelta || a.ShedLevel() >= ShedNoDelta {
+	if !a.deltasOn() {
 		return
 	}
 	a.smu.RLock()
@@ -1463,149 +1012,43 @@ func (a *Agent) warmWakeDeltas(woken []*pollWaiter, chans []*agentChannel) {
 	if a.relocatedTo != "" {
 		return
 	}
-	type pair struct {
-		mode bool
-		base int64
-	}
-	want := make(map[pair]struct{})
-	for _, w := range woken {
-		if !w.deltaOK || w.ts <= 0 {
-			continue
+	want := make(map[deltaPair]struct{})
+	add := func(pid string, base int64) {
+		if base <= 0 {
+			return
 		}
-		if p := a.participant(w.pid); p != nil {
+		if p := a.participant(pid); p != nil {
 			p.mu.Lock()
 			mode := p.CacheMode
 			p.mu.Unlock()
-			want[pair{mode, w.ts}] = struct{}{}
+			want[deltaPair{mode, base}] = struct{}{}
+		}
+	}
+	for _, w := range woken {
+		if w.deltaOK {
+			add(w.pid, w.ts)
 		}
 	}
 	for _, ch := range chans {
-		if !ch.deltaOK {
-			continue
-		}
-		ch.mu.Lock()
-		base := ch.base
-		ch.mu.Unlock()
-		if base <= 0 {
-			continue
-		}
-		if p := a.participant(ch.pid); p != nil {
-			p.mu.Lock()
-			mode := p.CacheMode
-			p.mu.Unlock()
-			want[pair{mode, base}] = struct{}{}
+		if ch.deltaOK {
+			ch.mu.Lock()
+			base := ch.base
+			ch.mu.Unlock()
+			add(ch.pid, base)
 		}
 	}
-	for k := range want {
-		prep, err := a.contentForMode(k.mode)
-		if err != nil || prep == nil || prep.docTime <= k.base {
-			continue
-		}
-		a.deltaFor(k.mode, k.base, prep)
-	}
+	a.pipeline.warm(want)
 }
 
-// deltaRegionTags are the top-level regions a delta can patch.
-var deltaRegionTags = [...]string{"body", "frameset", "noframes"}
-
-// buildDelta computes and encodes the edit script between two consecutive
-// builds. Diffs run between the builds' participant-equivalent trees (see
-// participantTree), never the live clones, so patch paths resolve on what
-// participants actually hold. It returns nil when no worthwhile delta
-// exists: the top-level region set changed (the snippet's cleanup step
-// handles that transition on the full path), or the encoded message is not
-// smaller than the full snapshot.
-func (a *Agent) buildDelta(prev, cur *PreparedContent) *preparedDelta {
-	a.diffBuilds.Add(1)
-	d := &DeltaContent{DocTime: cur.docTime, BaseDocTime: prev.docTime}
-	if !headChildrenEqual(prev.content.Head, cur.content.Head) {
-		d.HasHead = true
-		d.Head = cur.content.Head
-	}
-	if (prev.content.Body == nil) != (cur.content.Body == nil) ||
-		(prev.content.FrameSet == nil) != (cur.content.FrameSet == nil) ||
-		(prev.content.NoFrames == nil) != (cur.content.NoFrames == nil) {
-		return nil
-	}
-	pt, ct := prev.participantTree(), cur.participantTree()
-	for _, tag := range deltaRegionTags {
-		po, co := pt.FirstChildElement(tag), ct.FirstChildElement(tag)
-		if po == nil || co == nil {
-			continue // absent on both sides, per the presence check above
-		}
-		patches := dom.Diff(po, co)
-		if len(patches) == 0 {
-			continue
-		}
-		switch tag {
-		case "body":
-			d.Body = patches
-		case "frameset":
-			d.FrameSet = patches
-		default:
-			d.NoFrames = patches
-		}
-	}
-	xml := d.Marshal()
-	// Oversized: the snapshot is cheaper to ship and apply. escape() never
-	// shrinks its input, so a delta shorter than the raw payloads is shorter
-	// than the snapshot without marshaling it; only a delta at least that
-	// long needs the snapshot's exact length.
-	if len(xml) >= cur.content.payloadLen() && len(xml) >= len(cur.XML()) {
-		return nil
-	}
-	return &preparedDelta{
-		baseDocTime: prev.docTime,
-		docTime:     cur.docTime,
-		xml:         xml,
-		splice:      len(xml) - len(closeDeltaContent),
-		resp:        httpwire.NewResponse(200, "application/xml", xml),
-	}
-}
-
-// nextDocTime issues the timestamp for a document version: wall-clock
-// milliseconds (as the paper specifies) made strictly monotonic so rapid
-// successive versions remain distinguishable.
-func (a *Agent) nextDocTime() int64 {
-	a.tmu.Lock()
-	defer a.tmu.Unlock()
-	t := time.Now().UnixMilli()
-	if t <= a.lastDocTime {
-		t = a.lastDocTime + 1
-	}
-	a.lastDocTime = t
-	return t
-}
-
-// registerObject maps an absolute URL into the agent's object namespace and
-// returns the full agent URL for it. When authentication is on, the URL is
-// pre-signed: object fetches are issued by the participant browser's
-// renderer, which cannot compute MACs itself. Signing happens outside the
-// table lock — HMAC cost must not serialize other registrations.
-func (a *Agent) registerObject(absURL string) string {
-	a.omu.Lock()
-	path, ok := a.tokens[absURL]
-	if !ok {
-		buf := make([]byte, 0, 20)
-		buf = append(buf, "/obj/t"...)
-		buf = strconv.AppendInt(buf, int64(len(a.tokens)+1), 10)
-		path = string(buf)
-		a.tokens[absURL] = path
-		a.mapping[path] = absURL
-	}
-	a.omu.Unlock()
+// objectURL returns the full agent URL for an object path. When
+// authentication is on, the URL is pre-signed: object fetches are issued by
+// the participant browser's renderer, which cannot compute MACs itself.
+func (a *Agent) objectURL(path string) string {
 	target := path
 	if a.Auth != nil {
 		target = a.Auth.Sign("GET", path, nil)
 	}
 	return a.URL() + target
-}
-
-// MappingLen reports the size of the object mapping table.
-func (a *Agent) MappingLen() int {
-	a.omu.Lock()
-	defer a.omu.Unlock()
-	return len(a.mapping)
 }
 
 // handleAction routes one participant action through the policy.

@@ -227,9 +227,6 @@ func (a *Agent) serveChannelUpgrade(req *httpwire.Request) *httpwire.Response {
 	if p == nil {
 		return a.disconnectedResponse(pid)
 	}
-	if deltaOK && a.DisableDelta {
-		deltaOK = false
-	}
 	resp := httpwire.NewResponse(101, "", nil)
 	resp.Header.Set("Upgrade", "rcb-channel/1")
 	resp.Header.Set("Connection", "Upgrade")

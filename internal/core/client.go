@@ -140,11 +140,6 @@ type Client struct {
 	// RetryRand overrides the jitter source with a deterministic one
 	// (tests); nil uses math/rand. Called only under the client's lock.
 	RetryRand func() float64
-	// DisableRejoin turns off the automatic rejoin-and-resync Run performs
-	// after a retryable close reason; the error is still reported and the
-	// loop keeps polling with its stale identity (useful for harnesses
-	// that manage identity themselves).
-	DisableRejoin bool
 
 	doc  document
 	http *httpwire.Client
@@ -833,7 +828,7 @@ func (c *Client) Run(stop <-chan struct{}, errf func(error)) {
 			}
 		}
 		c.mu.Lock()
-		join := !c.joined || c.rejoinNeeded && !c.DisableRejoin
+		join := !c.joined || c.rejoinNeeded
 		c.mu.Unlock()
 		if join {
 			if err := c.Rejoin(); err != nil {

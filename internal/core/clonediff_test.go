@@ -111,7 +111,7 @@ func TestCloneDeltaMatchesReparse(t *testing.T) {
 				}
 				curRef := reparsed(cur)
 				regions := cur.regions
-				got, want := w.agent.buildDelta(prev, cur), w.agent.buildDelta(prevRef, curRef)
+				got, want := w.agent.pipeline.buildDelta(prev, cur), w.agent.pipeline.buildDelta(prevRef, curRef)
 				if (got == nil) != (want == nil) {
 					t.Fatalf("%s cache=%v edit %d: clone delta nil=%v, re-parse delta nil=%v", spec.Name, cacheMode, e, got == nil, want == nil)
 				}

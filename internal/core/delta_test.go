@@ -173,11 +173,11 @@ func TestDeltaWireBytesAreSmall(t *testing.T) {
 	alice.PollOnce()
 	hostEdit(t, w, 1)
 
-	prep, err := w.agent.contentForMode(false)
+	prep, err := w.agent.pipeline.forMode(false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := w.agent.deltaFor(false, alice.DocTime(), prep)
+	d := w.agent.pipeline.delta(false, alice.DocTime(), prep)
 	if d == nil {
 		t.Fatal("no delta for a small edit")
 	}
@@ -241,7 +241,7 @@ func TestDeltaRingServesOlderBases(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := w.agent.DeltaBasesRetained(); got != DefaultDeltaRingDepth {
+	if got := w.agent.pipeline.basesRetained(); got != DefaultDeltaRingDepth {
 		t.Fatalf("DeltaBasesRetained = %d, want %d", got, DefaultDeltaRingDepth)
 	}
 
@@ -316,11 +316,11 @@ func TestDeltaOversizedFallsBackToFull(t *testing.T) {
 	}
 	// The oversized verdict is cached: another delta query for the same
 	// (base, target) pair must return the recorded fallback, not re-diff.
-	prep, err := w.agent.contentForMode(false)
+	prep, err := w.agent.pipeline.forMode(false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := w.agent.deltaFor(false, base, prep); d != nil {
+	if d := w.agent.pipeline.delta(false, base, prep); d != nil {
 		t.Fatal("cached oversized verdict re-offered a delta")
 	}
 	if got := w.agent.DiffBuilds() - diffs0; got != 1 {
@@ -328,21 +328,9 @@ func TestDeltaOversizedFallsBackToFull(t *testing.T) {
 	}
 }
 
-// TestDeltaDisabledKnobs: both the agent-wide and snippet-side switches
-// force the paper's full-snapshot protocol.
+// TestDeltaDisabledKnobs: the snippet-side switch forces the paper's
+// full-snapshot protocol.
 func TestDeltaDisabledKnobs(t *testing.T) {
-	w := newWorld(t, func(a *Agent) { a.DisableDelta = true })
-	w.hostNavigate(t, "http://"+sites.Table1[1].Host()+"/")
-	alice := w.join(t, "alice.lan")
-	alice.PollOnce()
-	hostEdit(t, w, 1)
-	if updated, err := alice.PollOnce(); err != nil || !updated {
-		t.Fatalf("updated=%v err=%v", updated, err)
-	}
-	if w.agent.DeltasServed() != 0 || alice.Stats().DeltaPolls != 0 {
-		t.Fatal("agent-side DisableDelta did not stick")
-	}
-
 	w2 := newWorld(t, nil)
 	w2.hostNavigate(t, "http://"+sites.Table1[1].Host()+"/")
 	carol := w2.join(t, "carol.lan")

@@ -98,9 +98,31 @@ func refDeltaXML(prev, cur *PreparedContent) []byte {
 
 // modeBuilds returns the current build and the delta-base ring of one mode.
 func (a *Agent) modeBuilds(cacheMode bool) (cur *PreparedContent, ring []*PreparedContent) {
-	a.cmu.Lock()
-	defer a.cmu.Unlock()
-	return a.prepared[cacheMode], append([]*PreparedContent(nil), a.prevRing[cacheMode]...)
+	a.pipeline.mu.Lock()
+	defer a.pipeline.mu.Unlock()
+	m := a.pipeline.mode(cacheMode)
+	for _, b := range m.ring {
+		ring = append(ring, b.prep)
+	}
+	return m.prepared, ring
+}
+
+// cachedPair is one finished delta a ring caches: its target docTime and
+// script (nil for a "not worth it" verdict).
+type cachedPair struct {
+	target int64
+	d      *preparedDelta
+}
+
+// cachedDelta returns the delta one mode's ring caches for base, once its
+// diff has finished, or nil when none is cached.
+func (a *Agent) cachedDelta(cacheMode bool, base int64) *cachedPair {
+	f := ringDelta(a.pipeline, cacheMode, base)
+	if f == nil {
+		return nil
+	}
+	d, _ := f.wait()
+	return &cachedPair{target: f.key, d: d}
 }
 
 // TestLazySnapshotMatchesEagerMarshal: the lazily marshaled XML of a build
@@ -204,9 +226,7 @@ func TestDeltaFleetNeverMarshals(t *testing.T) {
 				t.Fatalf("edit %d: reader %d at docTime %d, want %d", e, i, s.DocTime(), cur.docTime)
 			}
 		}
-		w.agent.cmu.Lock()
-		entry := w.agent.delta[false][prev.docTime]
-		w.agent.cmu.Unlock()
+		entry := w.agent.cachedDelta(false, prev.docTime)
 		if entry == nil || entry.d == nil || entry.target != cur.docTime {
 			t.Fatalf("edit %d: no served delta cached for %d → %d", e, prev.docTime, cur.docTime)
 		}
@@ -339,7 +359,7 @@ func TestDeltaVerdictLowerBound(t *testing.T) {
 		if cur, err = w.agent.BuildContent(false); err != nil {
 			t.Fatal(err)
 		}
-		d = w.agent.buildDelta(prev, cur)
+		d = w.agent.pipeline.buildDelta(prev, cur)
 		want := refDeltaXML(prev, cur)
 		if (d == nil) != (want == nil) {
 			t.Fatalf("delta verdict %v, eager verdict %v", d != nil, want != nil)

@@ -262,11 +262,11 @@ func (a *Agent) EvaluateLoad() ShedLevel {
 		lvl++
 		a.shed.level.Store(int32(lvl))
 		a.shed.ups.Add(1)
-		if lvl == ShedNoDelta {
+		if !a.deltasOn() {
 			// The rung's whole point is freeing memory: drop the delta-base
 			// ring and diff cache now rather than waiting for the next
-			// rotation (which skips while this rung holds).
-			a.releaseDeltaState()
+			// rotation (which releases too while deltas are off).
+			a.pipeline.release()
 		}
 		a.logf("rcb-agent: shed ladder up to %s (parked=%d outbox=%d heap=%d)", lvl, parked, outbox, heap)
 	case !high && low && lvl > ShedNone:

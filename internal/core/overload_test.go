@@ -195,7 +195,7 @@ func TestShedReleasesDeltaBase(t *testing.T) {
 	if _, err := s.PollOnce(); err != nil {
 		t.Fatal(err)
 	}
-	if got := w.agent.DeltaBasesRetained(); got == 0 {
+	if got := w.agent.pipeline.basesRetained(); got == 0 {
 		t.Fatal("test setup: no delta base retained before shedding")
 	}
 
@@ -205,7 +205,7 @@ func TestShedReleasesDeltaBase(t *testing.T) {
 	if lvl := w.agent.EvaluateLoad(); lvl != ShedNoDelta {
 		t.Fatalf("ladder at %v, want no-delta", lvl)
 	}
-	if got := w.agent.DeltaBasesRetained(); got != 0 {
+	if got := w.agent.pipeline.basesRetained(); got != 0 {
 		t.Fatalf("DeltaBasesRetained = %d after climbing to no-delta, want 0", got)
 	}
 
@@ -214,7 +214,7 @@ func TestShedReleasesDeltaBase(t *testing.T) {
 	if _, err := s.PollOnce(); err != nil {
 		t.Fatal(err)
 	}
-	if got := w.agent.DeltaBasesRetained(); got != 0 {
+	if got := w.agent.pipeline.basesRetained(); got != 0 {
 		t.Fatalf("DeltaBasesRetained = %d after a build under no-delta shedding, want 0", got)
 	}
 
@@ -227,7 +227,7 @@ func TestShedReleasesDeltaBase(t *testing.T) {
 	if _, err := s.PollOnce(); err != nil {
 		t.Fatal(err)
 	}
-	if got := w.agent.DeltaBasesRetained(); got != 1 {
+	if got := w.agent.pipeline.basesRetained(); got != 1 {
 		t.Fatalf("DeltaBasesRetained = %d after recovery build, want 1", got)
 	}
 }
@@ -361,45 +361,6 @@ func TestMaxParkAgeKicksStaleReader(t *testing.T) {
 	}
 	if !s.RejoinNeeded() {
 		t.Fatal("retryable STALE_READER did not mark the snippet for rejoin")
-	}
-}
-
-// TestMaxAckLagReapsSlowReader checks the build-rotation reaper: a reader
-// whose acknowledged docTime falls more than MaxAckLag builds behind is
-// disconnected as STALE_READER while up-to-date readers are untouched.
-func TestMaxAckLagReapsSlowReader(t *testing.T) {
-	w := newWorld(t, func(a *Agent) { a.MaxAckLag = 2 })
-	w.hostNavigate(t, "http://"+sites.MapsHost+"/")
-	slow := w.join(t, "slow.lan")
-	fast := w.join(t, "fast.lan")
-	// Two polls each: the first fetches the snapshot (ts=0 — a reader that
-	// never acknowledged anything is exempt), the second acknowledges it.
-	for i := 0; i < 2; i++ {
-		if _, err := slow.PollOnce(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := fast.PollOnce(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Three further builds; only fast acknowledges them. The reaper runs at
-	// build rotation, measuring slow's ack against the build history.
-	for i := 0; i < 4; i++ {
-		mutateBody(t, w)
-		if _, err := fast.PollOnce(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := w.agent.StaleKicks(); got != 1 {
-		t.Fatalf("StaleKicks = %d, want 1 (the lagging reader)", got)
-	}
-	_, err := slow.PollOnce()
-	if got := CloseReasonOf(err); got != CloseStaleReader {
-		t.Fatalf("slow reader's poll reason = %v (%v), want STALE_READER", got, err)
-	}
-	if _, err := fast.PollOnce(); err != nil {
-		t.Fatalf("up-to-date reader was reaped too: %v", err)
 	}
 }
 

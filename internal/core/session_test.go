@@ -235,7 +235,7 @@ func TestSessionCacheModeFetchesFromHost(t *testing.T) {
 	if fromAgent != len(fetches) {
 		t.Fatalf("%d/%d fetches from agent", fromAgent, len(fetches))
 	}
-	if w.agent.MappingLen() == 0 {
+	if _, ok := w.agent.pipeline.object("/obj/t1"); !ok {
 		t.Error("mapping table empty")
 	}
 	// Object bodies must match the origin's bytes.

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
-	"strings"
 	"time"
 
 	"rcb/internal/browser"
@@ -154,10 +153,6 @@ func (a *Agent) exportLocked() ([]byte, error) {
 		}
 	}
 
-	a.tmu.Lock()
-	st.DocTime = a.lastDocTime
-	a.tmu.Unlock()
-
 	a.pmu.RLock()
 	st.NextPID = a.nextPID
 	for _, p := range a.participants {
@@ -210,48 +205,7 @@ func (a *Agent) exportLocked() ([]byte, error) {
 	}
 	a.amu.Unlock()
 
-	a.omu.Lock()
-	for path, url := range a.mapping {
-		st.Objects = append(st.Objects, objectSnapshot{Path: path, URL: url})
-	}
-	a.omu.Unlock()
-	sort.Slice(st.Objects, func(i, j int) bool {
-		pi, pj := st.Objects[i].Path, st.Objects[j].Path
-		if len(pi) != len(pj) {
-			return len(pi) < len(pj) // "/obj/t2" before "/obj/t10"
-		}
-		return pi < pj
-	})
-
-	// Collect the builds under cmu and marshal the snapshots no poll has
-	// demanded yet only after releasing it, so a marshal never stalls the
-	// polls that take cmu.
-	type exportBuild struct {
-		mode bool
-		prep *PreparedContent
-		ring []*PreparedContent
-	}
-	var builds []exportBuild
-	a.cmu.Lock()
-	for _, mode := range [2]bool{false, true} {
-		prep := a.prepared[mode]
-		if prep == nil || prep.version != version {
-			continue
-		}
-		builds = append(builds, exportBuild{mode, prep, a.prevRing[mode]})
-	}
-	a.cmu.Unlock()
-	for _, b := range builds {
-		ps := preparedSnapshot{CacheMode: b.mode, DocTime: b.prep.docTime, XML: string(b.prep.XML())}
-		if len(b.ring) > 0 {
-			ps.PrevDocTime = b.ring[0].docTime
-			ps.PrevXML = string(b.ring[0].XML())
-			for _, r := range b.ring[1:] {
-				ps.Ring = append(ps.Ring, ringSnapshot{DocTime: r.docTime, XML: string(r.XML())})
-			}
-		}
-		st.Prepared = append(st.Prepared, ps)
-	}
+	a.pipeline.exportTo(st, version)
 
 	return json.Marshal(st)
 }
@@ -288,12 +242,6 @@ func (a *Agent) ImportState(data []byte) error {
 		a.Browser.SetDocument(st.PageURL, dom.Parse(st.DocHTML))
 	}
 	version := a.Browser.Version()
-
-	a.tmu.Lock()
-	if st.DocTime > a.lastDocTime {
-		a.lastDocTime = st.DocTime
-	}
-	a.tmu.Unlock()
 
 	var outboxTotal int64
 	a.pmu.Lock()
@@ -347,70 +295,11 @@ func (a *Agent) ImportState(data []byte) error {
 	}
 	a.amu.Unlock()
 
-	a.omu.Lock()
-	a.mapping = make(map[string]string, len(st.Objects))
-	a.tokens = make(map[string]string, len(st.Objects))
-	for _, os := range st.Objects {
-		a.mapping[os.Path] = os.URL
-		a.tokens[os.URL] = os.Path
-	}
-	a.omu.Unlock()
-
-	a.cmu.Lock()
-	a.prepared = make(map[bool]*PreparedContent)
-	a.prevRing = make(map[bool][]*PreparedContent)
-	a.delta = make(map[bool]map[int64]*deltaEntry)
-	a.buildHist = make(map[bool][]int64)
-	for _, ps := range st.Prepared {
-		if ps.CacheMode && st.Addr != a.Addr {
-			// Cache-mode XML embeds object URLs minted for the exporting
-			// agent's address; at a new address the next poll must rebuild.
-			continue
-		}
-		if !strings.HasSuffix(ps.XML, closeNewContent) {
-			// Not a newContent message: the per-participant userActions
-			// splice needs its closing tag. Drop it; the next poll rebuilds.
-			continue
-		}
-		// Rebuild the ring newest-first (Prev fields, then Ring), assigning
-		// descending synthetic versions below the current build's.
-		var ring []*PreparedContent
-		if ps.PrevXML != "" {
-			ring = append(ring, importedPrepared(version-1, ps.PrevDocTime, ps.PrevXML))
-			for _, rs := range ps.Ring {
-				ring = append(ring, importedPrepared(version-1-int64(len(ring)), rs.DocTime, rs.XML))
-			}
-			a.prevRing[ps.CacheMode] = ring
-		}
-		a.prepared[ps.CacheMode] = importedPrepared(version, ps.DocTime, ps.XML)
-		// buildHist runs oldest first: reversed ring docTimes, then current.
-		hist := make([]int64, 0, len(ring)+1)
-		for i := len(ring) - 1; i >= 0; i-- {
-			hist = append(hist, ring[i].docTime)
-		}
-		hist = append(hist, ps.DocTime)
-		a.buildHist[ps.CacheMode] = hist
-	}
-	a.cmu.Unlock()
+	a.pipeline.importFrom(&st, version, st.Addr == a.Addr)
 
 	// The imported session is live here, whatever this process was before.
 	a.relocatedTo = ""
 	return nil
-}
-
-// importedPrepared reconstructs a PreparedContent from exported XML. A
-// snapshot whose XML no longer parses degrades gracefully: content stays
-// nil, which only disables the delta fast path.
-func importedPrepared(version, docTime int64, xml string) *PreparedContent {
-	b := []byte(xml)
-	prep := &PreparedContent{version: version, docTime: docTime}
-	// The snapshot arrives marshaled: fill it through the lazy path's guard
-	// so no demand ever re-renders it.
-	prep.xmlOnce.Do(func() { prep.setXML(b) })
-	if nc, err := Unmarshal(b); err == nil {
-		prep.content = nc
-	}
-	return prep
 }
 
 // RestoreAgent constructs an agent at addr from an ExportState snapshot,

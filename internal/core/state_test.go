@@ -71,9 +71,7 @@ func populateSession(t *testing.T, w *world) (alice, bob *Snippet) {
 
 // agentDocTime reads the agent's docTime clock.
 func agentDocTime(a *Agent) int64 {
-	a.tmu.Lock()
-	defer a.tmu.Unlock()
-	return a.lastDocTime
+	return a.pipeline.lastDocTime.Load()
 }
 
 // TestStateRoundTripByteIdentical pins the determinism property: exporting
@@ -372,7 +370,7 @@ func TestDeltaRingStateRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := w.agent.DeltaBasesRetained(); got != 3 {
+	if got := w.agent.pipeline.basesRetained(); got != 3 {
 		t.Fatalf("DeltaBasesRetained = %d, want 3", got)
 	}
 	// alice rode deltas, so only the joins' build has a marshaled snapshot:
@@ -405,7 +403,7 @@ func TestDeltaRingStateRoundTrip(t *testing.T) {
 	if !bytes.Equal(first, second) {
 		t.Fatalf("ring export → import → export not byte-identical:\n first: %s\nsecond: %s", first, second)
 	}
-	if got := restored.DeltaBasesRetained(); got != 3 {
+	if got := restored.pipeline.basesRetained(); got != 3 {
 		t.Fatalf("restored DeltaBasesRetained = %d, want 3", got)
 	}
 
@@ -482,7 +480,7 @@ func TestStateImportV1SinglePrev(t *testing.T) {
 		t.Fatalf("v1 single-prev checkpoint refused: %v", err)
 	}
 	t.Cleanup(restored.Close)
-	if got := restored.DeltaBasesRetained(); got != 1 {
+	if got := restored.pipeline.basesRetained(); got != 1 {
 		t.Fatalf("restored DeltaBasesRetained = %d, want 1 (the legacy Prev base)", got)
 	}
 }

@@ -35,9 +35,13 @@ type Client struct {
 	// DoTimeout so only the hanging request carries a deadline.
 	ReadTimeout time.Duration
 
-	mu    sync.Mutex
-	conns map[string]*clientConn // keyed by connKey(addr, lane)
+	mu     sync.Mutex
+	conns  map[string]*clientConn // keyed by connKey(addr, lane)
+	closed bool
 }
+
+// ErrClientClosed is returned by every request issued after Close.
+var ErrClientClosed = errors.New("httpwire: client closed")
 
 type clientConn struct {
 	conn net.Conn
@@ -126,10 +130,13 @@ func (c *Client) Post(addr, target, ctype string, body []byte) (*Response, error
 	return c.Do(addr, req)
 }
 
-// Close closes every pooled connection, across all lanes.
+// Close closes every pooled connection, across all lanes — an exchange
+// blocked on one fails at once — and is final: later requests fail with
+// ErrClientClosed instead of dialing.
 func (c *Client) Close() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.closed = true
 	for key, cc := range c.conns {
 		cc.conn.Close()
 		delete(c.conns, key)
@@ -140,6 +147,10 @@ func (c *Client) Close() {
 // cached (a lane's connection dials the same address as the default one).
 func (c *Client) getConn(addr, key string) (cc *clientConn, cached bool, err error) {
 	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		return nil, false, ErrClientClosed
+	}
 	if c.conns == nil {
 		c.conns = make(map[string]*clientConn)
 	}
@@ -155,6 +166,11 @@ func (c *Client) getConn(addr, key string) (cc *clientConn, cached bool, err err
 	}
 	cc = &clientConn{conn: conn, br: bufio.NewReaderSize(conn, 8<<10)}
 	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		conn.Close()
+		return nil, false, ErrClientClosed
+	}
 	// Another goroutine may have raced a connection in. The pooled one wins:
 	// it may already be mid-exchange (roundTrip holds only the per-conn
 	// mutex, not c.mu), so closing it here would kill a healthy in-flight

@@ -176,6 +176,12 @@ func (c *ChannelConn) RemoteAddr() net.Addr { return c.conn.RemoteAddr() }
 // timeout, when positive, bounds the handshake round trip only; the
 // established channel carries no deadline.
 func (c *Client) Upgrade(addr string, req *Request, timeout time.Duration) (*ChannelConn, *Response, error) {
+	c.mu.Lock()
+	closed := c.closed
+	c.mu.Unlock()
+	if closed {
+		return nil, nil, ErrClientClosed
+	}
 	conn, err := c.Dial(addr)
 	if err != nil {
 		return nil, nil, err

@@ -183,6 +183,7 @@ type fleet struct {
 	lites     []*lite
 	sentinels []*sentinel
 	liteMeter *meter
+	stopOnce  sync.Once // stopParticipants
 
 	probe atomic.Pointer[probe]
 
@@ -646,36 +647,44 @@ func (f *fleet) checkByteBudgets() {
 }
 
 // stopParticipants ends every lite and sentinel loop and waits them out.
+// Closing each one's HTTP client fails the poll the agent has parked, so a
+// stopped loop returns at once instead of waiting out the park. One
+// deadline bounds the whole wait; a participant still running at it is a
+// violation. Later calls do nothing.
 func (f *fleet) stopParticipants() {
-	for _, l := range f.lites {
-		close(l.stop)
-	}
-	for _, s := range f.sentinels {
-		close(s.stop)
-	}
-	deadline := time.After(15 * time.Second)
-	for _, l := range f.lites {
-		select {
-		case <-l.done:
-		case <-deadline:
+	f.stopOnce.Do(func() {
+		for _, l := range f.lites {
+			close(l.stop)
+			l.hc.Close()
 		}
-	}
-	for _, s := range f.sentinels {
-		select {
-		case <-s.done:
-		case <-deadline:
+		for _, s := range f.sentinels {
+			close(s.stop)
+			s.b.Close()
 		}
-	}
+		expired := make(chan struct{})
+		defer time.AfterFunc(15*time.Second, func() { close(expired) }).Stop()
+		wait := func(who string, done <-chan struct{}) {
+			select {
+			case <-done:
+			case <-expired:
+				select {
+				case <-done:
+				default:
+					f.violate("%s still running at the shutdown deadline", who)
+				}
+			}
+		}
+		for _, l := range f.lites {
+			wait(fmt.Sprintf("lite %d", l.idx), l.done)
+		}
+		for _, s := range f.sentinels {
+			wait(fmt.Sprintf("sentinel %d", s.idx), s.done)
+		}
+	})
 }
 
 func (f *fleet) close() {
 	f.stopParticipants()
-	for _, l := range f.lites {
-		l.hc.Close()
-	}
-	for _, s := range f.sentinels {
-		s.b.Close()
-	}
 	if f.standby != nil {
 		f.standby.close()
 	}

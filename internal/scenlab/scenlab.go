@@ -221,6 +221,9 @@ func Run(cfg Config) (*Result, error) {
 	default:
 		return nil, fmt.Errorf("scenlab: unknown family %q", cfg.Family)
 	}
+	// Stopped before the result is taken, so a participant that outlives
+	// the shutdown deadline shows up among its violations.
+	f.stopParticipants()
 	res := f.result()
 	return res, err
 }
