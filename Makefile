@@ -8,8 +8,11 @@ build:
 test: build
 	$(GO) test ./...
 
+# perfbench is its own module, so the root `go vet ./...` never sees it;
+# it compiles against the Agent surface, so it is vetted too.
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet .
 
 # Concurrency regression gate: the single-flight serve path (content and
 # delta), the sharded agent locks, and the long-poll delivery hub must stay

@@ -13,27 +13,6 @@ import (
 	"rcb/internal/httpwire"
 )
 
-// Participant is the published state of one connected co-browsing
-// participant — a plain value snapshot, safe to copy.
-type Participant struct {
-	ID        string
-	CacheMode bool
-	// LastDocTime is the docTime the participant last acknowledged, carried
-	// back on each polling request (the timestamp protocol of §4.1.1).
-	LastDocTime int64
-	LastSeen    time.Time
-	Polls       int64
-}
-
-// participantState is the live record behind a Participant: the snapshot
-// fields plus the delivery outbox, guarded by its own mutex so polls from
-// different participants never contend with each other.
-type participantState struct {
-	mu sync.Mutex
-	Participant
-	outbox []Action // other users' actions awaiting delivery
-}
-
 // PendingAction is a participant action awaiting host confirmation under a
 // moderating policy.
 type PendingAction struct {
@@ -41,10 +20,6 @@ type PendingAction struct {
 	ParticipantID string
 	Action        Action
 }
-
-// maxOutbox bounds per-participant queued mirror actions; pointer streams
-// are lossy by nature, so old entries are dropped first.
-const maxOutbox = 256
 
 // Agent is RCB-Agent: the HTTP service a co-browsing host runs inside its
 // browser. It implements httpwire.Handler; back it with any listener (real
@@ -64,11 +39,13 @@ const maxOutbox = 256
 // a wait field behave identically on both paths, so interval-mode snippets
 // (the paper's semantics) are unaffected.
 //
-// Internal state is sharded across independent locks so the serve path
-// scales with participant count: the participant table (read-mostly, an
-// RWMutex plus per-participant locks), the content pipeline's build cache
-// and object table, the moderation queue, and the delivery hub each contend
-// only with themselves.
+// Internal state is split into parts that each contend only with
+// themselves, so the serve path scales with participant count: the session
+// table (session.go: the roster under a read-mostly RWMutex plus
+// per-participant locks, and the replay filter under its own), the content
+// pipeline (pipeline.go: build cache and object table), the delivery hub
+// (delivery.go), and the agent's own three locks — amu for the moderation
+// queue, smu the serve/state barrier, hmu the handover receiver.
 type Agent struct {
 	// Browser is the host browser whose document is shared.
 	Browser *browser.Browser
@@ -127,30 +104,12 @@ type Agent struct {
 	// handover.go). Off by default: an agent must opt in to being a
 	// migration target.
 	AllowHandover bool
-	// MovedRetryAfter is the retry hint attached to MOVED responses after
-	// a handover relocated this session; zero means DefaultMovedRetryAfter.
-	MovedRetryAfter time.Duration
 	// Logf, when non-nil, receives diagnostics.
 	Logf func(format string, args ...any)
 
-	// pmu guards the participant table and ID counter. Polls only take the
-	// read lock; per-participant fields are guarded by each entry's own
-	// mutex. closedReasons remembers why recently removed participants were
-	// disconnected, so their next request carries the reason instead of a
-	// bare "unknown participant".
-	pmu           sync.RWMutex
-	participants  map[string]*participantState
-	nextPID       int
-	closedReasons map[string]CloseReason
-	closedOrder   []string
-
-	// dmu guards the action replay filter (dedup.go). dedupTick is the
-	// agent-wide activity counter behind LRU eviction; dedupNow overrides
-	// the idle-eviction clock in tests (nil means time.Now).
-	dmu       sync.Mutex
-	dedup     map[string]*dedupState
-	dedupTick int64
-	dedupNow  func() time.Time
+	// sessions is the roster, the mirror queues, the close-reason memory
+	// and the replay filter (session.go).
+	sessions *sessionTable
 
 	// amu guards the moderation queue and action sequencing.
 	amu       sync.Mutex
@@ -205,11 +164,9 @@ type Agent struct {
 
 	// Overload-control observables: every admission or degradation decision
 	// advances a counter.
-	joinRefusals     atomic.Int64 // joins refused (cap or shed ladder)
-	parkRefusals     atomic.Int64 // long-polls answered immediately (cap or shed ladder)
-	staleKicks       atomic.Int64 // participants disconnected as StaleReader
-	duplicateActions atomic.Int64 // actions dropped by the replay filter
-	outboxDepth      atomic.Int64 // queued mirror actions across all outboxes
+	joinRefusals atomic.Int64 // joins refused (cap or shed ladder)
+	parkRefusals atomic.Int64 // long-polls answered immediately (cap or shed ladder)
+	staleKicks   atomic.Int64 // participants disconnected as StaleReader
 
 	// shed holds the load-shedding ladder state (overload.go).
 	shed shedState
@@ -226,13 +183,11 @@ const DefaultMaxPollWait = 25 * time.Second
 // long-polls wake the moment the host document mutates or navigates.
 func NewAgent(b *browser.Browser, addr string) *Agent {
 	a := &Agent{
-		Browser:       b,
-		Addr:          addr,
-		Policy:        OpenPolicy(),
-		participants:  make(map[string]*participantState),
-		closedReasons: make(map[string]CloseReason),
-		dedup:         make(map[string]*dedupState),
-		hub:           newDeliveryHub(),
+		Browser:  b,
+		Addr:     addr,
+		Policy:   OpenPolicy(),
+		sessions: newSessionTable(),
+		hub:      newDeliveryHub(),
 	}
 	a.pipeline = newContentPipeline(b, a.objectURL, a.deltasOn)
 	// Every wake round has the whole woken fleet in hand before answering
@@ -301,40 +256,28 @@ func (a *Agent) ServeWire(req *httpwire.Request) *httpwire.Response {
 	a.smu.RLock()
 	defer a.smu.RUnlock()
 	if a.relocatedTo != "" {
-		return a.movedResponse()
+		return a.movedSignal().response()
 	}
-	return a.route(req)
-}
-
-// route dispatches one non-handover request; the caller holds the read side
-// of the serve/state barrier.
-func (a *Agent) route(req *httpwire.Request) *httpwire.Response {
+	var serve func(*Agent, *httpwire.Request) *httpwire.Response
 	switch {
 	case req.Method == "GET" && req.Path() == "/":
 		return a.serveInitialPage(req)
 	case req.Method == "POST" && req.Path() == "/poll":
-		if errResp := a.verifyAuth(req); errResp != nil {
-			return errResp
-		}
-		return a.servePoll(req)
+		serve = (*Agent).servePoll
 	case req.Method == "POST" && req.Path() == "/action":
-		if errResp := a.verifyAuth(req); errResp != nil {
-			return errResp
-		}
-		return a.serveAction(req)
+		serve = (*Agent).serveAction
 	case req.Method == "POST" && req.Path() == "/channel":
-		if errResp := a.verifyAuth(req); errResp != nil {
-			return errResp
-		}
-		return a.serveChannelUpgrade(req)
+		serve = (*Agent).serveChannelUpgrade
 	case req.Method == "GET":
-		if errResp := a.verifyAuth(req); errResp != nil {
-			return errResp
-		}
-		return a.serveObject(req)
+		serve = (*Agent).serveObject
 	default:
 		return httpwire.NewResponse(405, "text/plain", []byte("method not allowed\n"))
 	}
+	// Every route but the join is authenticated (§3.4).
+	if errResp := a.verifyAuth(req); errResp != nil {
+		return errResp
+	}
+	return serve(a, req)
 }
 
 // verifyAuth runs the §3.4 HMAC check when authentication is on, returning
@@ -356,29 +299,17 @@ func (a *Agent) verifyAuth(req *httpwire.Request) *httpwire.Response {
 // cannot serve.
 func (a *Agent) serveInitialPage(_ *httpwire.Request) *httpwire.Response {
 	a.maybeEvalLoad()
-	if a.ShedLevel() >= ShedRefuseJoins {
-		a.joinRefusals.Add(1)
-		return a.joinRefusedResponse()
-	}
-	if a.handoverPending() {
-		// A transfer is mid-flight: admitting a participant now would
-		// split the session between the incoming state and this join.
-		a.joinRefusals.Add(1)
-		return a.joinRefusedResponse()
-	}
 	mode := a.DefaultCacheMode
-	a.pmu.Lock()
-	if a.MaxParticipants > 0 && len(a.participants) >= a.MaxParticipants {
-		a.pmu.Unlock()
+	// A transfer mid-flight refuses too: admitting a participant now would
+	// split the session between the incoming state and this join.
+	pid, ok := "", a.ShedLevel() < ShedRefuseJoins && !a.handoverPending()
+	if ok {
+		pid, ok = a.sessions.join(mode, a.MaxParticipants)
+	}
+	if !ok {
 		a.joinRefusals.Add(1)
-		return a.joinRefusedResponse()
+		return closeSignal{reason: CloseSessionFull, retry: a.shedRetryAfter()}.response()
 	}
-	a.nextPID++
-	pid := "p" + strconv.Itoa(a.nextPID)
-	a.participants[pid] = &participantState{
-		Participant: Participant{ID: pid, CacheMode: mode, LastSeen: time.Now()},
-	}
-	a.pmu.Unlock()
 	a.logf("rcb-agent: participant %s connected (cache mode %v)", pid, mode)
 	a.warmSnapshot(mode)
 
@@ -465,41 +396,35 @@ func (a *Agent) ServeWireAsync(req *httpwire.Request, respond func(*httpwire.Res
 	a.smu.RLock()
 	defer a.smu.RUnlock()
 	if a.relocatedTo != "" {
-		respond(a.movedResponse())
+		respond(a.movedSignal().response())
 		return
 	}
 	if errResp := a.verifyAuth(req); errResp != nil {
 		respond(errResp)
 		return
 	}
-	p, ts, wait, deltaOK, errResp := a.pollSetup(req)
+	p, f, errResp := a.pollSetup(req)
 	if errResp != nil {
 		respond(errResp)
 		return
 	}
+	ts, wait, deltaOK := f.ts, f.wait, f.deltaOK
 	a.maybeEvalLoad()
 	// Overload enforcement: at ShedInterval and above — or past the
 	// parked-poll cap — a would-be long-poll answers immediately and
 	// carries the server-assigned retry interval, degrading the client to
 	// the paper's interval polling until pressure clears.
-	parkRefused := false
-	if wait > 0 {
-		if a.ShedLevel() >= ShedInterval {
-			parkRefused = true
-		} else if a.MaxParkedPolls > 0 && a.ParkedPolls() >= a.MaxParkedPolls {
-			parkRefused = true
-		}
-		if parkRefused {
-			a.parkRefusals.Add(1)
-			wait = 0
-		}
+	parkRefused := wait > 0 && (a.ShedLevel() >= ShedInterval ||
+		a.MaxParkedPolls > 0 && a.ParkedPolls() >= a.MaxParkedPolls)
+	if parkRefused {
+		a.parkRefusals.Add(1)
+		wait = 0
 	}
 	// A slow-reader bound below the poll cap: the park completes early and
 	// marks the reader stale if nothing woke it by then.
-	staleOnTimeout := false
-	if a.MaxParkAge > 0 && wait > a.MaxParkAge {
+	staleOnTimeout := a.MaxParkAge > 0 && wait > a.MaxParkAge
+	if staleOnTimeout {
 		wait = a.MaxParkAge
-		staleOnTimeout = true
 	}
 	pid := p.ID
 	for {
@@ -540,7 +465,7 @@ func (a *Agent) wakePoll(w *pollWaiter, reply *pollReply) *httpwire.Response {
 	a.smu.RLock()
 	defer a.smu.RUnlock()
 	if a.relocatedTo != "" {
-		return a.movedResponse()
+		return a.movedSignal().response()
 	}
 	if reply.closed {
 		// Agent shutdown: tell the snippet why so it backs off.
@@ -557,10 +482,10 @@ func (a *Agent) wakePoll(w *pollWaiter, reply *pollReply) *httpwire.Response {
 		}
 		return emptyPollResponse
 	}
-	p := a.participant(w.pid)
+	p, why := a.sessions.lookup(w.pid)
 	if p == nil {
 		// Disconnected while parked: the same answer a live poll would get.
-		return a.disconnectedResponse(w.pid)
+		return closeResponse(why)
 	}
 	resp, _ := a.pollResponse(p, w.ts, w.deltaOK)
 	return resp
@@ -572,53 +497,31 @@ func (a *Agent) wakePoll(w *pollWaiter, reply *pollReply) *httpwire.Response {
 // the empty one — is always immediate. The long-poll flavor lives in
 // ServeWireAsync.
 func (a *Agent) servePoll(req *httpwire.Request) *httpwire.Response {
-	p, ts, _, deltaOK, errResp := a.pollSetup(req)
+	p, f, errResp := a.pollSetup(req)
 	if errResp != nil {
 		return errResp
 	}
-	resp, _ := a.pollResponse(p, ts, deltaOK)
+	resp, _ := a.pollResponse(p, f.ts, f.deltaOK)
 	return resp
 }
 
 // serveAction answers a fire-and-forget action upstream request: the poll
-// protocol's step 1 (data merging) split out onto its own endpoint, so a
-// participant action reaches the host the moment it occurs instead of
-// riding the next request cycle — the latency cut matters most when the
-// participant's polling request is parked on the delivery hub for seconds.
-// The actions run through the same policy/moderation pipeline as
-// piggybacked ones, and the resulting document mutation or broadcast wakes
-// parked long-polls through the existing hub paths, so mirrored
-// participants and the host see the action within one hang-wake. The
-// response is an empty acknowledgment; document content only ever travels
-// on poll responses.
+// protocol's step 1 (merge) on its own endpoint, so a participant action
+// reaches the host the moment it occurs instead of riding the next request
+// cycle — which matters most while the participant's poll is parked for
+// seconds. The resulting document mutation or broadcast wakes parked
+// long-polls through the hub, so mirrored participants and the host see
+// the action within one hang-wake. The response is an empty
+// acknowledgment; document content only ever travels on poll responses.
 func (a *Agent) serveAction(req *httpwire.Request) *httpwire.Response {
-	pid := pidFromRequest(req)
-	var payload string
-	for _, f := range httpwire.ParseForm(string(req.Body)) {
-		switch f.Name {
-		case "actions":
-			payload = f.Value
-		case "pid":
-			if pid == "" {
-				pid = f.Value
-			}
-		}
-	}
-	p := a.participant(pid)
+	f := parsePollForm(req)
+	p, why := a.sessions.lookup(f.pid)
 	if p == nil {
-		return a.disconnectedResponse(pid)
+		return closeResponse(why)
 	}
-	actions, err := DecodeActions(payload)
-	if err != nil || len(actions) == 0 {
+	if n, _, err := a.merge(p, f.actions); err != nil || n == 0 {
 		return badActionResponse
 	}
-	for _, act := range a.freshActions(actions) {
-		act.From = p.ID
-		a.handleAction(p.ID, act)
-	}
-	p.mu.Lock()
-	p.LastSeen = time.Now()
-	p.mu.Unlock()
 	a.actionPushes.Add(1)
 	return actionAckResponse
 }
@@ -626,71 +529,114 @@ func (a *Agent) serveAction(req *httpwire.Request) *httpwire.Response {
 // ActionPushes reports how many /action upstream requests were accepted.
 func (a *Agent) ActionPushes() int64 { return a.actionPushes.Load() }
 
-// pollSetup parses a polling request and runs steps 1 and 2 of §4.1.1:
-// participant lookup, data merging, and timestamp bookkeeping. It returns
-// the participant, the timestamp it reported, the requested long-poll hang
-// (0 = answer immediately), and whether the client opted into deltaContent
-// responses — or a non-nil error response.
-func (a *Agent) pollSetup(req *httpwire.Request) (*participantState, int64, time.Duration, bool, *httpwire.Response) {
-	pid := pidFromRequest(req)
-	fields := httpwire.ParseForm(string(req.Body))
-	var ts, waitMS int64
-	var deltaOK bool
-	var actionPayload string
-	for _, f := range fields {
-		switch f.Name {
+// pollForm is the form body of a participant request — a poll, an /action
+// upstream or a /channel upgrade; each route reads the fields it needs. pid
+// is the rcbpid cookie, else the first pid field; for every other field the
+// last occurrence wins.
+type pollForm struct {
+	pid     string
+	ts      int64         // the docTime the participant acknowledges
+	wait    time.Duration // requested long-poll hang; 0 answers at once
+	deltaOK bool          // the participant accepts deltaContent
+	actions string        // EncodeActions payload of piggybacked actions
+}
+
+func parsePollForm(req *httpwire.Request) pollForm {
+	f := pollForm{pid: pidFromRequest(req)}
+	var waitMS int64
+	for _, kv := range httpwire.ParseForm(string(req.Body)) {
+		switch kv.Name {
 		case "ts":
-			ts, _ = strconv.ParseInt(f.Value, 10, 64)
+			f.ts, _ = strconv.ParseInt(kv.Value, 10, 64)
 		case "actions":
-			actionPayload = f.Value
+			f.actions = kv.Value
 		case "wait":
-			waitMS, _ = strconv.ParseInt(f.Value, 10, 64)
+			waitMS, _ = strconv.ParseInt(kv.Value, 10, 64)
 		case "delta":
-			deltaOK = f.Value == "1"
+			f.deltaOK = kv.Value == "1"
 		case "pid":
-			if pid == "" {
-				pid = f.Value
+			if f.pid == "" {
+				f.pid = kv.Value
 			}
 		}
 	}
-	p := a.participant(pid)
-	if p == nil {
-		return nil, 0, 0, false, a.disconnectedResponse(pid)
-	}
+	f.wait = time.Duration(waitMS) * time.Millisecond
+	return f
+}
 
-	// Step 1: data merging. The replay filter runs first so a retried
-	// upstream (push fallback, rejoin re-send) merges each action once.
-	actions, err := DecodeActions(actionPayload)
-	if err != nil {
-		return nil, 0, 0, false, badActionResponse
+// merge runs step 1 of §4.1.1, data merging, for one upstream batch from p
+// — piggybacked on a poll, posted to /action or framed on the channel. The
+// replay filter runs first, so a retried upstream (poll after a lost push,
+// rejoin re-send, channel resend) merges each action once; each survivor is
+// sequenced and routed through the policy as p's: applied, queued for the
+// host's confirmation, or denied. It returns how many actions the batch
+// carried and their highest CSeq, duplicates included — a replayed batch
+// is acknowledged like the original — or the payload's decode error.
+func (a *Agent) merge(p *participantState, payload string) (n int, maxSeq int64, err error) {
+	actions, err := DecodeActions(payload)
+	if err != nil || len(actions) == 0 {
+		return 0, 0, err
 	}
-	actions = a.freshActions(actions)
 	for _, act := range actions {
+		maxSeq = max(maxSeq, act.CSeq)
+	}
+	for _, act := range a.sessions.fresh(actions) {
 		act.From = p.ID
-		a.handleAction(p.ID, act)
+		a.amu.Lock()
+		a.actionSeq++
+		act.Seq = a.actionSeq
+		a.amu.Unlock()
+		switch a.Policy.Decide(p.ID, act) {
+		case Deny:
+			a.logf("rcb-agent: denied %s", act)
+		case Confirm:
+			a.amu.Lock()
+			a.pending = append(a.pending, PendingAction{Seq: act.Seq, ParticipantID: p.ID, Action: act})
+			a.amu.Unlock()
+			a.logf("rcb-agent: queued for confirmation: %s", act)
+		case Apply:
+			if err := a.ApplyAction(act); err != nil {
+				a.logf("rcb-agent: apply %s: %v", act, err)
+			}
+		}
+	}
+	p.mu.Lock()
+	p.LastSeen = time.Now()
+	p.mu.Unlock()
+	return len(actions), maxSeq, nil
+}
+
+// pollSetup parses a polling request and runs steps 1 and 2 of §4.1.1:
+// participant lookup, data merging, and timestamp bookkeeping. It returns
+// the participant and its form, whose wait is capped at MaxPollWait and
+// zeroed when the poll carried actions — or a non-nil error response.
+func (a *Agent) pollSetup(req *httpwire.Request) (*participantState, pollForm, *httpwire.Response) {
+	f := parsePollForm(req)
+	p, why := a.sessions.lookup(f.pid)
+	if p == nil {
+		return nil, f, closeResponse(why)
+	}
+	n, _, err := a.merge(p, f.actions)
+	if err != nil {
+		return nil, f, badActionResponse
 	}
 
 	// Step 2: timestamp inspection. Only this participant's lock is taken;
 	// polls from other participants proceed in parallel.
 	p.mu.Lock()
-	p.LastDocTime = ts
+	p.LastDocTime = f.ts
 	p.LastSeen = time.Now()
 	p.Polls++
 	p.mu.Unlock()
 
-	wait := time.Duration(waitMS) * time.Millisecond
-	if max := a.maxPollWait(); wait > max {
-		wait = max
+	f.wait = min(f.wait, a.maxPollWait())
+	if n > 0 {
+		// A poll that carried actions is answered at once, never parked:
+		// the answer is the client's acknowledgment that they were merged.
+		// (Our own snippet sends no wait with actions; foreign clients may.)
+		f.wait = 0
 	}
-	if len(actions) > 0 {
-		// A poll that delivered actions is answered immediately, never
-		// parked: the prompt completion is the client's acknowledgment
-		// that its actions were merged. (Our own snippet already strips
-		// the wait field from action-carrying polls; this guards foreign
-		// clients that don't.)
-		wait = 0
-	}
-	return p, ts, wait, deltaOK, nil
+	return p, f, nil
 }
 
 // deliverOut is one delivery decision from deliver: the payload bytes to
@@ -720,18 +666,11 @@ type deliverOut struct {
 // opted into deltas and acknowledges the docTime of any build still in the
 // delta-base ring gets the shared deltaContent script instead of the full
 // snapshot; every fallback case (first delivery, base off the ring,
-// oversized or unavailable delta) degrades to the snapshot. hasNew is false exactly when there is nothing
-// to send: the state a long-poll parks on and a channel writer sleeps on.
+// oversized or unavailable delta) degrades to the snapshot. hasNew is false
+// exactly when there is nothing to send: the state a long-poll parks on and
+// a channel writer sleeps on.
 func (a *Agent) deliver(p *participantState, ts int64, deltaOK bool) (deliverOut, error) {
-	p.mu.Lock()
-	mode := p.CacheMode
-	outbox := p.outbox
-	p.outbox = nil
-	p.mu.Unlock()
-	if len(outbox) > 0 {
-		a.outboxDepth.Add(-int64(len(outbox)))
-	}
-
+	mode, outbox := p.drain()
 	prep, err := a.pipeline.forMode(mode)
 	if err != nil {
 		return deliverOut{actions: outbox}, err
@@ -813,31 +752,6 @@ var (
 	actionAckResponse = httpwire.NewResponse(200, "application/xml", nil)
 )
 
-// disconnectedResponse answers a request from a pid the agent has no record
-// of, carrying the close reason when the disconnect is recent enough to
-// remember (CloseUnknown otherwise — e.g. the agent restarted).
-func (a *Agent) disconnectedResponse(pid string) *httpwire.Response {
-	return closeResponse(a.closeReasonFor(pid))
-}
-
-// closeReasonFor looks up why pid was disconnected.
-func (a *Agent) closeReasonFor(pid string) CloseReason {
-	a.pmu.RLock()
-	r := a.closedReasons[pid]
-	a.pmu.RUnlock()
-	if r == CloseNone {
-		return CloseUnknown
-	}
-	return r
-}
-
-// joinRefusedResponse is the SessionFull refusal with the retry hint.
-func (a *Agent) joinRefusedResponse() *httpwire.Response {
-	resp := closeResponse(CloseSessionFull)
-	resp.Header.Set(RetryAfterHeader, strconv.FormatInt(a.shedRetryAfter().Milliseconds(), 10))
-	return resp
-}
-
 // pidFromRequest extracts the rcbpid cookie, scanning the header in place —
 // no per-poll slice allocation.
 func pidFromRequest(req *httpwire.Request) string {
@@ -853,91 +767,6 @@ func pidFromRequest(req *httpwire.Request) string {
 	return ""
 }
 
-func (a *Agent) participant(pid string) *participantState {
-	a.pmu.RLock()
-	defer a.pmu.RUnlock()
-	return a.participants[pid]
-}
-
-// Participants lists connected participants — "RCB-Agent knows exactly
-// which participants are connected, and it can notify this information to a
-// co-browsing host or participant" (§3.3).
-func (a *Agent) Participants() []Participant {
-	a.pmu.RLock()
-	defer a.pmu.RUnlock()
-	out := make([]Participant, 0, len(a.participants))
-	for _, p := range a.participants {
-		p.mu.Lock()
-		out = append(out, p.Participant)
-		p.mu.Unlock()
-	}
-	return out
-}
-
-// SetParticipantMode switches one participant between cache and non-cache
-// mode ("RCB-Agent can allow different participant browsers to use
-// different modes", §4.1.2).
-func (a *Agent) SetParticipantMode(pid string, cacheMode bool) error {
-	p := a.participant(pid)
-	if p == nil {
-		return fmt.Errorf("rcb-agent: no participant %s", pid)
-	}
-	p.mu.Lock()
-	p.CacheMode = cacheMode
-	p.mu.Unlock()
-	return nil
-}
-
-// Disconnect removes a participant (leave at any time, §3.3). A long-poll
-// the participant has parked wakes immediately and completes with the same
-// 403 a live poll from an unknown participant gets — now carrying the
-// Leave close reason — so the client learns of the disconnect without
-// waiting out the hang.
-func (a *Agent) Disconnect(pid string) { a.DisconnectWith(pid, CloseLeave) }
-
-// Kick ejects a participant by host decision. Unlike Leave-class removals
-// the reason is non-retryable: the snippet must not rejoin.
-func (a *Agent) Kick(pid string) { a.DisconnectWith(pid, CloseKicked) }
-
-// DisconnectWith removes a participant recording why, so the participant's
-// next request (or its parked long-poll, woken immediately) answers with
-// the reason instead of a bare 403. rememberedCloses bounds the memory.
-func (a *Agent) DisconnectWith(pid string, reason CloseReason) {
-	if reason == CloseNone {
-		reason = CloseLeave
-	}
-	a.pmu.Lock()
-	p := a.participants[pid]
-	delete(a.participants, pid)
-	if p != nil {
-		if len(a.closedOrder) >= rememberedCloses {
-			delete(a.closedReasons, a.closedOrder[0])
-			a.closedOrder = a.closedOrder[1:]
-		}
-		if _, known := a.closedReasons[pid]; !known {
-			a.closedOrder = append(a.closedOrder, pid)
-		}
-		a.closedReasons[pid] = reason
-	}
-	a.pmu.Unlock()
-	if p != nil {
-		p.mu.Lock()
-		dropped := len(p.outbox)
-		p.outbox = nil
-		p.mu.Unlock()
-		if dropped > 0 {
-			a.outboxDepth.Add(-int64(dropped))
-		}
-		a.logf("rcb-agent: participant %s disconnected: %s", pid, reason)
-	}
-	// Parked polls and a live channel learn of the disconnect at once, with
-	// the reason on the wire (a close frame, for the channel).
-	a.hub.disconnect(pid, closeSignal{reason: reason})
-}
-
-// rememberedCloses bounds the disconnect-reason memory.
-const rememberedCloses = 1024
-
 // JoinRefusals reports connection requests refused by admission control or
 // the shed ladder.
 func (a *Agent) JoinRefusals() int64 { return a.joinRefusals.Load() }
@@ -950,26 +779,10 @@ func (a *Agent) ParkRefusals() int64 { return a.parkRefusals.Load() }
 // age).
 func (a *Agent) StaleKicks() int64 { return a.staleKicks.Load() }
 
-// DuplicateActions reports actions dropped by the replay filter.
-func (a *Agent) DuplicateActions() int64 { return a.duplicateActions.Load() }
-
-// OutboxDepth reports the total queued mirror actions across participants —
-// one of the shed ladder's load signals.
-func (a *Agent) OutboxDepth() int64 { return a.outboxDepth.Load() }
-
 // ContentBuilds reports how many times the Figure 3 pipeline has executed —
 // with the single-flight guard this advances once per (document version,
 // mode) no matter how many participants poll concurrently.
 func (a *Agent) ContentBuilds() int64 { return a.pipeline.builds.Load() }
-
-// ParticipantCount reports how many participants are connected without
-// copying the roster — Participants allocates one record per participant,
-// which a scale harness polling the count at 4k participants cannot afford.
-func (a *Agent) ParticipantCount() int {
-	a.pmu.RLock()
-	defer a.pmu.RUnlock()
-	return len(a.participants)
-}
 
 // LatestDocTime reports the docTime of the newest prepared build across
 // modes (0 before any build). Scale harnesses use it to map a host mutation
@@ -1017,7 +830,7 @@ func (a *Agent) warmWakeDeltas(woken []*pollWaiter, chans []*agentChannel) {
 		if base <= 0 {
 			return
 		}
-		if p := a.participant(pid); p != nil {
+		if p, _ := a.sessions.lookup(pid); p != nil {
 			p.mu.Lock()
 			mode := p.CacheMode
 			p.mu.Unlock()
@@ -1049,28 +862,6 @@ func (a *Agent) objectURL(path string) string {
 		target = a.Auth.Sign("GET", path, nil)
 	}
 	return a.URL() + target
-}
-
-// handleAction routes one participant action through the policy.
-func (a *Agent) handleAction(pid string, act Action) {
-	a.amu.Lock()
-	a.actionSeq++
-	act.Seq = a.actionSeq
-	a.amu.Unlock()
-
-	switch a.Policy.Decide(pid, act) {
-	case Deny:
-		a.logf("rcb-agent: denied %s", act)
-	case Confirm:
-		a.amu.Lock()
-		a.pending = append(a.pending, PendingAction{Seq: act.Seq, ParticipantID: pid, Action: act})
-		a.amu.Unlock()
-		a.logf("rcb-agent: queued for confirmation: %s", act)
-	case Apply:
-		if err := a.ApplyAction(act); err != nil {
-			a.logf("rcb-agent: apply %s: %v", act, err)
-		}
-	}
 }
 
 // PendingConfirmations lists actions awaiting host approval.
@@ -1205,39 +996,4 @@ func (a *Agent) applyClick(act Action) error {
 		return err
 	}
 	return nil
-}
-
-// Broadcast queues an action for delivery to every participant except its
-// originator — pointer mirroring (paper step 9). The participant table is
-// only read-locked; each outbox append takes that participant's own lock,
-// then wakes any long-poll that participant has parked so mirror actions
-// push out immediately instead of riding the next interval.
-func (a *Agent) Broadcast(act Action) {
-	a.pmu.RLock()
-	for _, p := range a.participants {
-		if p.ID == act.From {
-			continue
-		}
-		p.mu.Lock()
-		before := len(p.outbox)
-		p.outbox = append(p.outbox, act)
-		if len(p.outbox) > maxOutbox {
-			p.outbox = p.outbox[len(p.outbox)-maxOutbox:]
-		}
-		after := len(p.outbox)
-		p.mu.Unlock()
-		if d := after - before; d != 0 {
-			a.outboxDepth.Add(int64(d))
-		}
-		a.hub.notifyPID(p.ID)
-	}
-	a.pmu.RUnlock()
-	a.maybeEvalLoad()
-}
-
-// HostAction reports a host-side interaction (pointer move, scroll) for
-// mirroring to all participants.
-func (a *Agent) HostAction(act Action) {
-	act.From = "host"
-	a.Broadcast(act)
 }

@@ -57,8 +57,9 @@ const (
 	FrameClose byte = 8
 )
 
-// closeSignal is one pending close-with-reason for a channel: the frame
-// payload of the FrameClose the writer sends before tearing down.
+// closeSignal is one close with its reason and hints, in either encoding:
+// the payload of the FrameClose a channel writer sends before tearing down,
+// or the headers of a terminal HTTP answer (response).
 type closeSignal struct {
 	reason   CloseReason
 	retry    time.Duration
@@ -75,6 +76,21 @@ func encodeCloseSignal(cs closeSignal) []byte {
 		fields = append(fields, httpwire.FormField{Name: "relocate", Value: cs.relocate})
 	}
 	return httpwire.AppendForm(make([]byte, 0, 64), fields)
+}
+
+// response renders cs as a terminal HTTP answer: the reason's status and
+// Rcb-Close-Reason, plus Rcb-Relocate and Rcb-Retry-After when set.
+func (cs closeSignal) response() *httpwire.Response {
+	resp := httpwire.NewResponse(cs.reason.StatusCode(), "text/plain",
+		[]byte("session closed: "+cs.reason.String()+"\n"))
+	resp.Header.Set(CloseReasonHeader, cs.reason.String())
+	if cs.relocate != "" {
+		resp.Header.Set(RelocateHeader, cs.relocate)
+	}
+	if cs.retry > 0 {
+		resp.Header.Set(RetryAfterHeader, strconv.FormatInt(cs.retry.Milliseconds(), 10))
+	}
+	return resp
 }
 
 // decodeCloseSignal parses a FrameClose payload. Unknown reasons come back
@@ -204,36 +220,19 @@ func (a *Agent) serveChannelUpgrade(req *httpwire.Request) *httpwire.Response {
 		// exists to shed; refuse with the same retry-carrying answer a
 		// refused park gets, and the client degrades to long-poll.
 		a.channelFallbacks.Add(1)
-		resp := closeResponse(CloseOvercommitted)
-		resp.Header.Set(RetryAfterHeader, strconv.FormatInt(a.shedRetryAfter().Milliseconds(), 10))
-		return resp
+		return closeSignal{reason: CloseOvercommitted, retry: a.shedRetryAfter()}.response()
 	}
-	pid := pidFromRequest(req)
-	var ts int64
-	var deltaOK bool
-	for _, f := range httpwire.ParseForm(string(req.Body)) {
-		switch f.Name {
-		case "ts":
-			ts, _ = strconv.ParseInt(f.Value, 10, 64)
-		case "delta":
-			deltaOK = f.Value == "1"
-		case "pid":
-			if pid == "" {
-				pid = f.Value
-			}
-		}
-	}
-	p := a.participant(pid)
-	if p == nil {
-		return a.disconnectedResponse(pid)
+	f := parsePollForm(req)
+	if p, why := a.sessions.lookup(f.pid); p == nil {
+		return closeResponse(why)
 	}
 	resp := httpwire.NewResponse(101, "", nil)
 	resp.Header.Set("Upgrade", "rcb-channel/1")
 	resp.Header.Set("Connection", "Upgrade")
 	resp.Hijack = func(conn net.Conn, br *bufio.Reader) {
-		a.runChannel(httpwire.NewChannelConn(conn, br), pid, ts, deltaOK)
+		a.runChannel(httpwire.NewChannelConn(conn, br), f.pid, f.ts, f.deltaOK)
 	}
-	a.logf("rcb-agent: participant %s upgraded to persistent channel", pid)
+	a.logf("rcb-agent: participant %s upgraded to persistent channel", f.pid)
 	return resp
 }
 
@@ -302,7 +301,7 @@ func (a *Agent) channelFlush(ch *agentChannel) bool {
 			// Handover completed under us: tell the client where the session
 			// went over the live channel — the frame analogue of the MOVED
 			// response — so it rejoins the new agent directly.
-			cs := closeSignal{reason: CloseMoved, retry: a.movedRetryAfter(), relocate: a.relocatedTo}
+			cs := a.movedSignal()
 			a.smu.RUnlock()
 			a.channelFallbacks.Add(1)
 			a.writeClose(ch, cs)
@@ -320,11 +319,10 @@ func (a *Agent) channelFlush(ch *agentChannel) bool {
 			a.writeClose(ch, cs)
 			return false
 		}
-		p := a.participant(ch.pid)
+		p, why := a.sessions.lookup(ch.pid)
 		if p == nil {
-			reason := a.closeReasonFor(ch.pid)
 			a.smu.RUnlock()
-			a.writeClose(ch, closeSignal{reason: reason})
+			a.writeClose(ch, closeSignal{reason: why})
 			return false
 		}
 		out, err := a.deliver(p, base, ch.deltaOK && base > 0)
@@ -333,7 +331,7 @@ func (a *Agent) channelFlush(ch *agentChannel) bool {
 			a.logf("rcb-agent: channel %s content generation: %v", ch.pid, err)
 			// No hub wake here: it would land in this channel's own notify
 			// slot and spin the writer on a persistent error.
-			a.requeueOutbox(ch.pid, out.actions)
+			a.sessions.requeue(ch.pid, out.actions)
 			return true // possibly transient; wait for the next wake
 		}
 		if !out.hasNew {
@@ -348,7 +346,7 @@ func (a *Agent) channelFlush(ch *agentChannel) bool {
 			// outbox: put them back so the participant's recovery poll
 			// delivers them — channel failure may delay an action, never
 			// drop it.
-			a.requeueOutbox(ch.pid, out.actions)
+			a.sessions.requeue(ch.pid, out.actions)
 			a.hub.notifyPID(ch.pid)
 			return false
 		}
@@ -404,12 +402,11 @@ func (a *Agent) channelReader(ch *agentChannel) {
 	}
 }
 
-// channelActions merges one upstream action frame — the poll protocol's
-// step 1 (data merging) arriving on the channel. The replay filter runs
-// first, exactly as on the poll and /action paths, so the client's resend
-// of its outbox after a channel death stays exactly-once. The merged batch
-// is confirmed with a FrameActionAck carrying the highest CSeq seen, which
-// lets the client drop its outbox up to there.
+// channelActions merges one upstream action frame through merge, the same
+// step 1 the poll and /action paths run, so the client's resend of its
+// outbox after a channel death stays exactly-once. The merged batch is
+// confirmed with a FrameActionAck carrying merge's highest CSeq, which lets
+// the client drop its outbox up to there.
 func (a *Agent) channelActions(ch *agentChannel, payload string) {
 	a.smu.RLock()
 	if a.relocatedTo != "" {
@@ -420,30 +417,13 @@ func (a *Agent) channelActions(ch *agentChannel, payload string) {
 		ch.wake()
 		return
 	}
-	p := a.participant(ch.pid)
+	p, why := a.sessions.lookup(ch.pid)
 	if p == nil {
 		a.smu.RUnlock()
-		ch.requestClose(closeSignal{reason: a.closeReasonFor(ch.pid)})
+		ch.requestClose(closeSignal{reason: why})
 		return
 	}
-	actions, err := DecodeActions(payload)
-	if err != nil || len(actions) == 0 {
-		a.smu.RUnlock()
-		return // malformed upstream: drop the frame, keep the channel
-	}
-	var maxSeq int64
-	for _, act := range actions {
-		if act.CSeq > maxSeq {
-			maxSeq = act.CSeq
-		}
-	}
-	for _, act := range a.freshActions(actions) {
-		act.From = p.ID
-		a.handleAction(p.ID, act)
-	}
-	p.mu.Lock()
-	p.LastSeen = time.Now()
-	p.mu.Unlock()
+	_, maxSeq, _ := a.merge(p, payload) // a malformed frame is dropped; the channel stays
 	a.smu.RUnlock()
 	if maxSeq > 0 {
 		buf := strconv.AppendInt(make([]byte, 0, 20), maxSeq, 10)
@@ -464,34 +444,10 @@ func (a *Agent) channelAck(ch *agentChannel, ts int64) {
 		ch.wake()
 		return
 	}
-	if p := a.participant(ch.pid); p != nil {
+	if p, _ := a.sessions.lookup(ch.pid); p != nil {
 		p.mu.Lock()
 		p.LastDocTime = ts
 		p.LastSeen = time.Now()
 		p.mu.Unlock()
-	}
-}
-
-// requeueOutbox returns drained mirror actions to the front of a
-// participant's outbox after a failed channel delivery, so the recovery
-// path (fallback poll, reattached channel) still delivers them.
-func (a *Agent) requeueOutbox(pid string, actions []Action) {
-	if len(actions) == 0 {
-		return
-	}
-	p := a.participant(pid)
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	before := len(p.outbox)
-	p.outbox = append(append(make([]Action, 0, len(actions)+len(p.outbox)), actions...), p.outbox...)
-	if len(p.outbox) > maxOutbox {
-		p.outbox = p.outbox[len(p.outbox)-maxOutbox:]
-	}
-	after := len(p.outbox)
-	p.mu.Unlock()
-	if d := after - before; d != 0 {
-		a.outboxDepth.Add(int64(d))
 	}
 }

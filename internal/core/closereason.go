@@ -158,12 +158,7 @@ func CloseReasonOf(err error) CloseReason {
 	return CloseNone
 }
 
-// closeResponse builds a terminal response carrying reason in the wire
-// header. Responses are built per call (not shared) because callers may add
-// a retry-after hint.
+// closeResponse builds a terminal response carrying reason alone.
 func closeResponse(reason CloseReason) *httpwire.Response {
-	resp := httpwire.NewResponse(reason.StatusCode(), "text/plain",
-		[]byte("session closed: "+reason.String()+"\n"))
-	resp.Header.Set(CloseReasonHeader, reason.String())
-	return resp
+	return closeSignal{reason: reason}.response()
 }

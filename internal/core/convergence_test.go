@@ -58,7 +58,7 @@ type actionRecord struct {
 }
 
 // countingPolicy applies every action and counts how many times each action
-// key passed through Agent.handleAction — the exactly-once observable.
+// key passed through the policy in Agent.merge — the exactly-once observable.
 type countingPolicy struct {
 	mu   sync.Mutex
 	seen map[string]int
@@ -598,9 +598,9 @@ func channelDrained(a *Agent, pid string, s *Snippet) bool {
 	if ch == nil {
 		return true
 	}
-	if p := a.participant(pid); p != nil {
+	if p, _ := a.sessions.lookup(pid); p != nil {
 		p.mu.Lock()
-		queued := len(p.outbox)
+		queued := len(p.mirror.acts)
 		p.mu.Unlock()
 		if queued > 0 {
 			return false

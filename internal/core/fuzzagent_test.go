@@ -2,11 +2,12 @@ package core
 
 // Native fuzz targets for the agent's untrusted inputs beyond the delta
 // codec: the session state ImportState decodes (rcb-host -restore reads it
-// from disk, the handover receiver from the network) and the POST /poll
-// form a participant sends. Arbitrary input must produce an error or a
-// documented answer, never a panic. The seeds are added in code (the state
-// seed is a live export); crashers are checked in under testdata/fuzz/ and
-// replay on plain `go test`; `make fuzz` mutates the seeds.
+// from disk, the handover receiver from the network) and the form body a
+// participant sends to POST /poll, /action and /channel. Arbitrary input
+// must produce an error or a documented answer, never a panic. The seeds
+// are added in code (the state seed is a live export); crashers are checked
+// in under testdata/fuzz/ and replay on plain `go test`; `make fuzz`
+// mutates the seeds.
 
 import (
 	"errors"
@@ -110,20 +111,31 @@ func FuzzImportState(f *testing.F) {
 // fuzzPage is a few KB.
 const fuzzStateSizeCap = 1 << 16
 
-// pollStatuses are the statuses the agent documents for a POST /poll:
+// routeStatuses are the statuses the agent documents for the participant
+// routes a form body reaches, each with every close reason's status:
 // content or empty (200), a malformed action payload (400), a failed HMAC
-// (401), content generation failure (500), and every close reason's status.
-func pollStatuses() map[int]bool {
-	ok := map[int]bool{200: true, 400: true, 401: true, 500: true}
-	for r := range closeReasonNames {
-		ok[r.StatusCode()] = true
+// (401) and content generation failure (500) for a poll; the ack (200) and
+// the malformed or empty payload (400) for an action; the upgrade (101) for
+// a channel.
+func routeStatuses() map[string]map[int]bool {
+	routes := map[string]map[int]bool{
+		"/poll":    {200: true, 400: true, 401: true, 500: true},
+		"/action":  {200: true, 400: true, 401: true},
+		"/channel": {101: true, 401: true},
 	}
-	return ok
+	for _, ok := range routes {
+		for r := range closeReasonNames {
+			ok[r.StatusCode()] = true
+		}
+	}
+	return routes
 }
 
-// FuzzServePoll sends arbitrary POST /poll bodies from a joined participant
-// through ServeWireAsync with a short poll cap. Every request must be
-// answered exactly once with a documented status.
+// FuzzServePoll sends each arbitrary form body from a joined participant to
+// POST /poll through ServeWireAsync with a short poll cap, then to POST
+// /action and POST /channel (whose upgrade's Hijack is not run). Every
+// request must be answered exactly once with a status documented for its
+// route.
 func FuzzServePoll(f *testing.F) {
 	act := EncodeActions([]Action{{Kind: ActionClick, Target: "a", CID: "c", CSeq: 1}})
 	f.Add("ts=0")
@@ -133,7 +145,8 @@ func FuzzServePoll(f *testing.F) {
 	f.Add(httpwire.EncodeForm([]httpwire.FormField{{Name: "ts", Value: "0"}, {Name: "wait", Value: "100"}, {Name: "actions", Value: act}}))
 	f.Add("actions=%5Bnotjson&ts=x")
 	f.Add("pid=p9&ts=-1&delta=1&wait=1")
-	statuses := pollStatuses()
+	f.Add("actions=%5B%5D")
+	statuses := routeStatuses()
 
 	f.Fuzz(func(t *testing.T, body string) {
 		if len(body) > fuzzPollSizeCap {
@@ -143,27 +156,33 @@ func FuzzServePoll(f *testing.F) {
 		pid := wireJoin(t, a)
 		a.ServeWire(pollRequest(pid, "ts=0"))
 
-		var answers atomic.Int32
-		// Room for a second answer, so a double respond is counted, not
-		// blocked.
-		done := make(chan *httpwire.Response, 2)
-		a.ServeWireAsync(pollRequest(pid, body), func(resp *httpwire.Response) {
-			answers.Add(1)
-			done <- resp
-		})
-		select {
-		case resp := <-done:
-			if !statuses[resp.StatusCode] {
-				t.Fatalf("poll %q answered with undocumented status %d", body, resp.StatusCode)
+		var answers [3]atomic.Int32
+		for i, route := range []string{"/poll", "/action", "/channel"} {
+			// Room for a second answer, so a double respond is counted, not
+			// blocked.
+			done := make(chan *httpwire.Response, 2)
+			req := pollRequest(pid, body)
+			req.Target = route
+			a.ServeWireAsync(req, func(resp *httpwire.Response) {
+				answers[i].Add(1)
+				done <- resp
+			})
+			select {
+			case resp := <-done:
+				if !statuses[route][resp.StatusCode] {
+					t.Fatalf("%s %q answered with undocumented status %d", route, body, resp.StatusCode)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%s %q was never answered (MaxPollWait %v)", route, body, a.MaxPollWait)
 			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("poll %q was never answered (MaxPollWait %v)", body, a.MaxPollWait)
 		}
-		// Closing the hub answers anything still parked: a poll that was
+		// Closing the hub answers anything still parked: a request that was
 		// both answered and left parked would respond a second time here.
 		a.Close()
-		if n := answers.Load(); n != 1 {
-			t.Fatalf("poll %q answered %d times, want exactly once", body, n)
+		for i, route := range []string{"/poll", "/action", "/channel"} {
+			if n := answers[i].Load(); n != 1 {
+				t.Fatalf("%s %q answered %d times, want exactly once", route, body, n)
+			}
 		}
 	})
 }

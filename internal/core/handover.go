@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strconv"
 	"time"
 
 	"rcb/internal/httpwire"
@@ -35,9 +34,9 @@ import (
 // /state success); afterwards the receiver owns the session and the old
 // process must keep answering MOVED.
 
-// DefaultMovedRetryAfter is the retry hint attached to MOVED responses
-// when Agent.MovedRetryAfter is zero: short, because the new agent is
-// already serving and the snippet should follow promptly.
+// DefaultMovedRetryAfter is the retry hint attached to MOVED responses and
+// MOVED close frames: short, because the new agent is already serving and
+// the snippet should follow promptly.
 const DefaultMovedRetryAfter = 50 * time.Millisecond
 
 // handoverAttempts is how many times the sender retries each handshake
@@ -52,20 +51,10 @@ const handoverStepTimeout = 10 * time.Second
 // within their hang anyway, so this only guards a stuck hub.
 const quiesceTimeout = 5 * time.Second
 
-// movedResponse answers any request that reaches a relocated agent. Caller
-// holds at least the read side of smu.
-func (a *Agent) movedResponse() *httpwire.Response {
-	resp := closeResponse(CloseMoved)
-	resp.Header.Set(RelocateHeader, a.relocatedTo)
-	resp.Header.Set(RetryAfterHeader, strconv.FormatInt(a.movedRetryAfter().Milliseconds(), 10))
-	return resp
-}
-
-func (a *Agent) movedRetryAfter() time.Duration {
-	if a.MovedRetryAfter > 0 {
-		return a.MovedRetryAfter
-	}
-	return DefaultMovedRetryAfter
+// movedSignal is the close a relocated agent answers every request and
+// channel with. Caller holds at least the read side of smu.
+func (a *Agent) movedSignal() closeSignal {
+	return closeSignal{reason: CloseMoved, retry: DefaultMovedRetryAfter, relocate: a.relocatedTo}
 }
 
 // RelocatedTo reports the address this agent's session moved to ("" while

@@ -243,7 +243,7 @@ func (a *Agent) EvaluateLoad() ShedLevel {
 	// so they weigh on the same signal and the ladder sees channel pressure.
 	polls, chans := a.hub.counts()
 	parked := polls + chans
-	outbox := int(a.outboxDepth.Load())
+	outbox := int(a.OutboxDepth())
 	var heap uint64
 	if w.HeapHigh > 0 {
 		heap = a.heapInUse()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -55,6 +56,41 @@ func TestShedLadderClimbsAndRecovers(t *testing.T) {
 	ups, downs := w.agent.ShedTransitions()
 	if ups != 3 || downs != 3 {
 		t.Fatalf("transitions = %d up / %d down, want 3/3", ups, downs)
+	}
+}
+
+// TestShedLadderClimbsOnOutboxDepth drives the ladder with the outbox
+// signal alone: mirror actions queued for participants that have not polled
+// climb it, and once their polls drain the queues it recovers.
+func TestShedLadderClimbsOnOutboxDepth(t *testing.T) {
+	a := offlineAgent(t)
+	a.Shed = ShedWatermarks{OutboxHigh: 8, OutboxLow: 2}
+	alice, bob := wireJoin(t, a), wireJoin(t, a)
+	for i := 0; i < 5; i++ {
+		a.HostAction(Action{Kind: ActionMouseMove, X: i})
+	}
+	if got := a.OutboxDepth(); got != 10 {
+		t.Fatalf("OutboxDepth after 5 host moves to 2 participants = %d, want 10", got)
+	}
+	if lvl := a.EvaluateLoad(); lvl == ShedNone {
+		t.Fatal("outbox depth above OutboxHigh did not climb the ladder")
+	}
+	for _, pid := range []string{alice, bob} {
+		if resp := a.ServeWire(pollRequest(pid, "ts=0")); resp.StatusCode != 200 || !strings.Contains(string(resp.Body), "userActions") {
+			t.Fatalf("poll for %s: %d without its mirror actions", pid, resp.StatusCode)
+		}
+	}
+	if got := a.OutboxDepth(); got != 0 {
+		t.Fatalf("OutboxDepth after both polls drained = %d, want 0", got)
+	}
+	for i := 0; i < 3 && a.ShedLevel() > ShedNone; i++ {
+		a.EvaluateLoad()
+	}
+	if lvl := a.ShedLevel(); lvl != ShedNone {
+		t.Fatalf("ladder stuck at %v with the queues drained", lvl)
+	}
+	if ups, downs := a.ShedTransitions(); ups == 0 || downs != ups {
+		t.Fatalf("transitions = %d up / %d down, want a climb and a full recovery", ups, downs)
 	}
 }
 
@@ -243,7 +279,7 @@ func TestFreshActionsDoesNotMutateCaller(t *testing.T) {
 		{Kind: ActionMouseMove, X: 2, CID: "c", CSeq: 2},
 		{Kind: ActionMouseMove, X: 3, CID: "c", CSeq: 3},
 	}
-	if got := len(w.agent.freshActions(in)); got != 3 {
+	if got := len(w.agent.sessions.fresh(in)); got != 3 {
 		t.Fatalf("first pass survivors = %d, want 3", got)
 	}
 	// Replay 1 and 3 around a fresh 4: the duplicates are dropped, and the
@@ -254,7 +290,7 @@ func TestFreshActionsDoesNotMutateCaller(t *testing.T) {
 		{Kind: ActionMouseMove, X: 3, CID: "c", CSeq: 3},
 	}
 	want := append([]Action(nil), replay...)
-	out := w.agent.freshActions(replay)
+	out := w.agent.sessions.fresh(replay)
 	if len(out) != 1 || out[0].CSeq != 4 {
 		t.Fatalf("survivors = %+v, want just CSeq 4", out)
 	}
@@ -265,7 +301,7 @@ func TestFreshActionsDoesNotMutateCaller(t *testing.T) {
 	}
 	// All-fresh input is returned as-is without a copy — the fast path.
 	fresh := []Action{{Kind: ActionMouseMove, X: 5, CID: "c", CSeq: 5}}
-	if out := w.agent.freshActions(fresh); &out[0] != &fresh[0] {
+	if out := w.agent.sessions.fresh(fresh); &out[0] != &fresh[0] {
 		t.Fatal("all-fresh input was copied")
 	}
 }

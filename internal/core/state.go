@@ -3,8 +3,6 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
-	"time"
 
 	"rcb/internal/browser"
 	"rcb/internal/dom"
@@ -118,10 +116,6 @@ type ringSnapshot struct {
 func (a *Agent) ExportState() ([]byte, error) {
 	a.smu.Lock()
 	defer a.smu.Unlock()
-	return a.exportLocked()
-}
-
-func (a *Agent) exportLocked() ([]byte, error) {
 	st := &agentState{
 		Schema:           StateSchemaVersion,
 		Addr:             a.Addr,
@@ -153,50 +147,7 @@ func (a *Agent) exportLocked() ([]byte, error) {
 		}
 	}
 
-	a.pmu.RLock()
-	st.NextPID = a.nextPID
-	for _, p := range a.participants {
-		p.mu.Lock()
-		st.Participants = append(st.Participants, participantSnapshot{
-			ID:          p.ID,
-			CacheMode:   p.CacheMode,
-			LastDocTime: p.LastDocTime,
-			LastSeenMS:  p.LastSeen.UnixMilli(),
-			Polls:       p.Polls,
-			Outbox:      append([]Action(nil), p.outbox...),
-		})
-		p.mu.Unlock()
-	}
-	for _, pid := range a.closedOrder {
-		st.Closed = append(st.Closed, closedSnapshot{PID: pid, Reason: a.closedReasons[pid].String()})
-	}
-	a.pmu.RUnlock()
-	sort.Slice(st.Participants, func(i, j int) bool {
-		return st.Participants[i].ID < st.Participants[j].ID
-	})
-
-	a.dmu.Lock()
-	type dedupPair struct {
-		snap  dedupSnapshot
-		touch int64
-	}
-	pairs := make([]dedupPair, 0, len(a.dedup))
-	for cid, d := range a.dedup {
-		pairs = append(pairs, dedupPair{
-			snap: dedupSnapshot{
-				CID:    cid,
-				MaxSeq: d.maxSeq,
-				Recent: append([]int64(nil), d.order...),
-				SeenMS: d.seen.UnixMilli(),
-			},
-			touch: d.touch,
-		})
-	}
-	a.dmu.Unlock()
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].touch < pairs[j].touch })
-	for _, p := range pairs {
-		st.Dedup = append(st.Dedup, p.snap)
-	}
+	a.sessions.exportTo(st)
 
 	a.amu.Lock()
 	st.ActionSeq = a.actionSeq
@@ -226,12 +177,9 @@ func (a *Agent) ImportState(data []byte) error {
 	a.smu.Lock()
 	defer a.smu.Unlock()
 
-	a.pmu.Lock()
-	if len(a.participants) > 0 {
-		a.pmu.Unlock()
-		return fmt.Errorf("rcb-agent: refusing to import state over a live session (%d participants)", len(a.participants))
+	if n := a.sessions.count(); n > 0 {
+		return fmt.Errorf("rcb-agent: refusing to import state over a live session (%d participants)", n)
 	}
-	a.pmu.Unlock()
 
 	if st.SessionKey != "" {
 		a.Auth = NewAuthenticator(st.SessionKey)
@@ -243,49 +191,7 @@ func (a *Agent) ImportState(data []byte) error {
 	}
 	version := a.Browser.Version()
 
-	var outboxTotal int64
-	a.pmu.Lock()
-	a.nextPID = st.NextPID
-	a.participants = make(map[string]*participantState, len(st.Participants))
-	for _, ps := range st.Participants {
-		a.participants[ps.ID] = &participantState{
-			Participant: Participant{
-				ID:          ps.ID,
-				CacheMode:   ps.CacheMode,
-				LastDocTime: ps.LastDocTime,
-				LastSeen:    time.UnixMilli(ps.LastSeenMS),
-				Polls:       ps.Polls,
-			},
-			outbox: append([]Action(nil), ps.Outbox...),
-		}
-		outboxTotal += int64(len(ps.Outbox))
-	}
-	a.closedReasons = make(map[string]CloseReason, len(st.Closed))
-	a.closedOrder = a.closedOrder[:0]
-	for _, cs := range st.Closed {
-		a.closedOrder = append(a.closedOrder, cs.PID)
-		a.closedReasons[cs.PID] = ParseCloseReason(cs.Reason)
-	}
-	a.pmu.Unlock()
-	a.outboxDepth.Store(outboxTotal)
-
-	a.dmu.Lock()
-	a.dedup = make(map[string]*dedupState, len(st.Dedup))
-	for i, ds := range st.Dedup {
-		d := &dedupState{
-			maxSeq: ds.MaxSeq,
-			recent: make(map[int64]struct{}, len(ds.Recent)),
-			order:  append([]int64(nil), ds.Recent...),
-			touch:  int64(i + 1),
-			seen:   time.UnixMilli(ds.SeenMS),
-		}
-		for _, seq := range ds.Recent {
-			d.recent[seq] = struct{}{}
-		}
-		a.dedup[ds.CID] = d
-	}
-	a.dedupTick = int64(len(st.Dedup))
-	a.dmu.Unlock()
+	a.sessions.importFrom(&st)
 
 	a.amu.Lock()
 	a.actionSeq = st.ActionSeq

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"rcb/internal/browser"
 	"rcb/internal/httpwire"
@@ -295,37 +294,34 @@ func TestStaleCheckpointForcesResync(t *testing.T) {
 }
 
 // TestDedupTableBoundedUnderChurn simulates a month of participant churn
-// against the replay filter with an injected clock: transient clients come
-// and go every simulated hour while one long-lived client keeps acting. The
-// table must stay bounded, and the active client's stamps must survive the
-// whole month — its duplicates still filtered at the end.
+// against the replay filter, one round per hour: transient clients come and
+// go every round while one long-lived client keeps acting. The table must
+// stay bounded, and the active client's stamps must survive the whole month
+// — its duplicates still filtered at the end.
 func TestDedupTableBoundedUnderChurn(t *testing.T) {
 	w := newWorld(t, nil)
 	a := w.agent
-	now := time.Unix(1_700_000_000, 0)
-	a.dedupNow = func() time.Time { return now }
 
 	sticky := Action{Kind: ActionMouseMove, CID: "sticky", CSeq: 1}
-	if got := len(a.freshActions([]Action{sticky})); got != 1 {
+	if got := len(a.sessions.fresh([]Action{sticky})); got != 1 {
 		t.Fatalf("first sticky action filtered: %d survivors", got)
 	}
 
 	cseq := int64(1)
 	for hour := 0; hour < 24*30; hour++ {
-		now = now.Add(time.Hour)
 		// A burst of transient clients, never to be seen again.
 		var burst []Action
 		for i := 0; i < 3; i++ {
 			cseq++
 			burst = append(burst, Action{Kind: ActionMouseMove, CID: fmt.Sprintf("churn-h%d-%d", hour, i), CSeq: cseq})
 		}
-		if got := len(a.freshActions(burst)); got != 3 {
+		if got := len(a.sessions.fresh(burst)); got != 3 {
 			t.Fatalf("hour %d: fresh burst filtered: %d survivors, want 3", hour, got)
 		}
 		// The long-lived client acts once an hour, staying active.
 		cseq++
 		live := Action{Kind: ActionMouseMove, CID: "sticky", CSeq: cseq}
-		if got := len(a.freshActions([]Action{live})); got != 1 {
+		if got := len(a.sessions.fresh([]Action{live})); got != 1 {
 			t.Fatalf("hour %d: active client's fresh action filtered", hour)
 		}
 		if n := a.DedupClients(); n > maxDedupClients {
@@ -335,13 +331,13 @@ func TestDedupTableBoundedUnderChurn(t *testing.T) {
 
 	// A month later, a replay of the active client's very first action must
 	// still be recognized as a duplicate... (maxSeq window, not the FIFO)
-	if got := len(a.freshActions([]Action{sticky})); got != 0 {
+	if got := len(a.sessions.fresh([]Action{sticky})); got != 0 {
 		t.Fatal("active client's stamps were evicted during churn: old action replayed")
 	}
 	// ...while the long-departed transient clients have been evicted: their
 	// replays pass the filter again, the documented cost of bounding memory.
 	ghost := Action{Kind: ActionMouseMove, CID: "churn-h0-0", CSeq: 2}
-	if got := len(a.freshActions([]Action{ghost})); got != 1 {
+	if got := len(a.sessions.fresh([]Action{ghost})); got != 1 {
 		t.Fatal("hour-0 transient client still holds dedup state after a month; eviction never ran")
 	}
 	if n := a.DedupClients(); n > maxDedupClients {
