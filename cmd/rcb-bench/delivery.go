@@ -5,10 +5,10 @@ package main
 // writes a JSON snapshot (BENCH_delivery.json) demonstrating the long-poll
 // channel delivering host changes in transfer time instead of interval/2,
 // with idle traffic dropping to one request per hang. The snapshot also
-// carries the upstream (action → mirror apply) staleness column: piggyback
-// actions wait for the sender's request cycle — catastrophically so when
-// the sender's long-poll is parked — while the fire-and-forget /action push
-// delivers in transfer time.
+// carries the upstream (action → mirror apply) staleness column: an
+// interval-mode sender's actions wait for its next request cycle, while a
+// long-poll sender pipelines each action behind its parked poll and a
+// duplex sender frames it, both delivering in transfer time.
 
 import (
 	"encoding/json"
@@ -46,9 +46,9 @@ func writeDelivery(site, outPath string) error {
 	// The paper's interval (1s) against a long-poll hang comfortably past
 	// the change gap, so every change lands on a parked request. The
 	// downstream options of the first two runs match the PR 3 baseline, so
-	// those columns stay comparable; the piggyback long-poll run times
-	// fewer actions because each one deliberately waits out most of a 10s
-	// hang (the gap the push run closes).
+	// those columns stay comparable. A long-poll participant's actions go
+	// out at once, pipelined behind its parked poll, so its action column
+	// sits at transfer time like the channel's.
 	runs := []struct {
 		mode core.DeliveryMode
 		opt  experiment.DeliveryOptions
@@ -58,10 +58,7 @@ func writeDelivery(site, outPath string) error {
 			Actions: 3}},
 		{core.DeliveryLongPoll, experiment.DeliveryOptions{
 			Interval: time.Second, Wait: 10 * time.Second, Changes: 5, Gap: 100 * time.Millisecond, Idle: 2 * time.Second,
-			Actions: 2}},
-		{core.DeliveryLongPoll, experiment.DeliveryOptions{
-			Interval: time.Second, Wait: 10 * time.Second, Changes: 5, Gap: 100 * time.Millisecond, Idle: 2 * time.Second,
-			Actions: 5, ActionPush: true}},
+			Actions: 5}},
 		// The persistent channel: downstream and upstream ride one framed
 		// socket, so both staleness columns sit at transfer time and the idle
 		// window issues zero polling requests.

@@ -33,7 +33,6 @@ func main() {
 	longpoll := flag.Bool("longpoll", false, "use hanging-GET delivery: the agent parks each poll until content changes")
 	duplex := flag.Bool("duplex", false, "use the persistent full-duplex channel: one framed connection carries updates down and actions up (degrades to long-poll, then interval)")
 	wait := flag.Duration("wait", 0, "max hang per long-poll request (0 = library default)")
-	actionpush := flag.Bool("actionpush", false, "with -longpoll: POST actions to the agent the moment they occur instead of piggybacking them on the next poll")
 	fetch := flag.Bool("objects", true, "download supplementary objects")
 	flag.Parse()
 
@@ -47,17 +46,13 @@ func main() {
 	switch {
 	case *duplex:
 		snip.Delivery = core.DeliveryDuplex
-		snip.LongPollWait = *wait     // the long-poll fallback keeps its hang
-		snip.ActionPush = *actionpush // and its push lane, while degraded
+		snip.LongPollWait = *wait // the long-poll fallback keeps its hang
 		if *longpoll {
 			fmt.Fprintln(os.Stderr, "rcb-join: -duplex already falls back to long-poll; ignoring -longpoll")
 		}
 	case *longpoll:
 		snip.Delivery = core.DeliveryLongPoll
 		snip.LongPollWait = *wait
-		snip.ActionPush = *actionpush
-	case *actionpush:
-		fmt.Fprintln(os.Stderr, "rcb-join: -actionpush requires -longpoll or -duplex (interval mode keeps the paper's piggyback path); ignoring")
 	}
 	snip.OnUserAction = func(a core.Action) {
 		fmt.Printf("  mirror: %s\n", a)
@@ -73,8 +68,6 @@ func main() {
 	switch {
 	case *duplex:
 		fmt.Printf("joined %s; full-duplex channel (framed, both directions). Ctrl-C to leave.\n", *agentURL)
-	case *longpoll && snip.ActionPush:
-		fmt.Printf("joined %s; long-poll delivery + action push. Ctrl-C to leave.\n", *agentURL)
 	case *longpoll:
 		fmt.Printf("joined %s; long-poll delivery (hanging GET). Ctrl-C to leave.\n", *agentURL)
 	default:

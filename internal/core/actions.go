@@ -64,7 +64,7 @@ type Action struct {
 	// CID and CSeq identify the action for replay filtering: the snippet
 	// stamps each action with its client ID and a client-local sequence
 	// number, and the agent accepts each (CID, CSeq) pair once, so the
-	// at-least-once upstream (push fallback, poll retries, rejoins) is
+	// at-least-once upstream (rewinds, poll retries, rejoins) is
 	// exactly-once at the policy. Empty CID bypasses the filter.
 	CID  string `json:"cid,omitempty"`
 	CSeq int64  `json:"cseq,omitempty"`

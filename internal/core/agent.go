@@ -84,11 +84,6 @@ type Agent struct {
 	// cap answer immediately with a retry-after hint instead of parking.
 	// Zero means unlimited.
 	MaxParkedPolls int
-	// MaxParkAge, when positive, bounds one parked poll's hang below
-	// MaxPollWait; a poll that parks the full age without the participant
-	// ever being woken marks the reader stale and disconnects it with
-	// StaleReader.
-	MaxParkAge time.Duration
 	// Shed configures the load-shedding ladder (see ShedLevel); the zero
 	// value disables shedding.
 	Shed ShedWatermarks
@@ -148,10 +143,6 @@ type Agent struct {
 	// warming is set while a join's snapshot warm runs (warmSnapshot), so
 	// a burst of joins starts one.
 	warming atomic.Bool
-	// actionPushes counts accepted /action upstream requests — the
-	// observable the fallback tests key on (an interval-mode or degraded
-	// snippet must never advance it).
-	actionPushes atomic.Int64
 	// deltasServed counts polls answered with a deltaContent message.
 	deltasServed atomic.Int64
 
@@ -240,8 +231,7 @@ func (a *Agent) URL() string { return "http://" + a.Addr }
 // does — a new connection request (GET with root URI), an object request
 // (GET with a resource URI, cache mode), or an Ajax polling request (always
 // POST, so action data can be piggybacked) — plus two routes the paper does
-// not have: the fire-and-forget action upstream (POST /action), which
-// carries participant actions without waiting for the next poll cycle, and
+// not have: the persistent-channel upgrade (POST /channel, channel.go) and
 // the agent-to-agent handover handshake (POST /handover/*, handover.go).
 func (a *Agent) ServeWire(req *httpwire.Request) *httpwire.Response {
 	if req.Method == "POST" && strings.HasPrefix(req.Path(), "/handover/") {
@@ -264,8 +254,6 @@ func (a *Agent) ServeWire(req *httpwire.Request) *httpwire.Response {
 		return a.serveInitialPage(req)
 	case req.Method == "POST" && req.Path() == "/poll":
 		serve = (*Agent).servePoll
-	case req.Method == "POST" && req.Path() == "/action":
-		serve = (*Agent).serveAction
 	case req.Method == "POST" && req.Path() == "/channel":
 		serve = (*Agent).serveChannelUpgrade
 	case req.Method == "GET":
@@ -385,8 +373,7 @@ func (a *Agent) serveObject(req *httpwire.Request) *httpwire.Response {
 // blocking (see httpwire.AsyncHandler).
 func (a *Agent) ServeWireAsync(req *httpwire.Request, respond func(*httpwire.Response)) {
 	if req.Method != "POST" || req.Path() != "/poll" {
-		// Everything but a poll — including the /action upstream — answers
-		// inline: an action POST must acknowledge immediately, never park.
+		// Everything but a poll answers inline.
 		respond(a.ServeWire(req))
 		return
 	}
@@ -420,12 +407,6 @@ func (a *Agent) ServeWireAsync(req *httpwire.Request, respond func(*httpwire.Res
 		a.parkRefusals.Add(1)
 		wait = 0
 	}
-	// A slow-reader bound below the poll cap: the park completes early and
-	// marks the reader stale if nothing woke it by then.
-	staleOnTimeout := a.MaxParkAge > 0 && wait > a.MaxParkAge
-	if staleOnTimeout {
-		wait = a.MaxParkAge
-	}
 	pid := p.ID
 	for {
 		// Snapshot before the check: park refuses a stale snapshot, so an
@@ -440,7 +421,7 @@ func (a *Agent) ServeWireAsync(req *httpwire.Request, respond func(*httpwire.Res
 			respond(resp)
 			return
 		}
-		w := &pollWaiter{pid: pid, ts: ts, deltaOK: deltaOK, staleOnTimeout: staleOnTimeout}
+		w := &pollWaiter{pid: pid, ts: ts, deltaOK: deltaOK}
 		w.fulfill = func(reply *pollReply) { respond(a.wakePoll(w, reply)) }
 		parked, retry := a.hub.park(w, snap, wait)
 		if parked {
@@ -456,12 +437,17 @@ func (a *Agent) ServeWireAsync(req *httpwire.Request, respond func(*httpwire.Res
 	}
 }
 
-// wakePoll completes one parked long-poll after its hub wake-up: a timeout
-// or shutdown degrades to the §4.1.1 empty response; a real notification
-// re-runs the step 2/3 check and delivers whatever is current (the
-// re-check rides the single-flight guard, so N waiters waking on one
-// document change still cost exactly one BuildContent).
+// wakePoll completes one parked long-poll after its hub wake-up: a timeout,
+// supersede or shutdown degrades to the §4.1.1 empty response; a real
+// notification re-runs the step 2/3 check and delivers whatever is current
+// (the re-check rides the single-flight guard, so N waiters waking on one
+// document change still cost exactly one BuildContent). A supersede is
+// answered without the barrier: it runs inside the newer poll, which holds
+// it already.
 func (a *Agent) wakePoll(w *pollWaiter, reply *pollReply) *httpwire.Response {
+	if reply.superseded {
+		return emptyPollResponse
+	}
 	a.smu.RLock()
 	defer a.smu.RUnlock()
 	if a.relocatedTo != "" {
@@ -472,14 +458,6 @@ func (a *Agent) wakePoll(w *pollWaiter, reply *pollReply) *httpwire.Response {
 		return agentClosingPollResponse
 	}
 	if reply.timedOut {
-		if w.staleOnTimeout {
-			// The poll aged out below the normal cap (MaxParkAge): nothing
-			// woke this participant for the whole bound, so treat it as a
-			// reader too slow to keep pinning agent state.
-			a.staleKicks.Add(1)
-			a.DisconnectWith(w.pid, CloseStaleReader)
-			return closeResponse(CloseStaleReader)
-		}
 		return emptyPollResponse
 	}
 	p, why := a.sessions.lookup(w.pid)
@@ -505,32 +483,8 @@ func (a *Agent) servePoll(req *httpwire.Request) *httpwire.Response {
 	return resp
 }
 
-// serveAction answers a fire-and-forget action upstream request: the poll
-// protocol's step 1 (merge) on its own endpoint, so a participant action
-// reaches the host the moment it occurs instead of riding the next request
-// cycle — which matters most while the participant's poll is parked for
-// seconds. The resulting document mutation or broadcast wakes parked
-// long-polls through the hub, so mirrored participants and the host see
-// the action within one hang-wake. The response is an empty
-// acknowledgment; document content only ever travels on poll responses.
-func (a *Agent) serveAction(req *httpwire.Request) *httpwire.Response {
-	f := parsePollForm(req)
-	p, why := a.sessions.lookup(f.pid)
-	if p == nil {
-		return closeResponse(why)
-	}
-	if n, _, err := a.merge(p, f.actions); err != nil || n == 0 {
-		return badActionResponse
-	}
-	a.actionPushes.Add(1)
-	return actionAckResponse
-}
-
-// ActionPushes reports how many /action upstream requests were accepted.
-func (a *Agent) ActionPushes() int64 { return a.actionPushes.Load() }
-
-// pollForm is the form body of a participant request — a poll, an /action
-// upstream or a /channel upgrade; each route reads the fields it needs. pid
+// pollForm is the form body of a participant request — a poll or a
+// /channel upgrade; each route reads the fields it needs. pid
 // is the rcbpid cookie, else the first pid field; for every other field the
 // last occurrence wins.
 type pollForm struct {
@@ -565,9 +519,9 @@ func parsePollForm(req *httpwire.Request) pollForm {
 }
 
 // merge runs step 1 of §4.1.1, data merging, for one upstream batch from p
-// — piggybacked on a poll, posted to /action or framed on the channel. The
-// replay filter runs first, so a retried upstream (poll after a lost push,
-// rejoin re-send, channel resend) merges each action once; each survivor is
+// — piggybacked on a poll or framed on the channel. The replay filter runs
+// first, so a retried upstream (a poll replayed after a lost answer, rejoin
+// re-send, channel resend) merges each action once; each survivor is
 // sequenced and routed through the policy as p's: applied, queued for the
 // host's confirmation, or denied. It returns how many actions the batch
 // carried and their highest CSeq, duplicates included — a replayed batch
@@ -609,13 +563,16 @@ func (a *Agent) merge(p *participantState, payload string) (n int, maxSeq int64,
 // pollSetup parses a polling request and runs steps 1 and 2 of §4.1.1:
 // participant lookup, data merging, and timestamp bookkeeping. It returns
 // the participant and its form, whose wait is capped at MaxPollWait and
-// zeroed when the poll carried actions — or a non-nil error response.
+// zeroed when the poll carried actions — or a non-nil error response. The
+// participant's parked poll, if any, is answered first: a participant keeps
+// at most one, and its newest poll is the one that counts.
 func (a *Agent) pollSetup(req *httpwire.Request) (*participantState, pollForm, *httpwire.Response) {
 	f := parsePollForm(req)
 	p, why := a.sessions.lookup(f.pid)
 	if p == nil {
 		return nil, f, closeResponse(why)
 	}
+	a.hub.supersede(p.ID)
 	n, _, err := a.merge(p, f.actions)
 	if err != nil {
 		return nil, f, badActionResponse
@@ -748,8 +705,6 @@ var (
 	badActionResponse = httpwire.NewResponse(400, "text/plain", []byte("bad action payload\n"))
 	// badHMACResponse answers requests that fail §3.4 authentication.
 	badHMACResponse = httpwire.NewResponse(401, "text/plain", []byte("bad hmac\n"))
-	// actionAckResponse acknowledges an accepted /action upstream request.
-	actionAckResponse = httpwire.NewResponse(200, "application/xml", nil)
 )
 
 // pidFromRequest extracts the rcbpid cookie, scanning the header in place —
@@ -775,8 +730,9 @@ func (a *Agent) JoinRefusals() int64 { return a.joinRefusals.Load() }
 // parked-poll cap or the shed ladder.
 func (a *Agent) ParkRefusals() int64 { return a.parkRefusals.Load() }
 
-// StaleKicks reports participants disconnected as stale readers (park
-// age).
+// StaleKicks reports participants disconnected as stale readers. No path
+// disconnects a reader for staleness at present, so it reads 0; it is kept
+// for the callers that gate on it and for a dead-peer detector to advance.
 func (a *Agent) StaleKicks() int64 { return a.staleKicks.Load() }
 
 // ContentBuilds reports how many times the Figure 3 pipeline has executed —

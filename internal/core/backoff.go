@@ -6,7 +6,7 @@ import (
 )
 
 // Backoff is a capped exponential backoff with jitter, shared by the
-// snippet's poll, action-push, and join retry paths. Each Next() doubles
+// snippet's poll, channel re-upgrade, and join retry paths. Each Next() doubles
 // the delay up to Max and jitters it into [d/2, d] so a classroom of
 // snippets that lost the same agent does not reconnect in lockstep.
 //

@@ -183,19 +183,18 @@ func TestAgentCloseMarksAgentClosing(t *testing.T) {
 	}
 }
 
-// TestPushBackoffSuspendProbeAndReset checks the push suspension the
-// outbox derives against a genuinely flapping server: a failed push keeps
-// its action in the outbox, which suspends pushing; while suspended, later
-// actions skip the doomed round trip and wait behind it; a successful poll
-// carries the whole backlog in order and, by emptying the outbox, re-arms
-// the push. (The half-open probe of the stored circuit breaker is gone: an
-// action behind a failed push always waits for the poll.)
+// TestPushBackoffSuspendProbeAndReset checks the action-poll suspension
+// the outbox derives against a genuinely flapping server: a failed action
+// poll keeps its action in the outbox and holds further action polls back;
+// while held, later actions skip the doomed attempt and wait behind it; a
+// successful poll carries the whole backlog in order and re-arms the
+// action poll.
 func TestPushBackoffSuspendProbeAndReset(t *testing.T) {
 	w := newWorld(t, nil)
 	w.hostNavigate(t, "http://"+sites.Table1[1].Host()+"/")
 	s := w.join(t, "pusher.lan")
 	s.Delivery = DeliveryLongPoll
-	s.ActionPush = true
+	s.LongPollWait = time.Millisecond
 	s.RetryBase = 50 * time.Millisecond
 	s.RetryMax = time.Second
 	s.RetryRand = fullJitter
@@ -207,27 +206,26 @@ func TestPushBackoffSuspendProbeAndReset(t *testing.T) {
 	w.agent.Close()
 	w.server.Close()
 
-	s.PointerMove(1, 1) // push fails → the action stays in the outbox
-	st := s.Stats()
-	if st.ActionFallbacks != 1 || st.ActionsPushed != 0 {
-		t.Fatalf("after failed push: fallbacks=%d pushed=%d, want 1 and 0", st.ActionFallbacks, st.ActionsPushed)
+	s.PointerMove(1, 1) // the action poll fails → the action stays in the outbox
+	if _, err := s.PollOnce(); err == nil {
+		t.Fatal("poll against a closed server succeeded")
 	}
-	// While the failed push's action waits, later actions are not even
-	// attempted: the fallback count must not advance.
+	polls := s.Stats().Polls
+	// While the failed action waits, later actions are not even attempted.
 	s.PointerMove(2, 2)
 	s.PointerMove(3, 3)
-	if got := s.Stats().ActionFallbacks; got != 1 {
-		t.Fatalf("suspended push still paid a round trip (fallbacks=%d)", got)
+	if got := s.Stats().Polls; got != polls {
+		t.Fatalf("held-back dispatch still wrote %d action polls", got-polls)
 	}
 	s.mu.Lock()
 	queued := s.out.Len()
 	s.mu.Unlock()
 	if queued != 3 {
-		t.Fatalf("outbox holds %d actions while suspended, want 3", queued)
+		t.Fatalf("outbox holds %d actions while held back, want 3", queued)
 	}
 
 	// The server comes back; a successful poll carries the backlog and
-	// re-arms the push.
+	// re-arms the action poll.
 	l, err := w.corpus.Network.Listen(agentAddr)
 	if err != nil {
 		t.Fatal(err)
@@ -235,12 +233,12 @@ func TestPushBackoffSuspendProbeAndReset(t *testing.T) {
 	srv := &httpwire.Server{Handler: w.agent}
 	srv.Start(l)
 	t.Cleanup(srv.Close)
+	sent := s.Stats().ActionsSent
 	if _, err := s.PollOnce(); err != nil {
 		t.Fatal(err)
 	}
-	st = s.Stats()
-	if st.ActionsSent != 3 {
-		t.Fatalf("recovery poll piggybacked %d actions, want 3", st.ActionsSent)
+	if got := s.Stats().ActionsSent - sent; got != 3 {
+		t.Fatalf("recovery poll carried %d actions, want 3", got)
 	}
 	s.mu.Lock()
 	queued = s.out.Len()
@@ -248,10 +246,10 @@ func TestPushBackoffSuspendProbeAndReset(t *testing.T) {
 	if queued != 0 {
 		t.Fatalf("outbox holds %d actions after the 200, want 0", queued)
 	}
+	polls = s.Stats().Polls
 	s.PointerMove(4, 4)
-	st = s.Stats()
-	if st.ActionsPushed != 1 || st.ActionFallbacks != 1 {
-		t.Fatalf("after the poll: pushed=%d fallbacks=%d, want the push re-armed (1, 1)", st.ActionsPushed, st.ActionFallbacks)
+	if got := s.Stats().Polls; got != polls+1 {
+		t.Fatalf("after the poll: dispatch wrote %d action polls, want the action poll re-armed (1)", got-polls)
 	}
 }
 

@@ -1,7 +1,7 @@
 package core
 
 // The persistent full-duplex channel: one framed connection replacing the
-// long-poll/push-lane pair. A participant upgrades a normal HMAC-verified
+// long-poll request/response pair. A participant upgrades a normal HMAC-verified
 // POST /channel exchange into a frame stream (httpwire frame codec) and the
 // agent attaches the connection to the delivery hub as a persistent
 // subscriber, beside the parked polls: a build landing wakes the channel's
@@ -11,7 +11,7 @@ package core
 // channel's acked base picks its delta from the multi-version ring, so
 // channels at different bases share the per-(base, target) encoded bytes
 // rather than assuming one base. Upstream, the same socket carries action
-// frames and acks, retiring the separate /action lane while the channel is
+// frames and acks in place of action-carrying polls while the channel is
 // up.
 //
 // This file is the server half; the client half (DeliveryDuplex) lives in
@@ -36,7 +36,7 @@ const (
 	// FrameDelta carries a deltaContent XML message (server→client).
 	FrameDelta byte = 2
 	// FrameActions carries an EncodeActions payload (client→server) — the
-	// upstream that replaces both piggybacking and the /action lane.
+	// upstream that replaces action-carrying polls.
 	FrameActions byte = 3
 	// FrameAck acknowledges an applied docTime, decimal-encoded
 	// (client→server). An ack of 0 reports a failed apply: the client
@@ -403,7 +403,7 @@ func (a *Agent) channelReader(ch *agentChannel) {
 }
 
 // channelActions merges one upstream action frame through merge, the same
-// step 1 the poll and /action paths run, so the client's resend of its
+// step 1 the poll path runs, so the client's resend of its
 // outbox after a channel death stays exactly-once. The merged batch is
 // confirmed with a FrameActionAck carrying merge's highest CSeq, which lets
 // the client drop its outbox up to there.

@@ -9,7 +9,7 @@ package core
 // asserts the same three invariants as the fault-injection harness:
 // byte-identical convergence, exactly-once actions across the transfer, and
 // close-reason discipline. Handover scenarios race the handshake against
-// parked long-polls and in-flight action pushes; some additionally cut the
+// parked long-polls and in-flight action polls; some additionally cut the
 // participants off from the old agent with a one-directional netsim
 // Partition for the duration of the transfer.
 
@@ -164,7 +164,7 @@ func newDurabilityWorld(t *testing.T, seed int64) *durabilityWorld {
 		if rng.Intn(3) != 0 {
 			s.Delivery = DeliveryLongPoll
 			s.LongPollWait = 150 * time.Millisecond
-			s.ActionPush = rng.Intn(2) == 0
+			rng.Intn(2) // the draw that once chose the action lane; kept so each seed names the same scenario
 		}
 		s.DisableDelta = rng.Intn(3) == 0
 		var jerr error
@@ -206,7 +206,7 @@ func (d *durabilityWorld) mutate() {
 func (d *durabilityWorld) fireAction() {
 	d.token++
 	i := d.rng.Intn(len(d.snips))
-	d.snips[i].dispatch(Action{Kind: ActionMouseMove, X: d.token, Y: i})
+	d.snips[i].QueueAction(Action{Kind: ActionMouseMove, X: d.token, Y: i})
 	d.fired = append(d.fired, fmt.Sprintf("mm%d", d.token))
 }
 
@@ -250,8 +250,8 @@ func (d *durabilityWorld) finish(t *testing.T, extraChecks func()) {
 			for i, s := range d.snips {
 				if !bodyHas(s, marker) {
 					st := s.Stats()
-					lag = append(lag, fmt.Sprintf("p%d(delivery=%d push=%v rejoins=%d relocates=%d pollFailures=%d last=%s at=%s)",
-						i, s.Delivery, s.ActionPush, st.Rejoins, st.Relocates, st.PollFailures, st.LastCloseReason, s.CurrentAgentURL()))
+					lag = append(lag, fmt.Sprintf("p%d(delivery=%d rejoins=%d relocates=%d pollFailures=%d last=%s at=%s)",
+						i, s.Delivery, st.Rejoins, st.Relocates, st.PollFailures, st.LastCloseReason, s.CurrentAgentURL()))
 				}
 			}
 			for _, key := range d.fired {

@@ -16,7 +16,7 @@ package core
 //     whatever was dropped, reset, or restarted along the way.
 //  2. Exactly-once actions: every action fired during the chaos reaches the
 //     agent's policy pipeline exactly once — the at-least-once retry paths
-//     (push fallback, poll requeue, rejoin re-send) never lose an action and
+//     (rewind after a failed upstream, rejoin re-send) never lose an action and
 //     the (CID, CSeq) replay filter never double-applies one.
 //  3. Close-reason discipline: every terminal response a snippet observes
 //     carries a non-zero close reason; bare 4xx/5xx terminations are
@@ -196,7 +196,7 @@ func runChaosScenario(t *testing.T, seed int64) {
 		case 0, 1, 2:
 			s.Delivery = DeliveryLongPoll
 			s.LongPollWait = 150 * time.Millisecond
-			s.ActionPush = rng.Intn(2) == 0
+			rng.Intn(2) // the draw that once chose the action lane; kept so each seed names the same scenario
 		case 3, 4:
 			// Full-duplex channel participants: every fault severs or refuses
 			// the channel, so these exercise the whole degradation ladder —
@@ -204,7 +204,7 @@ func runChaosScenario(t *testing.T, seed int64) {
 			// outbox rewind when a write raced a reset.
 			s.Delivery = DeliveryDuplex
 			s.LongPollWait = 150 * time.Millisecond
-			s.ActionPush = rng.Intn(2) == 0
+			rng.Intn(2) // the draw that once chose the action lane; kept so each seed names the same scenario
 		}
 		s.DisableDelta = rng.Intn(3) == 0
 		// The initial join may ride a lossy link; retry briefly.
@@ -271,9 +271,9 @@ func runChaosScenario(t *testing.T, seed int64) {
 		token++
 		i := rng.Intn(n)
 		// Globally unique X per scenario → key "mm<token>" for the policy's
-		// exactly-once count. dispatch routes by the snippet's configuration:
-		// pushed upstream, or queued for the next poll.
-		snips[i].dispatch(Action{Kind: ActionMouseMove, X: token, Y: i})
+		// exactly-once count. QueueAction routes by the snippet's mode: a
+		// channel frame or an action poll at once, or the next poll.
+		snips[i].QueueAction(Action{Kind: ActionMouseMove, X: token, Y: i})
 		fired = append(fired, fmt.Sprintf("mm%d", token))
 	}
 
@@ -384,8 +384,8 @@ func runChaosScenario(t *testing.T, seed int64) {
 			for i, s := range snips {
 				if !bodyHas(s, marker) {
 					st := s.Stats()
-					lag = append(lag, fmt.Sprintf("p%d(delivery=%d push=%v rejoins=%d pollFailures=%d last=%s)",
-						i, s.Delivery, s.ActionPush, st.Rejoins, st.PollFailures, st.LastCloseReason))
+					lag = append(lag, fmt.Sprintf("p%d(delivery=%d rejoins=%d pollFailures=%d last=%s)",
+						i, s.Delivery, st.Rejoins, st.PollFailures, st.LastCloseReason))
 				}
 			}
 			for _, key := range fired {

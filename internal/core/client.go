@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -20,9 +21,7 @@ type SnippetStats struct {
 	ContentPolls     int64
 	DeltaPolls       int64         // content polls answered incrementally (deltaContent)
 	DeltaFailures    int64         // delta applies abandoned for a full resync
-	ActionsSent      int64         // actions piggybacked on polling requests
-	ActionsPushed    int64         // actions delivered through the /action upstream
-	ActionFallbacks  int64         // failed pushes: the action waits in the outbox for the next poll
+	ActionsSent      int64         // actions carried by polling requests
 	PollFailures     int64         // polls that returned an error (transport or terminal)
 	Rejoins          int64         // automatic rejoin-and-resync cycles completed
 	Relocates        int64         // rejoins that followed an Rcb-Relocate address
@@ -57,14 +56,15 @@ const (
 	// exists, and Run re-issues the next request immediately after a
 	// response arrives. Staleness drops to the transfer time; an idle
 	// session costs one request per LongPollWait instead of one per
-	// PollInterval. Action piggybacking and rewind-on-failure work
-	// exactly as in interval mode.
+	// PollInterval. An action does not wait for the park to end: it leaves
+	// at once as a poll that does not park, pipelined on the connection the
+	// parked poll holds, and the agent ends the park when it arrives.
 	DeliveryLongPoll
 	// DeliveryDuplex upgrades the exchange to a single framed full-duplex
 	// connection (POST /channel → 101): the agent pushes content and delta
 	// frames the instant a build lands, and the client sends action frames
-	// upstream on the same socket — no parked request, no separate action
-	// lane, one HMAC for the connection's lifetime. When the channel is
+	// upstream on the same socket — no parked request, one HMAC for the
+	// connection's lifetime. When the channel is
 	// refused or lost the client degrades to long-poll (and from there,
 	// under park denial, to interval pacing) and periodically re-attempts
 	// the upgrade — the full degradation ladder of README's delivery
@@ -111,17 +111,6 @@ type Client struct {
 	// zero means DefaultLongPollWait. The agent may cap it further
 	// (Agent.MaxPollWait). Ignored in interval mode.
 	LongPollWait time.Duration
-	// ActionPush enables the fire-and-forget action upstream in long-poll
-	// mode: an action generated while the outbox is empty is POSTed to the
-	// agent's /action endpoint at once, on its own connection lane, so it
-	// never waits behind a parked poll; the action entry points block for
-	// that round trip (bounded by actionPushTimeout). Actions behind an
-	// unconfirmed one — a failed push's included — wait for the next poll,
-	// so a dead agent costs one doomed round trip, not one per action.
-	// Interval-mode clients ignore the flag: their next request is at most
-	// one interval away. A push whose answer was lost is replayed by the
-	// next poll and dropped by the agent's (CID, CSeq) filter.
-	ActionPush bool
 	// DisableDelta stops the client from advertising deltaContent support:
 	// every content poll then carries the full Figure 4 snapshot, the
 	// paper's exact protocol. Benchmarks use it to compare the two paths.
@@ -169,6 +158,14 @@ type Client struct {
 	// failure.
 	out   Outbox
 	stats SnippetStats
+	// polls holds the polls written on the agent connection whose answers
+	// are not read yet, in write order; they are appended under sendMu and
+	// read by readPolls. actionPoll holds QueueAction back: the action poll
+	// it wrote is unanswered, or its write failed and no poll has been
+	// answered since — so a dead agent costs one doomed write, not one per
+	// action.
+	polls      []pendingPoll
+	actionPoll bool
 	// parkDenied records that the most recent poll asked the agent to park
 	// it and got an empty answer marked as a refusal (Rcb-Retry-After, or
 	// AGENT_CLOSING once Agent.Close retired the push channel), so Run must
@@ -184,11 +181,11 @@ type Client struct {
 	// rejoinNeeded is set when the agent terminated the session with a
 	// retryable close reason; Run re-joins and resyncs before polling on.
 	rejoinNeeded bool
-	// channel is the live duplex connection, nil when none is attached; it
-	// is published under both mu and sendMu. sendMu orders upstream channel
-	// writes: attach, dispatch and QueueAction take from the outbox and
-	// write under it, so frames leave in CSeq order and the agent's max-CSeq
-	// ack is exactly cumulative. The write itself never holds mu — the frame
+	// channel is the live duplex connection, nil when none is attached.
+	// sendMu orders upstream writes: QueueAction, channel attach and every
+	// poll take the outbox's whole unsent tail and write it under sendMu, so
+	// batches leave in CSeq order and the agent's max-CSeq ack is exactly
+	// cumulative. The write itself never holds mu — the frame
 	// reader needs mu to make progress, and the agent stops reading while its
 	// ack write to a stalled reader blocks.
 	channel *httpwire.ChannelConn
@@ -440,16 +437,17 @@ func refusal(op string, cs closeSignal, status int) error {
 		&CloseError{Reason: cs.reason, Status: status, Relocate: cs.relocate})
 }
 
-// QueueAction buffers an action for piggybacking on the next polling
-// request (paper §4.2.1: the POST method is used "so that action
-// information of a co-browsing participant can be directly piggybacked").
-// On a live duplex channel the next request is the channel itself, so the
-// action leaves at once, behind every earlier unconfirmed one.
+// QueueAction adds an action to the outbox, which every transport sends
+// from in CSeq order, and sends it at once where sendActions can; otherwise
+// it rides the next poll (paper §4.2.1: the POST method is used "so that
+// action information of a co-browsing participant can be directly
+// piggybacked"). Delivery is at-least-once on the wire and exactly-once in
+// effect through the agent's (CID, CSeq) replay filter.
 func (c *Client) QueueAction(act Action) {
 	c.mu.Lock()
 	c.outboxLocked().Add(act)
 	c.mu.Unlock()
-	c.sendChannel()
+	c.sendActions()
 }
 
 // clientSeq distinguishes auto-generated client IDs within a process.
@@ -483,85 +481,6 @@ func (c *Client) backoffsLocked() (poll, join *Backoff) {
 		c.duplexBackoff = newBackoff(base, c.RetryMax, c.RetryRand)
 	}
 	return c.pollBackoff, c.joinBackoff
-}
-
-// actionLane is the client connection lane action pushes travel on — its
-// own persistent connection, so a push never queues behind a polling
-// exchange the agent has parked.
-const actionLane = "action"
-
-// actionPushTimeout bounds the /action round trip: the endpoint answers
-// immediately by design, so anything slower than this is a dead or
-// unreachable agent and the action must wait in the outbox for a poll.
-const actionPushTimeout = 5 * time.Second
-
-// dispatch routes one locally generated user action upstream. It joins the
-// outbox first, so every path sends from the same ordered buffer: a live
-// duplex channel writes the unsent tail at once; otherwise, with ActionPush
-// on in a hanging mode and nothing older unconfirmed, the action is POSTed
-// to /action, and a failure rewinds the outbox so it waits for the next
-// poll with everything after it; otherwise it waits for the next poll.
-// Delivery is at-least-once on the wire and exactly-once in effect through
-// the agent's (CID, CSeq) replay filter.
-func (c *Client) dispatch(act Action) {
-	c.mu.Lock()
-	out := c.outboxLocked()
-	push := c.channel == nil && out.Len() == 0 &&
-		c.ActionPush && c.Delivery != DeliveryInterval
-	out.Add(act)
-	var batch []Action
-	if push {
-		batch = out.Take()
-	}
-	c.mu.Unlock()
-	if !push {
-		c.sendChannel()
-		return
-	}
-	err := c.PushAction(batch[0])
-	c.mu.Lock()
-	if err == nil {
-		c.out.AckBatch(batch)
-		c.mu.Unlock()
-		return
-	}
-	c.out.Rewind()
-	c.stats.ActionFallbacks++
-	if reason := CloseReasonOf(err); reason != CloseNone {
-		c.stats.LastCloseReason = reason
-	}
-	c.mu.Unlock()
-	// A channel that attached during the push has already carried the
-	// action once; resend after the rewind so nothing waits on a live
-	// channel for a dispatch that may never come.
-	c.sendChannel()
-}
-
-// PushAction sends one action to the agent's /action endpoint and waits for
-// the acknowledgment. The exchange rides the dedicated action lane, so it
-// proceeds even while this client's polling request is parked server-side.
-// It bypasses the outbox: callers wanting the automatic piggyback fallback
-// should go through the action entry points (ClickElement, PointerMove,
-// ...) instead.
-func (c *Client) PushAction(act Action) error {
-	addr, err := c.agentAddr()
-	if err != nil {
-		return err
-	}
-	req := c.request("/action", []httpwire.FormField{
-		{Name: "actions", Value: EncodeActions([]Action{act})},
-	})
-	resp, err := c.http.DoLane(addr, actionLane, req, actionPushTimeout)
-	if err != nil {
-		return fmt.Errorf("rcb-snippet: action push: %w", err)
-	}
-	if resp.StatusCode != 200 {
-		return refusal("action push", headerCloseSignal(resp.Header), resp.StatusCode)
-	}
-	c.mu.Lock()
-	c.stats.ActionsPushed++
-	c.mu.Unlock()
-	return nil
 }
 
 // request builds a form POST to target: signed when the session has a key,
@@ -607,7 +526,7 @@ func (c *Client) agentURLLocked() string {
 }
 
 // agentAddr resolves and returns the agent dial address, shared by the
-// polling, channel and action-push paths. The result is cached per agent
+// polling and channel paths. The result is cached per agent
 // URL and recomputed when a relocation changes it.
 func (c *Client) agentAddr() (string, error) {
 	c.mu.Lock()
@@ -645,22 +564,82 @@ func (c *Client) longPollWait() time.Duration {
 // Figure 5. It reports whether new document content was applied. In
 // long-poll mode the request asks the agent to park it (wait field), so the
 // call may block for up to LongPollWait before returning an empty result.
-// Every poll carries a read deadline longPollReadSlack past the hang it
-// asked for, so a silent agent can strand neither a parked nor an interval
-// poll.
+// Every answer on the connection is read and applied in write order: first
+// those of action polls QueueAction wrote since the last call, then this
+// poll's, then those of action polls written while it was parked. Every
+// poll carries a read deadline longPollReadSlack past the hang it asked
+// for, so a silent agent can strand neither a parked nor an interval poll.
 func (c *Client) PollOnce() (updated bool, err error) {
-	addr, err := c.agentAddr()
-	if err != nil {
-		return false, err
-	}
 	c.mu.Lock()
-	ts := c.docTime
-	actions := c.out.Take()
-	c.stats.Polls++
-	c.stats.ActionsSent += int64(len(actions))
 	c.parkDenied = false
 	c.agentClosing = false
 	c.retryAfter = 0
+	c.mu.Unlock()
+	if updated, err = c.readPolls(); err != nil {
+		return updated, err
+	}
+	c.sendMu.Lock()
+	err = c.writePoll(false)
+	c.sendMu.Unlock()
+	if err != nil {
+		return updated, err
+	}
+	u, err := c.readPolls()
+	return updated || u, err
+}
+
+// pendingPoll is one poll written whose answer is not read yet.
+type pendingPoll struct {
+	x      *httpwire.Exchange
+	ts     int64
+	wait   time.Duration
+	batch  []Action
+	action bool // written by QueueAction
+}
+
+// sendActions sends the outbox's unsent tail at once: as an ACTIONS frame
+// on a live channel, or in long-poll mode (and duplex falling back to it)
+// as an action poll — one that does not park, written on the connection the
+// parked poll holds. No action poll goes out in interval mode, before a
+// join, while a rejoin is due, or while actionPoll holds it back.
+func (c *Client) sendActions() {
+	c.sendMu.Lock()
+	defer c.sendMu.Unlock()
+	c.mu.Lock()
+	if ch := c.channel; ch != nil {
+		batch := c.out.Take()
+		c.mu.Unlock()
+		c.writeActions(ch, batch)
+		return
+	}
+	hanging := c.Delivery == DeliveryLongPoll ||
+		c.Delivery == DeliveryDuplex && c.duplexUntil.After(time.Now())
+	poll := hanging && c.joined && !c.rejoinNeeded && !c.actionPoll
+	c.mu.Unlock()
+	if poll {
+		_ = c.writePoll(true)
+	}
+}
+
+// writePoll writes the outbox's unsent tail, with the acknowledged ts, as
+// one poll whose answer readPolls reads; without actions it asks for the
+// long-poll hang. An action poll with an empty tail writes nothing. The
+// caller holds sendMu.
+func (c *Client) writePoll(action bool) error {
+	addr, err := c.agentAddr()
+	if err != nil {
+		return err
+	}
+	c.mu.Lock()
+	ts := c.docTime
+	batch := c.out.Take()
+	if action && len(batch) == 0 {
+		c.mu.Unlock()
+		return nil
+	}
+	c.stats.Polls++
+	c.stats.ActionsSent += int64(len(batch))
+	c.actionPoll = c.actionPoll || action
 	c.mu.Unlock()
 
 	fields := []httpwire.FormField{{Name: "ts", Value: strconv.FormatInt(ts, 10)}}
@@ -669,11 +648,9 @@ func (c *Client) PollOnce() (updated bool, err error) {
 		// decides per response whether a delta is available and worthwhile.
 		fields = append(fields, httpwire.FormField{Name: "delta", Value: "1"})
 	}
-	if len(actions) > 0 {
-		fields = append(fields, httpwire.FormField{Name: "actions", Value: EncodeActions(actions)})
-	}
 	wait := c.longPollWait()
-	if len(actions) > 0 {
+	if len(batch) > 0 {
+		fields = append(fields, httpwire.FormField{Name: "actions", Value: EncodeActions(batch)})
 		// An action-carrying request never parks: the agent merges actions
 		// before deciding to park, so a parked exchange that later fails
 		// (server shutdown, dropped link, tripped read deadline) would
@@ -686,7 +663,43 @@ func (c *Client) PollOnce() (updated bool, err error) {
 	if wait > 0 {
 		fields = append(fields, httpwire.FormField{Name: "wait", Value: strconv.FormatInt(wait.Milliseconds(), 10)})
 	}
-	resp, err := c.http.DoTimeout(addr, c.request("/poll", fields), wait+longPollReadSlack)
+	x, err := c.http.Send(addr, c.request("/poll", fields))
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err != nil {
+		c.out.Rewind()
+		c.stats.PollFailures++
+		return fmt.Errorf("rcb-snippet: poll: %w", err)
+	}
+	c.polls = append(c.polls, pendingPoll{x: x, ts: ts, wait: wait, batch: batch, action: action})
+	return nil
+}
+
+// readPolls reads and applies the answer of every poll written so far, in
+// write order, including polls written while it runs, and reports whether
+// any installed a document. It returns the first failure; every failed
+// poll rewinds the outbox.
+func (c *Client) readPolls() (updated bool, err error) {
+	for {
+		c.mu.Lock()
+		if len(c.polls) == 0 {
+			c.mu.Unlock()
+			return updated, err
+		}
+		p := c.polls[0]
+		c.polls = slices.Delete(c.polls, 0, 1)
+		c.mu.Unlock()
+		u, perr := c.answer(p)
+		updated = updated || u
+		if err == nil {
+			err = perr
+		}
+	}
+}
+
+// answer reads one poll's answer and handles it.
+func (c *Client) answer(p pendingPoll) (bool, error) {
+	resp, err := p.x.Read(p.wait + longPollReadSlack)
 	if err != nil || resp.StatusCode != 200 {
 		// A failed poll rewinds the outbox so interaction is not lost on a
 		// transient drop. Replays of actions the agent did merge before the
@@ -705,7 +718,10 @@ func (c *Client) PollOnce() (updated bool, err error) {
 	}
 	// A 200 means the agent merged the form's actions before answering.
 	c.mu.Lock()
-	c.out.AckBatch(actions)
+	c.out.AckBatch(p.batch)
+	if c.actionPoll && !slices.ContainsFunc(c.polls, func(q pendingPoll) bool { return q.action }) {
+		c.actionPoll = false
+	}
 	c.mu.Unlock()
 	// "If RCB-Agent indicates no new content with an empty response
 	// content, Ajax-Snippet simply ... send[s] a new polling request after a
@@ -714,40 +730,49 @@ func (c *Client) PollOnce() (updated bool, err error) {
 		// An empty answer refuses the park only when the agent marks it:
 		// every deliberate refusal carries Rcb-Retry-After (shed ladder,
 		// parked-poll cap) or AGENT_CLOSING (hub closed). An unmarked one
-		// is a hang that timed out, or a spurious wake — a poll that parked
-		// at a version whose change notification was still on its way —
-		// and either way the right move is to park again at once; how fast
-		// it arrived says nothing.
+		// is a hang that timed out, a park a newer poll superseded, or a
+		// spurious wake — a poll that parked at a version whose change
+		// notification was still on its way — and either way the right
+		// move is to park again at once; how fast it arrived says nothing.
 		cs := headerCloseSignal(resp.Header)
 		closing := cs.reason == CloseAgentClosing
 		c.mu.Lock()
 		c.stats.EmptyPolls++
-		c.parkDenied = wait > 0 && (closing || cs.retry > 0)
-		c.agentClosing = closing
+		c.parkDenied = c.parkDenied || p.wait > 0 && (closing || cs.retry > 0)
+		c.agentClosing = c.agentClosing || closing
 		if closing {
 			c.stats.LastCloseReason = CloseAgentClosing
 		}
-		c.retryAfter = cs.retry
+		c.retryAfter = max(c.retryAfter, cs.retry)
 		c.mu.Unlock()
 		return false, nil
 	}
-	return c.content(resp.Body, ts)
+	return c.content(resp.Body, p.ts)
 }
 
 // content handles one message — a poll answer's body or a channel frame's
-// payload — and reports whether the document advanced. The client reads
-// the header itself: a message without a document only mirrors actions, so
-// its docTime (the client's own ts echoed) is not adopted; and a delta must
-// patch exactly the docTime ts the client acknowledged, the multi-version
-// ring's contract, so one that does not still mirrors its actions but
-// installs nothing. Any failure — codec error, base mismatch, patch that
-// does not resolve — forgets the acknowledged docTime, so the next exchange
-// fetches a full snapshot: the replica can render stale for one round trip
-// but can never stay diverged.
+// payload, answering a request that acknowledged ts — and reports whether
+// the document advanced. The client reads the header itself: a message
+// without a document only mirrors actions, so its docTime (the client's own
+// ts echoed) is not adopted; and a delta must patch exactly the docTime ts
+// the client acknowledged, the multi-version ring's contract, so one that
+// does not still mirrors its actions but installs nothing. When the client
+// no longer holds ts — an earlier answer on the pipelined connection
+// installed a newer document, or a failure reset it — the message installs
+// only if it is a full snapshot newer than what the client holds, and is
+// otherwise mirror-only, with no error. Any failure — codec error, base
+// mismatch, patch that does not resolve — forgets the acknowledged docTime,
+// so the next exchange fetches a full snapshot: the replica can render
+// stale for one round trip but can never stay diverged.
 func (c *Client) content(body []byte, ts int64) (bool, error) {
 	m, err := readMsgHeader(body)
 	if err == nil {
 		mismatch := m.delta && m.base != ts
+		held := c.DocTime()
+		if held != ts {
+			m.hasDoc = m.hasDoc && !m.delta && m.docTime > held
+			mismatch = false
+		}
 		if mismatch {
 			m.hasDoc = false
 		}

@@ -167,6 +167,17 @@ func TestSnippetAndDocTimeClientWireIdentical(t *testing.T) {
 			if err := httpwire.WriteRequest(&ref, req); err != nil {
 				t.Fatal(err)
 			}
+			if tc.actions > 0 && tc.mode == DeliveryLongPoll {
+				// The actions left at once on a poll of their own; PollOnce
+				// then parks with the plain long-poll request.
+				req.Body = []byte(httpwire.EncodeForm([]httpwire.FormField{
+					{Name: "ts", Value: strconv.FormatInt(tc.ts, 10)},
+					{Name: "wait", Value: "2000"},
+				}))
+				if err := httpwire.WriteRequest(&ref, req); err != nil {
+					t.Fatal(err)
+				}
+			}
 			if want != ref.String() {
 				t.Fatalf("docTime client poll:\n got %q\nwant %q", want, ref.String())
 			}

@@ -5,11 +5,11 @@ package core
 // multi-client testing (PAPERS.md) is the only trustworthy evidence for
 // convergence under concurrent operation streams, and PR 4 only had it for
 // the DOM layer. Each scenario here drives one host plus 2–8 participants in
-// mixed delivery modes (interval, long-poll, long-poll + action push, delta
-// on and off) through a seeded random interleaving of host mutations,
-// participant actions, disconnect/rejoin churn, forced delta desyncs, and
-// real park/wake cycles, then asserts the two invariants everything else
-// rests on:
+// mixed delivery modes (interval, long-poll, duplex, delta on and off)
+// through a seeded random interleaving of host mutations, participant
+// actions, disconnect/rejoin churn, forced delta desyncs, and real
+// park/wake cycles, then asserts the two invariants everything else rests
+// on:
 //
 //  1. Convergence: after a drain, every still-connected participant's DOM
 //     serializes byte-identically to a freshly joined reference participant
@@ -17,9 +17,10 @@ package core
 //     mode, desync, or interleaving may leave a replica diverged.
 //  2. Exactly-once actions: every action fired by a never-disconnected
 //     participant is processed by the agent's policy pipeline exactly once
-//     (no loss when pushes degrade, no duplication between the /action
-//     upstream and the piggyback path), and every mirrored pointer action
-//     reaches every other stable participant exactly once.
+//     (no loss when an upstream fails, no duplication between an action
+//     poll, a channel frame and the resend after a rewind), and every
+//     mirrored pointer action reaches every other stable participant
+//     exactly once.
 //
 // Scenarios are deterministic per seed; the suite runs >500 of them, split
 // across parallel shards that each own an isolated virtual network.
@@ -206,12 +207,12 @@ func runConvergenceScenario(t *testing.T, corpus *sites.Corpus, idx int) {
 			// synchronous scenario driver still exercises park/timeout
 			// machinery without stalling.
 			snip.LongPollWait = time.Millisecond
-			snip.ActionPush = rng.Intn(2) == 0
+			rng.Intn(2) // the draw that once chose the action lane; kept so each seed names the same scenario
 		case 2:
 			snip.Delivery = DeliveryDuplex
 			snip.LongPollWait = time.Millisecond
 			snip.PollInterval = 5 * time.Millisecond
-			snip.ActionPush = rng.Intn(2) == 0
+			rng.Intn(2) // the draw that once chose the action lane; kept so each seed names the same scenario
 		}
 		snip.DisableDelta = rng.Intn(3) == 0
 		snip.OnUserAction = p.onAction
@@ -340,13 +341,13 @@ func runConvergenceScenario(t *testing.T, corpus *sites.Corpus, idx int) {
 			}
 			if path != "" {
 				val := fmt.Sprintf("conv%d-t%d", idx, token)
-				p.snip.dispatch(Action{Kind: ActionFormInput, Target: path, Value: val})
+				p.snip.QueueAction(Action{Kind: ActionFormInput, Target: path, Value: val})
 				fired = append(fired, actionRecord{key: val, sender: i})
 				return
 			}
 		}
 		x := token
-		p.snip.dispatch(Action{Kind: ActionMouseMove, X: x, Y: i})
+		p.snip.QueueAction(Action{Kind: ActionMouseMove, X: x, Y: i})
 		fired = append(fired, actionRecord{key: fmt.Sprintf("mm%d", x), sender: i, mirror: true})
 	}
 
@@ -522,8 +523,8 @@ func runConvergenceScenario(t *testing.T, corpus *sites.Corpus, idx int) {
 			got = docHTML(t, p.browser)
 		}
 		if got != want {
-			fail("participant %d (%s, delivery=%d delta=%v push=%v churn=%v) diverged:\n got: %s\nwant: %s",
-				i, p.pid, p.snip.Delivery, !p.snip.DisableDelta, p.snip.ActionPush, p.churn, got, want)
+			fail("participant %d (%s, delivery=%d delta=%v churn=%v) diverged:\n got: %s\nwant: %s",
+				i, p.pid, p.snip.Delivery, !p.snip.DisableDelta, p.churn, got, want)
 		}
 	}
 

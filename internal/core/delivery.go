@@ -32,17 +32,14 @@ import (
 // pollWaiter is one parked polling request: the participant it belongs to,
 // the timestamp it reported, and the responder that completes the hanging
 // HTTP exchange. Ownership of the response is decided by hub-map presence:
-// whoever removes the waiter from the hub (notify, timeout, or close) must
-// respond, and nobody else may.
+// whoever removes the waiter from the hub (notify, timeout, supersede, or
+// close) must respond, and nobody else may.
 type pollWaiter struct {
 	pid     string
 	ts      int64
 	deltaOK bool // the parked request opted into deltaContent responses
-	// staleOnTimeout marks a park bounded by Agent.MaxParkAge: a timeout
-	// means the reader aged out and is disconnected as StaleReader.
-	staleOnTimeout bool
-	fulfill        func(reply *pollReply)
-	timer          *time.Timer
+	fulfill func(reply *pollReply)
+	timer   *time.Timer
 }
 
 // pollReply tells a woken waiter why it woke, so the fulfiller can choose
@@ -50,6 +47,9 @@ type pollWaiter struct {
 type pollReply struct {
 	timedOut bool
 	closed   bool
+	// superseded: a newer poll from the same participant arrived, and this
+	// one ends with the plain empty response — no content check, no drain.
+	superseded bool
 }
 
 // hubSnapshot is the pair of notification counters a poll observed before
@@ -70,8 +70,9 @@ type deliveryHub struct {
 	// kept after disconnect (a few bytes per participant ever seen) so a
 	// racing park cannot mistake a reset counter for "no event".
 	pidSeqs map[string]uint64
-	parked  map[string][]*pollWaiter
-	count   int
+	// parked holds the parked polls, at most one per participant: a newer
+	// poll supersedes the older (supersede, park).
+	parked map[string]*pollWaiter
 	// chans holds the attached persistent channels, at most one per
 	// participant.
 	chans map[string]*agentChannel
@@ -97,7 +98,7 @@ type deliveryHub struct {
 func newDeliveryHub() *deliveryHub {
 	return &deliveryHub{
 		pidSeqs: make(map[string]uint64),
-		parked:  make(map[string][]*pollWaiter),
+		parked:  make(map[string]*pollWaiter),
 		chans:   make(map[string]*agentChannel),
 	}
 }
@@ -113,7 +114,8 @@ func (h *deliveryHub) snapshot(pid string) hubSnapshot {
 // (parked, retry): (true, _) means w is registered and its owner will
 // respond later; (false, true) means an event slipped in and the caller
 // must re-run its content check; (false, false) means the hub is closed and
-// the caller should answer immediately, interval-style.
+// the caller should answer immediately, interval-style. A poll of the same
+// participant still parked — one that raced past supersede — is superseded.
 func (h *deliveryHub) park(w *pollWaiter, snap hubSnapshot, maxWait time.Duration) (parked, retry bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -123,8 +125,10 @@ func (h *deliveryHub) park(w *pollWaiter, snap hubSnapshot, maxWait time.Duratio
 	if h.global != snap.global || h.pidSeqs[w.pid] != snap.pid {
 		return false, true
 	}
-	h.parked[w.pid] = append(h.parked[w.pid], w)
-	h.count++
+	if old := h.takeLocked(w.pid); old != nil {
+		go old.fulfill(&pollReply{superseded: true})
+	}
+	h.parked[w.pid] = w
 	// The timeout path claims the waiter through the same remove() token
 	// as every other wake, so a racing notify and timer fire resolve to
 	// exactly one response. AfterFunc's callback cannot run before this
@@ -143,22 +147,38 @@ func (h *deliveryHub) park(w *pollWaiter, snap hubSnapshot, maxWait time.Duratio
 func (h *deliveryHub) remove(w *pollWaiter) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	list := h.parked[w.pid]
-	for i, x := range list {
-		if x != w {
-			continue
-		}
-		list[i] = list[len(list)-1]
-		list[len(list)-1] = nil
-		if len(list) == 1 {
-			delete(h.parked, w.pid)
-		} else {
-			h.parked[w.pid] = list[:len(list)-1]
-		}
-		h.count--
-		return true
+	if h.parked[w.pid] != w {
+		return false
 	}
-	return false
+	delete(h.parked, w.pid)
+	return true
+}
+
+// supersede answers pid's parked poll, if any, with the plain empty
+// response: a newer poll from the participant has arrived, on the same
+// connection (a pipelined action poll, which must not wait out the hang
+// before its own answer can go out) or on another (the old one is a ghost).
+// The answer runs no content check and drains no mirror queue; the newer
+// poll carries whatever there is. fulfill must not block: the caller may
+// hold the serve/state barrier.
+func (h *deliveryHub) supersede(pid string) {
+	h.mu.Lock()
+	w := h.takeLocked(pid)
+	h.mu.Unlock()
+	if w != nil {
+		w.fulfill(&pollReply{superseded: true})
+	}
+}
+
+// takeLocked unregisters pid's parked poll, if any, and stops its timeout;
+// the caller owns its answer. Callers hold h.mu.
+func (h *deliveryHub) takeLocked(pid string) *pollWaiter {
+	w := h.parked[pid]
+	if w != nil {
+		delete(h.parked, pid)
+		w.timer.Stop()
+	}
+	return w
 }
 
 // attach installs ch as its participant's channel. A newer upgrade replaces
@@ -187,7 +207,7 @@ func (h *deliveryHub) detach(ch *agentChannel) {
 func (h *deliveryHub) counts() (polls, channels int) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.count, len(h.chans)
+	return len(h.parked), len(h.chans)
 }
 
 // notifyAll wakes every subscriber — a new document version exists (or is
@@ -282,7 +302,7 @@ func (h *deliveryHub) wakeChans() {
 // collectAllLocked starts a wake round: when any poll is parked, it counts
 // the fan-out and takes the round's subscribers. Callers hold h.mu.
 func (h *deliveryHub) collectAllLocked() ([]*pollWaiter, []*agentChannel) {
-	if h.count == 0 {
+	if len(h.parked) == 0 {
 		return nil, nil
 	}
 	h.fanouts++
@@ -292,11 +312,10 @@ func (h *deliveryHub) collectAllLocked() ([]*pollWaiter, []*agentChannel) {
 // takeAllLocked detaches every parked poll and lists the attached
 // channels, which stay attached. Callers hold h.mu.
 func (h *deliveryHub) takeAllLocked() (woken []*pollWaiter, chans []*agentChannel) {
-	for pid, list := range h.parked {
-		woken = append(woken, list...)
+	for pid, w := range h.parked {
+		woken = append(woken, w)
 		delete(h.parked, pid)
 	}
-	h.count = 0
 	chans = make([]*agentChannel, 0, len(h.chans))
 	for _, ch := range h.chans {
 		chans = append(chans, ch)
@@ -315,23 +334,20 @@ func (h *deliveryHub) wakeFanouts() int64 {
 // landed in its outbox.
 func (h *deliveryHub) notifyPID(pid string) { h.wakePID(pid, nil) }
 
-// disconnect tells pid's subscribers it was removed: its parked polls are
-// answered (their re-check finds the participant gone and carries the
+// disconnect tells pid's subscribers it was removed: its parked poll is
+// answered (its re-check finds the participant gone and carries the
 // remembered reason) and its channel is closed with cs.
 func (h *deliveryHub) disconnect(pid string, cs closeSignal) { h.wakePID(pid, &cs) }
 
-// wakePID answers pid's parked polls and nudges its channel: a plain wake
+// wakePID answers pid's parked poll and nudges its channel: a plain wake
 // when cs is nil, an orderly close with cs otherwise.
 func (h *deliveryHub) wakePID(pid string, cs *closeSignal) {
 	h.mu.Lock()
 	h.pidSeqs[pid]++
-	list := h.parked[pid]
-	delete(h.parked, pid)
-	h.count -= len(list)
+	w := h.takeLocked(pid)
 	ch := h.chans[pid]
 	h.mu.Unlock()
-	for _, w := range list {
-		w.timer.Stop()
+	if w != nil {
 		go w.fulfill(&pollReply{})
 	}
 	switch {

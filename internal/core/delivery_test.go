@@ -2,12 +2,14 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"rcb/internal/dom"
+	"rcb/internal/httpwire"
 	"rcb/internal/sites"
 )
 
@@ -293,9 +295,9 @@ func TestActionCarryingLongPollNeverParks(t *testing.T) {
 	w.hostNavigate(t, "http://"+sites.Table1[1].Host()+"/")
 	s := longPollJoin(t, w, "mover.lan", 10*time.Second)
 
-	s.PointerMove(3, 4)
+	s.PointerMove(3, 4) // written at once as an action poll
 	start := time.Now()
-	if _, err := s.PollOnce(); err != nil {
+	if _, err := s.readPolls(); err != nil {
 		t.Fatal(err)
 	}
 	if took := time.Since(start); took > 2*time.Second {
@@ -544,5 +546,57 @@ func TestIntervalPollUnaffectedByHub(t *testing.T) {
 	}
 	if got := w.agent.ParkedPolls(); got != 0 {
 		t.Fatalf("interval poll parked (%d waiters)", got)
+	}
+}
+
+// TestGhostPollIsSuperseded: a participant that polls again on a second
+// connection while its first poll is parked keeps one parked poll — the
+// newer — and the first is answered at once with the plain empty response.
+// The ghost does not count toward the shed ladder's parked signal either.
+func TestGhostPollIsSuperseded(t *testing.T) {
+	w := newWorld(t, func(a *Agent) { a.Shed = ShedWatermarks{ParkedHigh: 2} })
+	w.hostNavigate(t, "http://"+sites.Table1[1].Host()+"/")
+	s := longPollJoin(t, w, "ghost.lan", 10*time.Second)
+
+	first := make(chan error, 1)
+	go func() {
+		updated, err := s.PollOnce()
+		if err == nil && updated {
+			err = fmt.Errorf("superseded poll delivered content")
+		}
+		first <- err
+	}()
+	waitParked(t, w.agent, 1)
+
+	hc := httpwire.NewClient(w.corpus.Network.Dialer("ghost2.lan"))
+	defer hc.Close()
+	second := make(chan error, 1)
+	go func() {
+		req := s.request("/poll", []httpwire.FormField{
+			{Name: "ts", Value: strconv.FormatInt(s.DocTime(), 10)},
+			{Name: "wait", Value: "10000"},
+		})
+		_, err := hc.DoTimeout(agentAddr, req, 15*time.Second)
+		second <- err
+	}()
+	select {
+	case err := <-first:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the first poll stayed parked after its participant polled again")
+	}
+	waitParked(t, w.agent, 1)
+	time.Sleep(20 * time.Millisecond)
+	if got := w.agent.ParkedPolls(); got != 1 {
+		t.Fatalf("ParkedPolls = %d, want 1 (the newer poll only)", got)
+	}
+	if lvl := w.agent.EvaluateLoad(); lvl != ShedNone {
+		t.Fatalf("shed ladder climbed to %v on a ghost poll", lvl)
+	}
+	w.agent.Close()
+	if err := <-second; err != nil {
+		t.Fatal(err)
 	}
 }

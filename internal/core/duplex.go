@@ -68,26 +68,11 @@ func (c *Client) duplexDelay() time.Duration {
 	return c.retryAfter
 }
 
-// sendChannel writes the outbox's unsent tail to the live channel, if one
-// is attached, as one ACTIONS frame. Taking and writing both happen under
-// sendMu, so frames leave in CSeq order. A failed write closes the channel:
-// the read loop then ends and teardown rewinds the outbox, so the actions
-// ride the fallback poll or the next channel — at-least-once on the wire,
-// exactly-once in effect through the agent's (CID, CSeq) filter.
-func (c *Client) sendChannel() {
-	c.sendMu.Lock()
-	defer c.sendMu.Unlock()
-	c.mu.Lock()
-	ch := c.channel
-	var batch []Action
-	if ch != nil {
-		batch = c.out.Take()
-	}
-	c.mu.Unlock()
-	c.writeActions(ch, batch)
-}
-
-// writeActions sends one ACTIONS frame; the caller holds sendMu.
+// writeActions sends one ACTIONS frame; the caller holds sendMu. A failed
+// write closes the channel: the read loop then ends and teardown rewinds
+// the outbox, so the actions ride the fallback poll or the next channel —
+// at-least-once on the wire, exactly-once in effect through the agent's
+// (CID, CSeq) filter.
 func (c *Client) writeActions(ch *httpwire.ChannelConn, batch []Action) {
 	if len(batch) == 0 {
 		return
@@ -112,6 +97,12 @@ func (c *Client) writeActions(ch *httpwire.ChannelConn, batch []Action) {
 // them cumulatively, and teardown rewinds whatever is still unconfirmed
 // for the next transport.
 func (c *Client) DuplexOnce(stop <-chan struct{}) error {
+	// Answers still owed to action polls of the long-poll fallback come
+	// first: the channel resends every unconfirmed action anyway, but their
+	// mirrored actions must not wait for the next fallback.
+	if _, err := c.readPolls(); err != nil {
+		return err
+	}
 	addr, err := c.agentAddr()
 	if err != nil {
 		return err
@@ -129,22 +120,19 @@ func (c *Client) DuplexOnce(stop <-chan struct{}) error {
 		return c.channelEnded("channel upgrade", headerCloseSignal(resp.Header), resp.StatusCode)
 	}
 
-	// Channel up: publish it as the dispatch target and send every
-	// unconfirmed action in one frame, both under sendMu, so no dispatch can
-	// put a newer CSeq on the wire ahead of the backlog.
-	c.sendMu.Lock()
+	// Channel up: publish it as QueueAction's target and send every
+	// unconfirmed action in one frame. Each send takes the whole unsent
+	// tail under sendMu, so the backlog leaves ahead of any newer CSeq.
 	c.mu.Lock()
 	c.channel = ch
 	c.out.Rewind()
-	backlog := c.out.Take()
 	c.stats.DuplexUpgrades++
 	c.backoffsLocked()
 	c.duplexBackoff.Reset()
 	c.parkDenied = false
 	c.retryAfter = 0
 	c.mu.Unlock()
-	c.writeActions(ch, backlog)
-	c.sendMu.Unlock()
+	c.sendActions()
 
 	// Keepalive and stop handling share a goroutine: pings flow while the
 	// session lives; a stop closes the channel out from under the read

@@ -3,8 +3,9 @@ package core
 // Native fuzz targets for the agent's untrusted inputs beyond the delta
 // codec: the session state ImportState decodes (rcb-host -restore reads it
 // from disk, the handover receiver from the network) and the form body a
-// participant sends to POST /poll, /action and /channel. Arbitrary input
-// must produce an error or a documented answer, never a panic. The seeds
+// participant sends to POST /poll and /channel (and to the retired /action
+// route, which must answer 405). Arbitrary input must produce an error or a
+// documented answer, never a panic. The seeds
 // are added in code (the state seed is a live export); crashers are checked
 // in under testdata/fuzz/ and replay on plain `go test`; `make fuzz`
 // mutates the seeds.
@@ -114,13 +115,12 @@ const fuzzStateSizeCap = 1 << 16
 // routeStatuses are the statuses the agent documents for the participant
 // routes a form body reaches, each with every close reason's status:
 // content or empty (200), a malformed action payload (400), a failed HMAC
-// (401) and content generation failure (500) for a poll; the ack (200) and
-// the malformed or empty payload (400) for an action; the upgrade (101) for
-// a channel.
+// (401) and content generation failure (500) for a poll; the upgrade (101)
+// for a channel; and 405 for /action, a route the agent no longer has.
 func routeStatuses() map[string]map[int]bool {
 	routes := map[string]map[int]bool{
 		"/poll":    {200: true, 400: true, 401: true, 500: true},
-		"/action":  {200: true, 400: true, 401: true},
+		"/action":  {405: true},
 		"/channel": {101: true, 401: true},
 	}
 	for _, ok := range routes {

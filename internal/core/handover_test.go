@@ -91,19 +91,18 @@ func TestLiveHandoverEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// An action whose ack is "lost": pushed to the old agent, then replayed
+	// An action whose ack is "lost": posted to the old agent, then replayed
 	// on the piggyback path after the session has moved. The imported
 	// (CID, CSeq) stamps must collapse the duplicate on the new agent.
-	alice.ActionPush = true
 	act := Action{Kind: ActionMouseMove, X: 9, Y: 9}
 	alice.mu.Lock()
 	alice.outboxLocked().stamp(&act)
 	alice.mu.Unlock()
-	if err := alice.PushAction(act); err != nil {
+	if err := postActions(alice, act); err != nil {
 		t.Fatal(err)
 	}
 	if got := decisions.Load(); got != 1 {
-		t.Fatalf("pre-handover push reached the policy %d times, want 1", got)
+		t.Fatalf("pre-handover post reached the policy %d times, want 1", got)
 	}
 
 	rcv := newReceiver(t, w, "host2.lan", handoverKey, func(a *Agent) { a.Policy = policy })

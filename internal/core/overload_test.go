@@ -368,40 +368,8 @@ func TestMaxParkedPollsCap(t *testing.T) {
 	}
 }
 
-// TestMaxParkAgeKicksStaleReader checks the parked-poll age bound: a poll
-// that parks the full MaxParkAge without any wake is completed with
-// STALE_READER and the participant is disconnected — retryable, so the
-// snippet marks itself for rejoin.
-func TestMaxParkAgeKicksStaleReader(t *testing.T) {
-	w := newWorld(t, func(a *Agent) { a.MaxParkAge = 100 * time.Millisecond })
-	w.hostNavigate(t, "http://"+sites.Table1[1].Host()+"/")
-	s := longPollJoin(t, w, "aged.lan", 10*time.Second)
-
-	start := time.Now()
-	_, err := s.PollOnce()
-	took := time.Since(start)
-	if err == nil {
-		t.Fatal("aged-out park returned no error")
-	}
-	if got := CloseReasonOf(err); got != CloseStaleReader {
-		t.Fatalf("aged-out park reason = %v (%v), want STALE_READER", got, err)
-	}
-	if took >= 5*time.Second {
-		t.Fatalf("park aged out at %v, want ~MaxParkAge", took)
-	}
-	if got := w.agent.StaleKicks(); got != 1 {
-		t.Fatalf("StaleKicks = %d, want 1", got)
-	}
-	if len(w.agent.Participants()) != 0 {
-		t.Fatal("stale reader not disconnected")
-	}
-	if !s.RejoinNeeded() {
-		t.Fatal("retryable STALE_READER did not mark the snippet for rejoin")
-	}
-}
-
 // TestDuplicateActionsFiltered checks the (CID, CSeq) replay filter: the
-// same stamped action arriving twice — the push-then-piggyback replay the
+// same stamped action arriving twice — the replay after a lost answer the
 // at-least-once upstream produces — reaches the policy exactly once.
 func TestDuplicateActionsFiltered(t *testing.T) {
 	var decisions atomic.Int64
@@ -413,20 +381,18 @@ func TestDuplicateActionsFiltered(t *testing.T) {
 	})
 	w.hostNavigate(t, "http://"+sites.Table1[1].Host()+"/")
 	s := longPollJoin(t, w, "dup.lan", 0)
-	s.ActionPush = true
-	s.Delivery = DeliveryLongPoll
 
 	act := Action{Kind: ActionMouseMove, X: 9, Y: 9}
 	s.mu.Lock()
 	s.outboxLocked().stamp(&act)
 	s.mu.Unlock()
-	if err := s.PushAction(act); err != nil {
+	if err := postActions(s, act); err != nil {
 		t.Fatal(err)
 	}
-	// The ack was "lost": the snippet replays the same stamped action on the
-	// piggyback path.
+	// The ack was "lost": the snippet replays the same stamped action, as a
+	// poll of its own.
 	s.QueueAction(act)
-	if _, err := s.PollOnce(); err != nil {
+	if _, err := s.readPolls(); err != nil {
 		t.Fatal(err)
 	}
 	if got := decisions.Load(); got != 1 {
@@ -437,10 +403,10 @@ func TestDuplicateActionsFiltered(t *testing.T) {
 	}
 	// Unstamped actions (foreign clients) bypass the filter entirely.
 	bare := Action{Kind: ActionMouseMove, X: 1, Y: 2}
-	if err := s.PushAction(bare); err != nil {
+	if err := postActions(s, bare); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PushAction(bare); err != nil {
+	if err := postActions(s, bare); err != nil {
 		t.Fatal(err)
 	}
 	if got := decisions.Load(); got != 3 {

@@ -176,14 +176,15 @@ func (s *Snippet) reset() {
 // ClickElement dispatches a click action for the element with the given
 // data-rcb path in the participant's current document — what the rewritten
 // onclick handler does in a real browser. Like every action entry point it
-// goes through dispatch: written to a live channel or pushed upstream
-// immediately when it can be, piggybacked on the next poll otherwise.
+// goes through QueueAction: sent at once on a live channel or as a
+// pipelined action poll when it can be, piggybacked on the next poll
+// otherwise.
 func (s *Snippet) ClickElement(domID string) error {
 	path, err := s.rcbPathOf(domID, "")
 	if err != nil {
 		return err
 	}
-	s.dispatch(Action{Kind: ActionClick, Target: path})
+	s.QueueAction(Action{Kind: ActionClick, Target: path})
 	return nil
 }
 
@@ -195,7 +196,7 @@ func (s *Snippet) SubmitFormByID(domID string, fields []httpwire.FormField) erro
 	if err != nil {
 		return err
 	}
-	s.dispatch(Action{Kind: ActionFormSubmit, Target: path, Fields: fields})
+	s.QueueAction(Action{Kind: ActionFormSubmit, Target: path, Fields: fields})
 	return nil
 }
 
@@ -206,13 +207,13 @@ func (s *Snippet) InputField(domID, value string) error {
 	if err != nil {
 		return err
 	}
-	s.dispatch(Action{Kind: ActionFormInput, Target: path, Value: value})
+	s.QueueAction(Action{Kind: ActionFormInput, Target: path, Value: value})
 	return nil
 }
 
 // PointerMove dispatches a pointer-mirroring action.
 func (s *Snippet) PointerMove(x, y int) {
-	s.dispatch(Action{Kind: ActionMouseMove, X: x, Y: y})
+	s.QueueAction(Action{Kind: ActionMouseMove, X: x, Y: y})
 }
 
 // rcbPathOf finds an element by DOM id and returns its data-rcb path.

@@ -45,12 +45,12 @@ func populateSession(t *testing.T, w *world) (alice, bob *Snippet) {
 
 	// A mirrored pointer action: stamped by alice, applied by the policy,
 	// delivered to alice (her next poll) but still parked in bob's outbox.
-	alice.dispatch(Action{Kind: ActionMouseMove, X: 41, Y: 2})
+	alice.QueueAction(Action{Kind: ActionMouseMove, X: 41, Y: 2})
 	if _, err := alice.PollOnce(); err != nil {
 		t.Fatal(err)
 	}
 	// A queued confirmation, stamped with bob's CID.
-	bob.dispatch(Action{Kind: ActionFormInput, Target: "t1", Value: "draft"})
+	bob.QueueAction(Action{Kind: ActionFormInput, Target: "t1", Value: "draft"})
 	if _, err := bob.PollOnce(); err != nil {
 		t.Fatal(err)
 	}
@@ -100,11 +100,11 @@ func TestStateRoundTripByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	alice.dispatch(Action{Kind: ActionMouseMove, X: 41, Y: 2})
+	alice.QueueAction(Action{Kind: ActionMouseMove, X: 41, Y: 2})
 	if _, err := alice.PollOnce(); err != nil {
 		t.Fatal(err)
 	}
-	bob.dispatch(Action{Kind: ActionFormInput, Target: "t1", Value: "draft"})
+	bob.QueueAction(Action{Kind: ActionFormInput, Target: "t1", Value: "draft"})
 	if _, err := bob.PollOnce(); err != nil {
 		t.Fatal(err)
 	}

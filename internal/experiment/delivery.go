@@ -11,10 +11,10 @@ package experiment
 //
 // The run also measures the upstream direction: a participant fires pointer
 // actions and a second (mirror) participant times how long each takes to
-// arrive. Piggyback upstream waits for the sender's next request cycle —
-// interval/2 on average in interval mode, and up to the full remaining hang
-// when the sender's long-poll is parked — while the fire-and-forget action
-// push (Snippet.ActionPush) delivers in transfer time.
+// arrive. Interval-mode upstream waits for the sender's next request cycle
+// — interval/2 on average — while a long-poll sender writes each action at
+// once as a poll pipelined behind its parked one, and a duplex sender as a
+// channel frame: both deliver in transfer time.
 
 import (
 	"fmt"
@@ -56,10 +56,8 @@ type DeliveryResult struct {
 	// hanging request per max-hang, or a ping/pong frame pair per channel
 	// keep-alive.
 	IdleBytes int64 `json:"idle_bytes"`
-	// ActionPush records whether the acting participant used the
-	// fire-and-forget /action upstream; Actions counts measured actions and
-	// Mean/MaxActionStaleness the action-fired-to-mirror-applied latency.
-	ActionPush          bool          `json:"action_push"`
+	// Actions counts measured actions and Mean/MaxActionStaleness the
+	// action-fired-to-mirror-applied latency.
 	Actions             int           `json:"actions"`
 	MeanActionStaleness time.Duration `json:"mean_action_staleness_ns"`
 	MaxActionStaleness  time.Duration `json:"max_action_staleness_ns"`
@@ -86,9 +84,6 @@ type DeliveryOptions struct {
 	// joins and this many pointer actions are timed from fire to mirror
 	// apply.
 	Actions int
-	// ActionPush puts the acting participant on the fire-and-forget /action
-	// upstream (long-poll mode only; interval mode ignores it by design).
-	ActionPush bool
 }
 
 // MeasureDelivery runs one co-browsing session over the virtual network in
@@ -148,7 +143,6 @@ func MeasureDelivery(spec sites.SiteSpec, mode core.DeliveryMode, opt DeliveryOp
 	snip.PollInterval = opt.Interval
 	snip.Delivery = mode
 	snip.LongPollWait = opt.Wait
-	snip.ActionPush = opt.ActionPush
 	if err := snip.Join(); err != nil {
 		return nil, err
 	}
@@ -195,9 +189,6 @@ func MeasureDelivery(spec sites.SiteSpec, mode core.DeliveryMode, opt DeliveryOp
 	switch mode {
 	case core.DeliveryLongPoll:
 		label = "longpoll"
-		if opt.ActionPush {
-			label = "longpoll+push"
-		}
 	case core.DeliveryDuplex:
 		label = "duplex"
 	}
@@ -207,7 +198,6 @@ func MeasureDelivery(spec sites.SiteSpec, mode core.DeliveryMode, opt DeliveryOp
 		Wait:       opt.Wait,
 		Changes:    opt.Changes,
 		IdleWindow: opt.Idle,
-		ActionPush: opt.ActionPush,
 		Actions:    opt.Actions,
 	}
 	// settle waits for every long-poll participant to re-park (so the next
@@ -262,10 +252,7 @@ func MeasureDelivery(spec sites.SiteSpec, mode core.DeliveryMode, opt DeliveryOp
 		x := 1<<20 + i // out of the way of any page coordinate
 		t0 := time.Now()
 		snip.PointerMove(x, 0)
-		// Piggyback upstream may wait out the sender's whole remaining hang
-		// before the action even leaves the participant.
-		deadline := opt.Wait + 30*time.Second
-		err := waitCond(deadline, func() bool {
+		err := waitCond(30*time.Second, func() bool {
 			amu.Lock()
 			_, ok := arrivals[x]
 			amu.Unlock()

@@ -118,10 +118,10 @@ func TestMeasureDeliveryDuplex(t *testing.T) {
 }
 
 // TestMeasureDeliveryActionStaleness runs the upstream half of the ablation
-// at a compressed scale: with the fire-and-forget /action push, an action
-// reaches the mirror in transfer time; over the piggyback path it waits for
-// the sender's request cycle — the full remaining hang when the sender's
-// long-poll is parked.
+// at a compressed scale: a plain long-poll sender (no option set) writes
+// each action at once, pipelined behind its parked poll, and the agent ends
+// the park when the action poll arrives — so an action reaches the mirror
+// in transfer time, not after the sender's hang.
 func TestMeasureDeliveryActionStaleness(t *testing.T) {
 	spec, ok := sites.SiteByName("google.com")
 	if !ok {
@@ -129,38 +129,26 @@ func TestMeasureDeliveryActionStaleness(t *testing.T) {
 	}
 	const wait = 600 * time.Millisecond
 
-	pushRes, err := MeasureDelivery(spec, core.DeliveryLongPoll, DeliveryOptions{
-		Interval:   150 * time.Millisecond,
-		Wait:       wait,
-		Gap:        20 * time.Millisecond,
-		Actions:    3,
-		ActionPush: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	piggyRes, err := MeasureDelivery(spec, core.DeliveryLongPoll, DeliveryOptions{
+	res, err := MeasureDelivery(spec, core.DeliveryLongPoll, DeliveryOptions{
 		Interval: 150 * time.Millisecond,
 		Wait:     wait,
 		Gap:      20 * time.Millisecond,
-		Actions:  2,
+		Actions:  3,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("push:      mean=%v max=%v", pushRes.MeanActionStaleness, pushRes.MaxActionStaleness)
-	t.Logf("piggyback: mean=%v max=%v", piggyRes.MeanActionStaleness, piggyRes.MaxActionStaleness)
+	t.Logf("long-poll action staleness: mean=%v max=%v", res.MeanActionStaleness, res.MaxActionStaleness)
 
-	// Pushed actions never wait for the hang; even under parallel test load
-	// they must land well under half the hang.
-	if pushRes.MeanActionStaleness >= wait/2 {
-		t.Errorf("pushed action staleness %v is not under half the hang (%v)", pushRes.MeanActionStaleness, wait/2)
+	// Actions never wait for the hang; even under parallel test load they
+	// must land well under half of it.
+	if res.Actions != 3 || res.MeanActionStaleness <= 0 {
+		t.Fatalf("run measured %d actions (mean %v)", res.Actions, res.MeanActionStaleness)
 	}
-	if pushRes.MeanActionStaleness >= piggyRes.MeanActionStaleness {
-		t.Errorf("push staleness %v not better than piggyback %v",
-			pushRes.MeanActionStaleness, piggyRes.MeanActionStaleness)
+	if res.MeanActionStaleness >= wait/2 {
+		t.Errorf("long-poll action staleness %v is not under half the hang (%v)", res.MeanActionStaleness, wait/2)
 	}
-	if pushRes.Mode != "longpoll+push" || !pushRes.ActionPush {
-		t.Errorf("push run labeled %q (ActionPush=%v)", pushRes.Mode, pushRes.ActionPush)
+	if res.Mode != "longpoll" {
+		t.Errorf("run labeled %q, want longpoll", res.Mode)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 )
@@ -14,17 +15,17 @@ import (
 type Dialer func(addr string) (net.Conn, error)
 
 // Client issues HTTP requests over persistent connections, one live
-// connection per destination address and lane. It mirrors a browser's
-// keep-alive behaviour closely enough for RCB's traffic patterns (repeated
-// polls to one host, object fetches to a handful of origins).
+// connection per destination address. It mirrors a browser's keep-alive
+// behaviour closely enough for RCB's traffic patterns (repeated polls to one
+// host, object fetches to a handful of origins).
 //
-// Exchanges on one connection are strictly serialized (HTTP/1.1 without
-// pipelining), so a request the server parks — a hanging-GET long-poll —
-// holds its connection for the whole hang and every request queued behind it
-// waits it out. Callers that must overtake a parked exchange (RCB's
-// fire-and-forget action upstream) use DoLane with a dedicated lane name: a
-// lane is an independent persistent connection to the same address, so its
-// exchanges interleave freely with the default lane's.
+// Requests on one connection are pipelined (HTTP/1.1): Send writes a
+// request at once, whatever is still unanswered on the connection, and its
+// Exchange reads the response in write order. A request queued behind one
+// the server parks — a hanging-GET long-poll — is answered only after it,
+// so a caller that must not wait out a hang needs a server that ends the
+// park when the next request arrives, as RCB-Agent does for a
+// participant's next poll. Do is Send followed by Read.
 type Client struct {
 	Dial Dialer
 
@@ -36,17 +37,38 @@ type Client struct {
 	ReadTimeout time.Duration
 
 	mu     sync.Mutex
-	conns  map[string]*clientConn // keyed by connKey(addr, lane)
+	conns  map[string]*clientConn // keyed by address
 	closed bool
 }
 
 // ErrClientClosed is returned by every request issued after Close.
 var ErrClientClosed = errors.New("httpwire: client closed")
 
+// clientConn is one pooled connection. Requests go out under wmu in the
+// order they join unread; whoever needs a response reads, under rmu, every
+// response ahead of it too, leaving each on its Exchange.
 type clientConn struct {
-	conn net.Conn
-	br   *bufio.Reader
-	mu   sync.Mutex
+	conn     net.Conn
+	br       *bufio.Reader
+	wmu, rmu sync.Mutex
+
+	mu     sync.Mutex  // guards unread, err and the results of unread exchanges
+	unread []*Exchange // written, response not read yet, in write order
+	err    error       // the failure that ended the connection
+}
+
+// Exchange is one request written on a pooled connection; Read returns its
+// response.
+type Exchange struct {
+	c     *Client
+	addr  string
+	req   *Request
+	cc    *clientConn
+	retry bool // sent on a reused connection: a transport failure resends once
+
+	done bool // resp or err is set (guarded by cc.mu)
+	resp *Response
+	err  error
 }
 
 // NewClient returns a client using the given dialer.
@@ -69,52 +91,66 @@ func (c *Client) Do(addr string, req *Request) (*Response, error) {
 // deadline expiry is returned as a net.Error with Timeout() == true and is
 // never retried (retrying would double the hang).
 func (c *Client) DoTimeout(addr string, req *Request, timeout time.Duration) (*Response, error) {
-	return c.DoLane(addr, "", req, timeout)
-}
-
-// connKey maps an (addr, lane) pair onto the connection-pool key. The
-// default lane keys on the bare address, so lane-unaware callers share its
-// connection; '\x00' cannot occur in an address, so named lanes never
-// collide with addresses.
-func connKey(addr, lane string) string {
-	if lane == "" {
-		return addr
+	x, err := c.Send(addr, req)
+	if err != nil {
+		return nil, err
 	}
-	return addr + "\x00" + lane
+	return x.Read(timeout)
 }
 
-// DoLane is DoTimeout on a named connection lane: the client keeps one
-// persistent connection per (addr, lane) pair, and exchanges on different
-// lanes never queue behind each other on one socket. Do/DoTimeout use the
-// default lane (""). RCB's snippet puts its fire-and-forget action POSTs on
-// their own lane because the default lane's current exchange may be a poll
-// the agent parked for seconds (hanging GET) — an upstream action must ride
-// a concurrent second connection, not wait out the hang.
-func (c *Client) DoLane(addr, lane string, req *Request, timeout time.Duration) (*Response, error) {
+// Send writes req on addr's pooled connection now, behind every request
+// already written there, and returns the exchange its response is read
+// from. A failed dial or a closed client is reported here; a failed write
+// surfaces from Read.
+func (c *Client) Send(addr string, req *Request) (*Exchange, error) {
+	cc, cached, err := c.getConn(addr)
+	if err != nil {
+		return nil, err
+	}
+	x := &Exchange{c: c, addr: addr, req: req, cc: cc, retry: cached}
+	cc.wmu.Lock()
+	defer cc.wmu.Unlock()
+	cc.mu.Lock()
+	cc.unread = append(cc.unread, x)
+	err = cc.err
+	cc.mu.Unlock()
+	if err == nil {
+		err = WriteRequest(cc.conn, req)
+	}
+	if err != nil {
+		cc.fail(err)
+	}
+	return x, nil
+}
+
+// Read returns the exchange's response, reading every response written
+// ahead of it on the connection first; those wait on their own exchanges.
+// timeout is as for DoTimeout and bounds the whole read. A transport
+// failure drops the connection; on a reused connection, a failure that is
+// not a timeout resends the request once on a fresh connection (it may
+// have raced the server's keep-alive close).
+func (x *Exchange) Read(timeout time.Duration) (*Response, error) {
 	if timeout <= 0 {
-		timeout = c.ReadTimeout
+		timeout = x.c.ReadTimeout
 	}
-	key := connKey(addr, lane)
-	for attempt := 0; ; attempt++ {
-		cc, cached, err := c.getConn(addr, key)
-		if err != nil {
-			return nil, err
-		}
-		resp, err := cc.roundTrip(req, timeout)
-		if err != nil {
-			c.dropConn(key, cc)
-			var ne net.Error
-			timedOut := errors.As(err, &ne) && ne.Timeout()
-			if cached && attempt == 0 && !timedOut {
-				continue // stale pooled connection; retry once
-			}
-			return nil, fmt.Errorf("httpwire: %s %s to %s: %w", req.Method, req.Target, addr, err)
-		}
+	resp, err := x.cc.readThrough(x, timeout)
+	if err == nil {
 		if resp.WantsClose() {
-			c.dropConn(key, cc)
+			x.c.dropConn(x.addr, x.cc)
 		}
 		return resp, nil
 	}
+	x.c.dropConn(x.addr, x.cc)
+	var ne net.Error
+	if x.retry && !(errors.As(err, &ne) && ne.Timeout()) {
+		y, err := x.c.Send(x.addr, x.req)
+		if err != nil {
+			return nil, err
+		}
+		y.retry = false
+		return y.Read(timeout)
+	}
+	return nil, fmt.Errorf("httpwire: %s %s to %s: %w", x.req.Method, x.req.Target, x.addr, err)
 }
 
 // Get issues a GET for target against addr.
@@ -130,22 +166,22 @@ func (c *Client) Post(addr, target, ctype string, body []byte) (*Response, error
 	return c.Do(addr, req)
 }
 
-// Close closes every pooled connection, across all lanes — an exchange
-// blocked on one fails at once — and is final: later requests fail with
-// ErrClientClosed instead of dialing.
+// Close closes every pooled connection — an exchange blocked on one fails
+// at once — and is final: later requests fail with ErrClientClosed instead
+// of dialing.
 func (c *Client) Close() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.closed = true
-	for key, cc := range c.conns {
+	for addr, cc := range c.conns {
 		cc.conn.Close()
-		delete(c.conns, key)
+		delete(c.conns, addr)
 	}
 }
 
-// getConn returns the pooled connection for key, dialing addr when none is
-// cached (a lane's connection dials the same address as the default one).
-func (c *Client) getConn(addr, key string) (cc *clientConn, cached bool, err error) {
+// getConn returns the pooled connection for addr, dialing when none is
+// cached.
+func (c *Client) getConn(addr string) (cc *clientConn, cached bool, err error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -154,7 +190,7 @@ func (c *Client) getConn(addr, key string) (cc *clientConn, cached bool, err err
 	if c.conns == nil {
 		c.conns = make(map[string]*clientConn)
 	}
-	if cc := c.conns[key]; cc != nil {
+	if cc := c.conns[addr]; cc != nil {
 		c.mu.Unlock()
 		return cc, true, nil
 	}
@@ -172,44 +208,72 @@ func (c *Client) getConn(addr, key string) (cc *clientConn, cached bool, err err
 		return nil, false, ErrClientClosed
 	}
 	// Another goroutine may have raced a connection in. The pooled one wins:
-	// it may already be mid-exchange (roundTrip holds only the per-conn
-	// mutex, not c.mu), so closing it here would kill a healthy in-flight
-	// request. Our fresh dial is the one nobody is using yet — close it and
-	// join the winner.
-	if old := c.conns[key]; old != nil {
+	// it may already carry an exchange in flight, so closing it here would
+	// kill a healthy request. Our fresh dial is the one nobody is using yet —
+	// close it and join the winner.
+	if old := c.conns[addr]; old != nil {
 		c.mu.Unlock()
 		conn.Close()
 		return old, true, nil
 	}
-	c.conns[key] = cc
+	c.conns[addr] = cc
 	c.mu.Unlock()
 	return cc, false, nil
 }
 
-func (c *Client) dropConn(key string, cc *clientConn) {
+func (c *Client) dropConn(addr string, cc *clientConn) {
 	c.mu.Lock()
-	if c.conns[key] == cc {
-		delete(c.conns, key)
+	if c.conns[addr] == cc {
+		delete(c.conns, addr)
 	}
 	c.mu.Unlock()
 	cc.conn.Close()
 }
 
-// roundTrip performs one serialized request/response exchange. The per-conn
-// mutex keeps concurrent callers from interleaving on the same socket. A
-// positive readTimeout arms a read deadline for this exchange only; it is
-// cleared afterwards so the pooled connection stays reusable.
-func (cc *clientConn) roundTrip(req *Request, readTimeout time.Duration) (*Response, error) {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	if err := WriteRequest(cc.conn, req); err != nil {
-		return nil, err
-	}
-	if readTimeout > 0 {
-		if err := cc.conn.SetReadDeadline(time.Now().Add(readTimeout)); err != nil {
-			return nil, err
+// readThrough reads responses off the connection, in write order, until
+// x's has been read, and returns it. A positive timeout arms a read
+// deadline for this call only; it is cleared afterwards so the pooled
+// connection stays reusable.
+func (cc *clientConn) readThrough(x *Exchange, timeout time.Duration) (*Response, error) {
+	cc.rmu.Lock()
+	defer cc.rmu.Unlock()
+	if timeout > 0 {
+		if err := cc.conn.SetReadDeadline(time.Now().Add(timeout)); err != nil {
+			cc.fail(err)
 		}
 		defer cc.conn.SetReadDeadline(time.Time{})
 	}
-	return ReadResponse(cc.br)
+	for {
+		cc.mu.Lock()
+		if x.done {
+			cc.mu.Unlock()
+			return x.resp, x.err
+		}
+		y := cc.unread[0]
+		cc.mu.Unlock()
+		resp, err := ReadResponse(cc.br)
+		if err != nil {
+			cc.fail(err)
+			continue
+		}
+		cc.mu.Lock()
+		cc.unread = slices.Delete(cc.unread, 0, 1)
+		y.done, y.resp = true, resp
+		cc.mu.Unlock()
+	}
+}
+
+// fail ends the connection: every exchange still waiting for a response
+// gets err, and later writes are refused with it.
+func (cc *clientConn) fail(err error) {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	if cc.err == nil {
+		cc.err = err
+	}
+	for _, y := range cc.unread {
+		y.done, y.err = true, cc.err
+	}
+	clear(cc.unread)
+	cc.unread = cc.unread[:0]
 }

@@ -90,8 +90,8 @@ func ReadFrame(r *bufio.Reader) (Frame, error) {
 	}
 	f := Frame{Type: hdr[0], Flags: hdr[1]}
 	if n > 0 {
-		f.Payload = make([]byte, n)
-		if _, err := io.ReadFull(r, f.Payload); err != nil {
+		var err error
+		if f.Payload, err = readN(r, nil, int64(n)); err != nil {
 			return Frame{}, ErrFrameTruncated
 		}
 	}
@@ -168,8 +168,8 @@ func (c *ChannelConn) Close() error {
 func (c *ChannelConn) RemoteAddr() net.Addr { return c.conn.RemoteAddr() }
 
 // Upgrade performs a channel upgrade handshake against addr: it dials a
-// dedicated connection (never the pooled request lanes — the connection is
-// about to leave HTTP), sends req, and reads the response. On a 101 the
+// dedicated connection (never the pooled one — the connection is about to
+// leave HTTP), sends req, and reads the response. On a 101 the
 // connection switches to frames and the returned ChannelConn owns it. Any
 // other status is a refusal: the connection is closed and the response
 // returned so the caller can read the refusal's close-reason headers.

@@ -8,11 +8,12 @@ import (
 	"time"
 )
 
-// TestFailedLaneExchangeDropsPooledConnection is the half-dead-socket guard
-// for the action upstream: when an exchange on a named lane fails (here a
-// read timeout against a parked server), the lane's pooled connection must
-// be discarded so the next push dials fresh instead of writing into a
-// socket whose previous response is still owed.
+// TestFailedLaneExchangeDropsPooledConnection is the half-dead-socket
+// guard, checked on the one pooled connection per address that replaced
+// the old per-lane ones: when an exchange fails (here a read timeout
+// against a parked server), the pooled connection must be discarded so the
+// next request dials fresh instead of writing into a socket whose previous
+// response is still owed.
 func TestFailedLaneExchangeDropsPooledConnection(t *testing.T) {
 	h := &parkingHandler{}
 	addr, _ := startTestServer(t, h)
@@ -23,41 +24,41 @@ func TestFailedLaneExchangeDropsPooledConnection(t *testing.T) {
 	})
 	defer c.Close()
 
-	// Pool the lane's connection with a healthy exchange.
-	if _, err := c.DoLane(addr, "action", NewRequest("GET", "/prime"), 0); err != nil {
+	// Pool the connection with a healthy exchange.
+	if _, err := c.Get(addr, "/prime"); err != nil {
 		t.Fatal(err)
 	}
 	if n := dials.Load(); n != 1 {
 		t.Fatalf("priming took %d dials, want 1", n)
 	}
-	// Fail the next exchange on the same lane: the server parks it and the
-	// read deadline trips. Timeouts are never retried, so the error must
-	// surface AND the pooled connection must go.
-	if _, err := c.DoLane(addr, "action", NewRequest("GET", "/park"), 50*time.Millisecond); err == nil {
-		t.Fatal("expected the parked lane exchange to time out")
+	// Fail the next exchange on the same connection: the server parks it
+	// and the read deadline trips. Timeouts are never retried, so the error
+	// must surface AND the pooled connection must go.
+	if _, err := c.DoTimeout(addr, NewRequest("GET", "/park"), 50*time.Millisecond); err == nil {
+		t.Fatal("expected the parked exchange to time out")
 	}
 	c.mu.Lock()
-	_, stillPooled := c.conns[connKey(addr, "action")]
+	_, stillPooled := c.conns[addr]
 	c.mu.Unlock()
 	if stillPooled {
-		t.Fatal("failed lane exchange left its half-dead connection in the pool")
+		t.Fatal("failed exchange left its half-dead connection in the pool")
 	}
-	// The next push rides a fresh dial and completes normally.
-	resp, err := c.DoLane(addr, "action", NewRequest("GET", "/after"), 0)
+	// The next request rides a fresh dial and completes normally.
+	resp, err := c.Get(addr, "/after")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.StatusCode != 200 {
-		t.Fatalf("follow-up push got status %d", resp.StatusCode)
+		t.Fatalf("follow-up request got status %d", resp.StatusCode)
 	}
 	if n := dials.Load(); n != 2 {
-		t.Fatalf("follow-up push reused a dropped connection (%d dials, want 2)", n)
+		t.Fatalf("follow-up request reused a dropped connection (%d dials, want 2)", n)
 	}
 	h.Release(NewResponse(200, "text/plain", nil))
 }
 
 // TestDialRaceKeepsInFlightConnection pins the getConn race: two requests
-// on the same lane miss the pool simultaneously and both dial. The loser
+// to the same address miss the pool simultaneously and both dial. The loser
 // must close its OWN fresh socket and join the winner's — the old behavior
 // (replace the pooled entry and close the previous one) killed the winner's
 // connection while its long-poll exchange was parked on it.
@@ -90,12 +91,14 @@ func TestDialRaceKeepsInFlightConnection(t *testing.T) {
 	<-entered
 	close(release)
 
-	// The pool winner's request parks server-side; the loser queues behind
-	// it on the shared connection. Release twice, once per exchange.
-	waitFor(t, "first racing request to park", func() bool { return h.parkedCount() == 1 })
-	h.Release(NewResponse(200, "text/plain", []byte("one")))
-	waitFor(t, "second racing request to park", func() bool { return h.parkedCount() == 1 })
-	h.Release(NewResponse(200, "text/plain", []byte("two")))
+	// The pool winner's request parks server-side; the loser is pipelined
+	// behind it on the shared connection and parks once the server reads
+	// it. Release until both exchanges are answered.
+	released := 0
+	waitFor(t, "both racing requests to be answered", func() bool {
+		released += h.Release(NewResponse(200, "text/plain", []byte("released")))
+		return released == 2
+	})
 
 	wg.Wait()
 	close(errs)

@@ -21,11 +21,13 @@ type Handler interface {
 // before returning (the synchronous case) or park the request and complete
 // it later from any goroutine — the hanging-GET (Comet) channel RCB's
 // long-poll delivery rides on. respond must be called exactly once per
-// request; extra calls are ignored. The connection's read loop stays parked
-// until respond runs or the server closes, preserving HTTP/1.1 response
-// ordering on the persistent connection. When the server is closed with a
-// request still parked, the request is abandoned: the connection drops and
-// the handler's eventual respond call becomes a no-op.
+// request; extra calls are ignored. While a request is unanswered —
+// parked — the server reads at most one more request off its connection
+// and hands it to the handler at once (a pipelining client's next request,
+// which may end the park), but answers strictly in request order, as
+// HTTP/1.1 requires. When the server is closed with a request still
+// parked, the request is abandoned: the connection drops and the handler's
+// eventual respond call becomes a no-op.
 //
 // respond must be a non-blocking hand-off: a handler may complete many
 // parked requests back to back from one goroutine, so a respond that waited
@@ -148,6 +150,23 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
+// served is one request handed to the handler and its pending answer.
+type served struct {
+	req    *Request
+	respCh chan *Response
+}
+
+// readResult is one request read off a connection, or why none was.
+type readResult struct {
+	req *Request
+	err error
+}
+
+// serveConn reads requests off conn and writes their answers in request
+// order. A request is read once the previous one is answered — or, while
+// that one is parked, at once, on a helper goroutine: at most one request
+// is read ahead of a parked one, and none behind a request that asks to
+// close the connection.
 func (s *Server) serveConn(conn net.Conn) {
 	defer func() {
 		conn.Close()
@@ -157,50 +176,72 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.wg.Done()
 	}()
 	br := bufio.NewReaderSize(conn, 8<<10)
-	async, _ := s.Handler.(AsyncHandler)
 	done := s.doneChan() // fetched once: the channel never changes after creation
+	var (
+		queue   = make([]served, 0, 2) // handed over, unanswered, in request order
+		readErr error                  // why reading stopped; acted on once the queue drains
+		ahead   chan readResult        // the read-ahead helper's results, nil until first used
+		start   chan struct{}          // starts one helper read
+		reading bool                   // a helper read is under way
+	)
 	for {
-		req, err := ReadRequest(br)
-		if err != nil {
-			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
-				s.logf("httpwire: read from %s: %v", conn.RemoteAddr(), err)
-				// Malformed input gets a 400 before the connection drops.
-				if errors.Is(err, ErrMalformed) || errors.Is(err, ErrHeaderTooLarge) {
-					_ = WriteResponse(conn, NewResponse(400, "text/plain", []byte("bad request\n")))
+		if !reading && readErr == nil {
+			switch {
+			case len(queue) == 0:
+				req, err := ReadRequest(br)
+				if readErr = err; err == nil {
+					queue = append(queue, s.dispatch(conn, req))
 				}
+				continue
+			case len(queue) == 1 && len(queue[0].respCh) == 0 && !queue[0].req.WantsClose():
+				// The head is parked: read one request ahead of it.
+				if ahead == nil {
+					ahead, start = make(chan readResult, 1), make(chan struct{}, 1)
+					go readAhead(br, start, ahead)
+					defer close(start)
+				}
+				start <- struct{}{}
+				reading = true
 			}
+		}
+		var headCh chan *Response
+		var aheadCh chan readResult
+		if len(queue) > 0 {
+			headCh = queue[0].respCh
+		}
+		if reading {
+			aheadCh = ahead
+		} else if headCh == nil {
+			s.readFailed(conn, readErr)
 			return
 		}
-		if addr := conn.RemoteAddr(); addr != nil {
-			req.RemoteAddr = addr.String()
-		}
 		var resp *Response
-		if async != nil {
-			respCh := make(chan *Response, 1)
-			async.ServeWireAsync(req, func(r *Response) {
-				select {
-				case respCh <- r:
-				default: // respond called more than once; ignore extras
-				}
-			})
-			select {
-			case resp = <-respCh:
-			case <-done:
-				// Server closing with this request still parked: abandon
-				// it. The handler's eventual respond call is a no-op.
-				return
+		select {
+		case r := <-aheadCh:
+			reading = false
+			if readErr = r.err; r.err == nil {
+				queue = append(queue, s.dispatch(conn, r.req))
 			}
-		} else {
-			resp = s.Handler.ServeWire(req)
+			continue
+		case <-done:
+			// Server closing with a request still parked: abandon it. The
+			// handler's eventual respond call is a no-op.
+			return
+		case resp = <-headCh:
 		}
-		if resp == nil {
-			resp = NewResponse(500, "text/plain", []byte("nil response\n"))
-		}
+		req := queue[0].req
+		queue = append(queue[:0], queue[1:]...)
 		if err := WriteResponse(conn, resp); err != nil {
 			s.logf("httpwire: write to %s: %v", conn.RemoteAddr(), err)
 			return
 		}
 		if resp.Hijack != nil {
+			if reading || len(queue) > 0 {
+				// Bytes past the handshake already went to a request read
+				// ahead: the connection cannot change hands.
+				s.logf("httpwire: %s: upgrade answered behind a pipelined request", conn.RemoteAddr())
+				return
+			}
 			// The handler takes over the connection (frame upgrade). Run the
 			// takeover on this goroutine: the deferred cleanup closes the
 			// conn when it returns, and the conn stays in s.conns so
@@ -209,6 +250,56 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		}
 		if req.WantsClose() || resp.WantsClose() {
+			return
+		}
+	}
+}
+
+// dispatch hands req to the handler; its answer arrives on the returned
+// channel, at once or, for a parked request, later. A nil answer becomes a
+// 500.
+func (s *Server) dispatch(conn net.Conn, req *Request) served {
+	if addr := conn.RemoteAddr(); addr != nil {
+		req.RemoteAddr = addr.String()
+	}
+	respCh := make(chan *Response, 1)
+	respond := func(r *Response) {
+		if r == nil {
+			r = NewResponse(500, "text/plain", []byte("nil response\n"))
+		}
+		select {
+		case respCh <- r:
+		default: // respond called more than once; ignore extras
+		}
+	}
+	if async, ok := s.Handler.(AsyncHandler); ok {
+		async.ServeWireAsync(req, respond)
+	} else {
+		respond(s.Handler.ServeWire(req))
+	}
+	return served{req: req, respCh: respCh}
+}
+
+// readFailed ends a connection whose reading stopped with err: malformed
+// input gets a 400 before the connection drops.
+func (s *Server) readFailed(conn net.Conn, err error) {
+	if err == io.EOF || errors.Is(err, net.ErrClosed) {
+		return
+	}
+	s.logf("httpwire: read from %s: %v", conn.RemoteAddr(), err)
+	if errors.Is(err, ErrMalformed) || errors.Is(err, ErrHeaderTooLarge) {
+		_ = WriteResponse(conn, NewResponse(400, "text/plain", []byte("bad request\n")))
+	}
+}
+
+// readAhead is a connection's read-ahead helper: one request per signal on
+// start, each result sent on out. It ends when start closes or at the first
+// read error, which the connection's own close provokes.
+func readAhead(br *bufio.Reader, start <-chan struct{}, out chan<- readResult) {
+	for range start {
+		req, err := ReadRequest(br)
+		out <- readResult{req, err}
+		if err != nil {
 			return
 		}
 	}

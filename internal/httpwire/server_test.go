@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // startTestServer runs a Server over an in-process TCP listener and returns
@@ -201,3 +202,29 @@ func BenchmarkServerRoundTrip(b *testing.B) {
 		}
 	}
 }
+
+// TestNilResponseAnswered500: a handler that answers nil, inline or through
+// an async respond, gets a 500 on the wire instead of a stalled connection.
+func TestNilResponseAnswered500(t *testing.T) {
+	for name, h := range map[string]Handler{
+		"sync":  HandlerFunc(func(*Request) *Response { return nil }),
+		"async": nilAsync{},
+	} {
+		addr, _ := startTestServer(t, h)
+		c := NewClient(tcpDialer)
+		resp, err := c.DoTimeout(addr, NewRequest("GET", "/"), 2*time.Second)
+		c.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if resp.StatusCode != 500 {
+			t.Fatalf("%s: status %d, want 500", name, resp.StatusCode)
+		}
+	}
+}
+
+type nilAsync struct{}
+
+func (nilAsync) ServeWire(*Request) *Response { return nil }
+
+func (nilAsync) ServeWireAsync(_ *Request, respond func(*Response)) { respond(nil) }

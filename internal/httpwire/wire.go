@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -142,14 +143,35 @@ func readBody(r *bufio.Reader, h Header) ([]byte, error) {
 	if n > MaxBodyBytes {
 		return nil, ErrBodyTooLarge
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
+	body, err := readN(r, nil, n)
+	if err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
 		return nil, err
 	}
 	return body, nil
+}
+
+// maxPresize bounds the buffer reserved for a declared body, chunk or frame
+// length before its bytes arrive. Anything longer grows as it is read, so a
+// peer that declares 32 MiB and goes quiet holds this much, not 32 MiB. It
+// is larger than any corpus snapshot, so a join's body is one allocation.
+const maxPresize = 256 << 10
+
+// readN appends exactly n bytes from r to dst. It reserves at most
+// maxPresize ahead of the bytes and doubles the buffer as they arrive.
+func readN(r io.Reader, dst []byte, n int64) ([]byte, error) {
+	want := len(dst) + int(n)
+	dst = slices.Grow(dst, int(min(n, maxPresize)))
+	for len(dst) < want {
+		dst = slices.Grow(dst, min(want-len(dst), len(dst)))
+		k, err := io.ReadFull(r, dst[len(dst):min(cap(dst), want)])
+		if dst = dst[:len(dst)+k]; err != nil {
+			return dst, err
+		}
+	}
+	return dst, nil
 }
 
 func readChunked(r *bufio.Reader) ([]byte, error) {
@@ -181,11 +203,9 @@ func readChunked(r *bufio.Reader) ([]byte, error) {
 				}
 			}
 		}
-		chunk := make([]byte, size)
-		if _, err := io.ReadFull(r, chunk); err != nil {
+		if body, err = readN(r, body, size); err != nil {
 			return nil, err
 		}
-		body = append(body, chunk...)
 		// Chunk data is followed by CRLF.
 		if _, err := readLine(r); err != nil {
 			return nil, err

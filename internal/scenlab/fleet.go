@@ -133,9 +133,9 @@ type sentinel struct {
 
 // fireInput dispatches a forminput action on the first rewritten input in
 // the sentinel's document (the generated pages' search box), stamped with
-// the sentinel's own replay identity. It rides the /action push lane so a
-// parked poll never delays it, falling back to the snippet's outbox — sent
-// at once on a live duplex channel, on the next poll otherwise.
+// the sentinel's own replay identity, through the snippet's outbox: sent at
+// once on a live duplex channel or as a long-poll action poll pipelined
+// behind the parked one, on the next poll in interval mode.
 func (s *sentinel) fireInput(value string) error {
 	var path string
 	err := s.b.WithDocument(func(_ string, doc *dom.Document) error {
@@ -152,9 +152,7 @@ func (s *sentinel) fireInput(value string) error {
 	}
 	act := core.Action{Kind: core.ActionFormInput, Target: path, Value: value,
 		CID: s.cid, CSeq: s.cseq.Add(1)}
-	if err := s.snip.PushAction(act); err != nil {
-		s.snip.QueueAction(act)
-	}
+	s.snip.QueueAction(act)
 	return nil
 }
 
@@ -327,8 +325,8 @@ func (f *fleet) firedKeys() []string {
 }
 
 // spawnSentinels joins and runs the full-Snippet oracles: a mix of
-// long-poll (with action push), duplex, and interval deliveries unless the
-// family forces all long-poll.
+// long-poll, duplex, and interval deliveries unless the family forces all
+// long-poll.
 func (f *fleet) spawnSentinels() error {
 	for i := 0; i < f.cfg.Sentinels; i++ {
 		host := fmt.Sprintf("sent%d.lan", i)
@@ -342,7 +340,6 @@ func (f *fleet) spawnSentinels() error {
 		var rmu sync.Mutex
 		s.RetryRand = func() float64 { rmu.Lock(); defer rmu.Unlock(); return rng.Float64() }
 		s.ClientID = fmt.Sprintf("sent%d", i)
-		s.ActionPush = true
 		s.Delivery = core.DeliveryLongPoll
 		if !f.allLongPoll {
 			switch {
