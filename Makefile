@@ -50,22 +50,22 @@ chaos: vet
 scale: vet
 	SCENLAB_N=$${SCENLAB_N:-1000} $(GO) test ./internal/scenlab -race -count=1 -timeout 1800s -v
 
-# Brief mutation runs of the native fuzz targets (the checked-in corpora
-# under internal/dom/testdata/fuzz, internal/core/testdata/fuzz,
-# internal/httpwire/testdata/fuzz and internal/jsescape/testdata/fuzz run on
-# every plain `go test`). Each target must be fuzzed in its own invocation.
+# Brief mutation runs of every native fuzz target, FUZZTIME each (the
+# checked-in corpora under internal/*/testdata/fuzz run on every plain
+# `go test`). The targets are discovered per package with `go test -list`,
+# so a new Fuzz function needs no edit here or in CI; each target must be
+# fuzzed in its own invocation.
+FUZZTIME ?= 15s
+
 fuzz:
-	$(GO) test ./internal/dom -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 15s
-	$(GO) test ./internal/dom -run '^$$' -fuzz '^FuzzDiffApply$$' -fuzztime 15s
-	$(GO) test ./internal/dom -run '^$$' -fuzz '^FuzzCanonicalize$$' -fuzztime 15s
-	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime 15s
-	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzUnmarshalDelta$$' -fuzztime 15s
-	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzImportState$$' -fuzztime 15s
-	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzServePoll$$' -fuzztime 15s
-	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzServeConn$$' -fuzztime 15s
-	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzChannelUpstream$$' -fuzztime 15s
-	$(GO) test ./internal/httpwire -run '^$$' -fuzz '^FuzzChannelFrame$$' -fuzztime 15s
-	$(GO) test ./internal/jsescape -run '^$$' -fuzz '^FuzzEscapeMatchesReference$$' -fuzztime 15s
+	@set -e; \
+	listed=$$($(GO) test -list '^Fuzz' ./...); \
+	targets=$$(echo "$$listed" | awk '/^Fuzz/ { t[n++] = $$1 } /^ok/ { for (i = 0; i < n; i++) print $$2, t[i]; n = 0 }'); \
+	[ -n "$$targets" ] || { echo "fuzz: no Fuzz targets found" >&2; exit 1; }; \
+	echo "$$targets" | while read -r pkg target; do \
+		echo "fuzz: $$pkg $$target ($(FUZZTIME))"; \
+		$(GO) test "$$pkg" -run '^$$' -fuzz "^$$target$$" -fuzztime $(FUZZTIME); \
+	done
 
 # Session benchmark smoke: perfbench is its own Go module, so the root
 # `go test ./...` never builds it. Runs every workload briefly, tracing off

@@ -64,14 +64,6 @@ type Agent struct {
 	// the cap completes with the empty response — the §4.1.1 degradation,
 	// so a long-poll participant is never worse off than an interval one.
 	MaxPollWait time.Duration
-	// WakeDebounce coalesces document-change wake-ups of parked long-polls:
-	// a burst of host mutations inside the window wakes the fleet at most
-	// twice (once at the leading edge, once after the window with the latest
-	// version) instead of once per mutation. Every wake round, coalesced or
-	// not, builds the content and the deltas the woken fleet is about to
-	// request (one diff per distinct acked base) before answering it. Zero
-	// disables coalescing. Set before serving traffic.
-	WakeDebounce time.Duration
 	// DisableChannel refuses persistent-channel upgrades (POST /channel):
 	// every upgrade attempt gets the retry-carrying OVERCOMMITTED refusal and
 	// participants stay on the long-poll/interval tiers. An operator knob for
@@ -185,7 +177,7 @@ func NewAgent(b *browser.Browser, addr string) *Agent {
 	// it — the place the content and deltas the fleet is about to ask for
 	// are computed once.
 	a.hub.preWake = a.warmWakeDeltas
-	b.OnChange(func() { a.hub.notifyAllDebounced(a.WakeDebounce) })
+	b.OnChange(a.hub.notifyAll)
 	return a
 }
 
@@ -205,8 +197,7 @@ func (a *Agent) ParkedPolls() int {
 }
 
 // WakeFanouts reports how many document-change wake rounds actually woke
-// parked polls — with WakeDebounce set, a burst of M host mutations
-// advances this by at most 2.
+// parked polls: one per change that finds any poll parked.
 func (a *Agent) WakeFanouts() int64 { return a.hub.wakeFanouts() }
 
 // maxPollWait resolves the effective long-poll cap.
@@ -730,9 +721,9 @@ func (a *Agent) JoinRefusals() int64 { return a.joinRefusals.Load() }
 // parked-poll cap or the shed ladder.
 func (a *Agent) ParkRefusals() int64 { return a.parkRefusals.Load() }
 
-// StaleKicks reports participants disconnected as stale readers. No path
-// disconnects a reader for staleness at present, so it reads 0; it is kept
-// for the callers that gate on it and for a dead-peer detector to advance.
+// StaleKicks reports participants removed with CloseStaleReader
+// (DisconnectWith): one per participant actually removed, so repeating the
+// disconnect for a participant already gone does not count again.
 func (a *Agent) StaleKicks() int64 { return a.staleKicks.Load() }
 
 // ContentBuilds reports how many times the Figure 3 pipeline has executed —

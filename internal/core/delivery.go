@@ -77,14 +77,9 @@ type deliveryHub struct {
 	// participant.
 	chans map[string]*agentChannel
 
-	// Burst coalescing (notifyAllDebounced): lastWake stamps the most
-	// recent global fan-out; wakeArmed marks a trailing wake already
-	// scheduled on wakeTimer. fanouts counts global wake rounds that woke
-	// at least one waiter — the observable the debounce tests key on.
-	lastWake  time.Time
-	wakeArmed bool
-	wakeTimer *time.Timer
-	fanouts   int64
+	// fanouts counts document-change wake rounds that woke at least one
+	// parked poll.
+	fanouts int64
 
 	// preWake, when set, runs between collecting a wake round's waiters and
 	// completing them — the window where the content and deltas the woken
@@ -211,62 +206,23 @@ func (h *deliveryHub) counts() (polls, channels int) {
 }
 
 // notifyAll wakes every subscriber — a new document version exists (or is
-// about to). It is notifyAllDebounced without a debounce window.
-func (h *deliveryHub) notifyAll() { h.notifyAllDebounced(0) }
-
-// notifyAllDebounced wakes every subscriber with burst coalescing for
-// parked polls. The woken polls are answered by one wake round on its own
-// goroutine (see fanOut), so the notifier (typically the host browser's
-// mutation path) never blocks on content generation or socket writes. The
-// first change after a quiet period wakes the polls immediately, and every
-// further change inside the debounce window folds into a single trailing
-// wake that serves the latest version — so M rapid host mutations cost at
-// most two fan-outs instead of M. The notification counter still advances
-// on every call, so the check-then-park race stays closed: a poll arriving
-// mid-window re-checks inline and sees the newest content without any
-// wake. A zero debounce wakes the polls at once. Channel writers are nudged
-// on every call, un-debounced (their cap-1 notify slots already coalesce),
-// and only after the poll round's goroutine is started, so the round is
-// scheduled ahead of them.
-func (h *deliveryHub) notifyAllDebounced(debounce time.Duration) {
-	defer h.wakeChans()
+// about to). The notification counter advances first, so a poll between
+// its snapshot and its park re-checks and sees the new version. The parked
+// polls are taken and answered by one wake round on its own goroutine (see
+// fanOut), so the notifier (typically the host browser's mutation path)
+// never blocks on content generation or socket writes. The channel writers
+// are nudged after the round's goroutine is started, so the round is
+// scheduled ahead of them; their cap-1 notify slots coalesce.
+func (h *deliveryHub) notifyAll() {
 	h.mu.Lock()
+	defer h.mu.Unlock()
 	h.global++
-	if debounce > 0 {
-		if h.closed || h.wakeArmed {
-			h.mu.Unlock()
-			return
-		}
-		if since := time.Since(h.lastWake); since < debounce {
-			h.wakeArmed = true
-			h.wakeTimer = time.AfterFunc(debounce-since, h.trailingWake)
-			h.mu.Unlock()
-			return
-		}
+	if len(h.parked) > 0 {
+		h.fanouts++
+		go h.fanOut(h.takeAllLocked())
 	}
-	h.lastWake = time.Now()
-	woken, chans := h.collectAllLocked()
-	h.mu.Unlock()
-	if len(woken) > 0 {
-		go h.fanOut(woken, chans)
-	}
-}
-
-// trailingWake flushes the coalesced tail of a mutation burst, running the
-// round on the wake timer's own goroutine. The channels were woken by the
-// notifying calls themselves.
-func (h *deliveryHub) trailingWake() {
-	h.mu.Lock()
-	h.wakeArmed = false
-	if h.closed {
-		h.mu.Unlock()
-		return
-	}
-	h.lastWake = time.Now()
-	woken, chans := h.collectAllLocked()
-	h.mu.Unlock()
-	if len(woken) > 0 {
-		h.fanOut(woken, chans)
+	for _, ch := range h.chans {
+		ch.wake()
 	}
 }
 
@@ -287,26 +243,6 @@ func (h *deliveryHub) fanOut(woken []*pollWaiter, chans []*agentChannel) {
 	for _, w := range woken {
 		w.fulfill(&pollReply{})
 	}
-}
-
-// wakeChans nudges every channel writer: a non-blocking send each, the
-// writers re-read the shared prepared bytes.
-func (h *deliveryHub) wakeChans() {
-	h.mu.Lock()
-	for _, ch := range h.chans {
-		ch.wake()
-	}
-	h.mu.Unlock()
-}
-
-// collectAllLocked starts a wake round: when any poll is parked, it counts
-// the fan-out and takes the round's subscribers. Callers hold h.mu.
-func (h *deliveryHub) collectAllLocked() ([]*pollWaiter, []*agentChannel) {
-	if len(h.parked) == 0 {
-		return nil, nil
-	}
-	h.fanouts++
-	return h.takeAllLocked()
 }
 
 // takeAllLocked detaches every parked poll and lists the attached
@@ -370,10 +306,6 @@ func (h *deliveryHub) close() {
 		return
 	}
 	h.closed = true
-	if h.wakeTimer != nil {
-		h.wakeTimer.Stop()
-	}
-	h.wakeArmed = false
 	woken, chans := h.takeAllLocked()
 	h.mu.Unlock()
 	for _, w := range woken {

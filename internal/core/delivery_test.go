@@ -349,108 +349,42 @@ func fakeWaiter(t *testing.T, h *deliveryHub, pid string) (done chan struct{}) {
 	return done
 }
 
-// TestHubDebounceCoalescesBurst is the deterministic hub-level guard for
-// ROADMAP's burst-wake item: with a debounce window, M rapid notifications
-// produce at most two fan-outs — one leading wake, one trailing wake with
-// the latest state.
-func TestHubDebounceCoalescesBurst(t *testing.T) {
-	const window = 150 * time.Millisecond
+// TestHubRefusesStaleSnapshotPark pins the check-then-park guard at the
+// hub: a notification between a poll's snapshot and its park refuses the
+// park, so the poll re-runs its content check instead of sleeping through
+// the change. A poll parked on a fresh snapshot is woken by the next
+// change, in one fan-out round.
+func TestHubRefusesStaleSnapshotPark(t *testing.T) {
 	h := newDeliveryHub()
-
-	// Leading edge: a notification after a quiet period wakes immediately.
-	d1 := fakeWaiter(t, h, "p1")
-	h.notifyAllDebounced(window)
-	select {
-	case <-d1:
-	case <-time.After(2 * time.Second):
-		t.Fatal("leading-edge wake did not fire")
+	defer h.close()
+	for name, notify := range map[string]func(){
+		"document change": h.notifyAll,
+		"mirror action":   func() { h.notifyPID("p1") },
+	} {
+		snap := h.snapshot("p1")
+		notify()
+		w := &pollWaiter{pid: "p1", fulfill: func(*pollReply) {}}
+		if parked, retry := h.park(w, snap, time.Minute); parked || !retry {
+			t.Fatalf("%s before the park: parked=%v retry=%v, want a refused park and a re-check", name, parked, retry)
+		}
 	}
-
-	// Burst: many notifications inside the window coalesce into exactly one
-	// trailing wake.
-	d2 := fakeWaiter(t, h, "p2")
-	for i := 0; i < 10; i++ {
-		h.notifyAllDebounced(window)
-	}
-	select {
-	case <-d2:
-		t.Fatal("burst notification woke the waiter inside the window")
-	case <-time.After(window / 3):
-	}
-	select {
-	case <-d2:
-	case <-time.After(2 * time.Second):
-		t.Fatal("trailing wake never fired")
-	}
-	if got := h.wakeFanouts(); got != 2 {
-		t.Fatalf("11 notifications produced %d fan-outs, want 2", got)
-	}
-	// The notification counter advanced on every call: parks with stale
-	// snapshots must still be refused mid-burst.
-	snap := h.snapshot("p3")
-	h.notifyAllDebounced(window)
-	w := &pollWaiter{pid: "p3", fulfill: func(*pollReply) {}}
-	if parked, retry := h.park(w, snap, time.Minute); parked || !retry {
-		t.Fatalf("stale-snapshot park during debounce: parked=%v retry=%v", parked, retry)
-	}
-	h.close()
-}
-
-// TestHubPreWakeRunsOnTrailingWake pins the precompute seam: the hub's
-// preWake hook fires on the trailing edge of a debounced wake, sees exactly
-// the waiters about to be woken, and completes before any of them is
-// fulfilled — the ordering warmWakeDeltas relies on to warm the delta cache
-// ahead of the fleet.
-func TestHubPreWakeRunsOnTrailingWake(t *testing.T) {
-	const window = 100 * time.Millisecond
-	h := newDeliveryHub()
-	var mu sync.Mutex
-	var sawWoken int
-	var preBeforeFulfill bool
-	h.preWake = func(woken []*pollWaiter, _ []*agentChannel) {
-		mu.Lock()
-		sawWoken += len(woken)
-		mu.Unlock()
-	}
-
-	// Leading edge with nobody parked: no waiters, hook must not fire.
-	h.notifyAllDebounced(window)
-
-	done := make(chan struct{})
-	w := &pollWaiter{pid: "p1", ts: 7, deltaOK: true, fulfill: func(*pollReply) {
-		mu.Lock()
-		preBeforeFulfill = sawWoken > 0
-		mu.Unlock()
-		close(done)
-	}}
-	if parked, _ := h.park(w, h.snapshot("p1"), time.Minute); !parked {
-		t.Fatal("waiter refused to park")
-	}
-
-	// Inside the window: this notification arms the trailing wake, which
-	// must run the hook over the collected waiter before fulfilling it.
-	h.notifyAllDebounced(window)
+	done := fakeWaiter(t, h, "p1")
+	h.notifyAll()
 	select {
 	case <-done:
 	case <-time.After(2 * time.Second):
-		t.Fatal("trailing wake never fired")
+		t.Fatal("the change after the park did not wake the parked poll")
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if sawWoken != 1 {
-		t.Fatalf("preWake saw %d waiters, want exactly the 1 parked", sawWoken)
+	if got := h.wakeFanouts(); got != 1 {
+		t.Fatalf("%d fan-outs, want 1: only the last change found a poll parked", got)
 	}
-	if !preBeforeFulfill {
-		t.Fatal("waiter was fulfilled before preWake ran; precompute would race the fleet")
-	}
-	h.close()
 }
 
-// TestBurstWakeDebounceEndToEnd drives the same property over the real
-// stack: parked long-poll participants, a burst of host mutations, at most
-// two fan-outs, and every participant converging on the final version.
-func TestBurstWakeDebounceEndToEnd(t *testing.T) {
-	w := newWorld(t, func(a *Agent) { a.WakeDebounce = 100 * time.Millisecond })
+// TestBurstWakeEndToEnd drives a burst over the real stack: parked
+// long-poll participants, eight rapid host mutations, and every participant
+// converging on the final version.
+func TestBurstWakeEndToEnd(t *testing.T) {
+	w := newWorld(t, nil)
 	w.hostNavigate(t, "http://"+sites.Table1[1].Host()+"/")
 
 	const n = 4
@@ -494,9 +428,6 @@ func TestBurstWakeDebounceEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatalf("participant %d: %v", i, err)
 		}
-	}
-	if got := w.agent.WakeFanouts(); got > 2 {
-		t.Errorf("%d rapid bumps produced %d fan-outs, want ≤ 2", bumps, got)
 	}
 	// Everyone holds the final content.
 	final := fmt.Sprint(bumps)

@@ -23,7 +23,7 @@ type orderCheck struct {
 	a *Agent
 
 	mu      sync.Mutex
-	next    int
+	closing []bool // per handed-over request: it asked to close the connection
 	open    int
 	tooDeep bool
 }
@@ -34,8 +34,8 @@ func (o *orderCheck) ServeWire(req *httpwire.Request) *httpwire.Response {
 
 func (o *orderCheck) ServeWireAsync(req *httpwire.Request, respond func(*httpwire.Response)) {
 	o.mu.Lock()
-	seq := o.next
-	o.next++
+	seq := len(o.closing)
+	o.closing = append(o.closing, req.WantsClose())
 	if o.open >= 2 {
 		o.tooDeep = true
 	}
@@ -78,6 +78,55 @@ func (l *oneConnListener) Close() error {
 
 func (l *oneConnListener) Addr() net.Addr { return &net.TCPAddr{} }
 
+// streamConn is the server's side of a FuzzServeConn connection: reads
+// return the fuzzed stream and then io.EOF, writes collect the answers, and
+// closed is closed when the server closes the connection. Writes after that
+// fail, so the collected answers are final once closed is.
+type streamConn struct {
+	mu     sync.Mutex
+	in     *bytes.Reader
+	out    bytes.Buffer
+	closed chan struct{}
+}
+
+func newStreamConn(stream []byte) *streamConn {
+	return &streamConn{in: bytes.NewReader(stream), closed: make(chan struct{})}
+}
+
+func (c *streamConn) Read(p []byte) (int, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.in.Read(p)
+}
+
+func (c *streamConn) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	select {
+	case <-c.closed:
+		return 0, net.ErrClosed
+	default:
+	}
+	return c.out.Write(p)
+}
+
+func (c *streamConn) Close() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	select {
+	case <-c.closed:
+	default:
+		close(c.closed)
+	}
+	return nil
+}
+
+func (c *streamConn) LocalAddr() net.Addr              { return &net.TCPAddr{} }
+func (c *streamConn) RemoteAddr() net.Addr             { return &net.TCPAddr{} }
+func (c *streamConn) SetDeadline(time.Time) error      { return nil }
+func (c *streamConn) SetReadDeadline(time.Time) error  { return nil }
+func (c *streamConn) SetWriteDeadline(time.Time) error { return nil }
+
 // The placeholders a FuzzServeConn stream may use: fuzzPID and fuzzPeer are
 // replaced by two joined participants' ids, fuzzTS by the docTime they
 // hold, zero-padded to the placeholder's width so Content-Length stays
@@ -90,10 +139,13 @@ const (
 
 // FuzzServeConn feeds an arbitrary byte stream — typically several
 // pipelined requests — into httpwire.Server's connection loop with the
-// agent as handler and a 2 ms poll cap. Whatever arrives, the server must
-// not panic, must answer in request order, and must never hand the agent a
-// request while two earlier ones are unanswered: it reads at most one
-// request ahead of a parked poll.
+// agent as handler and a 2 ms poll cap. The stream ends in io.EOF, so a run
+// lasts as long as the server's own work. Whatever arrives, the server must
+// not panic, must answer in request order, must never hand the agent a
+// request while two earlier ones are unanswered (it reads at most one
+// request ahead of a parked poll), and must answer every request it handed
+// over before it closes the connection — except behind an upgrade or an
+// answer that closes the connection.
 func FuzzServeConn(f *testing.F) {
 	reqAs := func(pid, method, target, body string) string {
 		return fmt.Sprintf("%s %s HTTP/1.1\r\nCookie: rcbpid=%s\r\nContent-Length: %d\r\n\r\n%s",
@@ -127,17 +179,22 @@ func FuzzServeConn(f *testing.F) {
 		check := &orderCheck{a: a}
 		srv := &httpwire.Server{Handler: check}
 		l := &oneConnListener{conn: make(chan net.Conn, 1), done: make(chan struct{})}
-		client, server := net.Pipe()
-		l.conn <- server
+		conn := newStreamConn(stream)
+		l.conn <- conn
 		go srv.Serve(l)
-		go client.Write(stream)
+		select {
+		case <-conn.closed:
+		case <-time.After(10 * time.Second):
+			t.Fatal("the server still holds the connection 10 s after the stream ended")
+		}
+		srv.Close()
+		a.Close()
+		check.mu.Lock()
+		defer check.mu.Unlock()
 
-		// Read answers until the connection goes quiet (a parked poll ends
-		// within the 2 ms cap), closes, or turns into a channel.
-		br := bufio.NewReader(client)
-		want, ended := 0, false
-		for {
-			_ = client.SetReadDeadline(time.Now().Add(10 * time.Millisecond))
+		br := bufio.NewReader(bytes.NewReader(conn.out.Bytes()))
+		answered, ended, last := 0, false, false
+		for !last {
 			resp, err := httpwire.ReadResponse(br)
 			if err != nil {
 				break
@@ -152,19 +209,17 @@ func FuzzServeConn(f *testing.F) {
 			if ended {
 				t.Fatalf("request %s answered after the server's own error answer", seq)
 			}
-			if got, _ := strconv.Atoi(seq); got != want {
-				t.Fatalf("answer %d carries request %s: answers out of request order", want, seq)
+			if got, _ := strconv.Atoi(seq); got != answered {
+				t.Fatalf("answer %d carries request %s: answers out of request order", answered, seq)
 			}
-			want++
-			if resp.StatusCode == 101 {
-				break
-			}
+			// Nothing is owed behind an upgrade or a closing exchange.
+			last = resp.StatusCode == 101 || resp.WantsClose() || check.closing[answered]
+			answered++
 		}
-		client.Close()
-		srv.Close()
-		a.Close()
-		check.mu.Lock()
-		defer check.mu.Unlock()
+		if !last && answered != len(check.closing) {
+			t.Fatalf("the server handed over %d requests and answered %d before closing the connection",
+				len(check.closing), answered)
+		}
 		if check.tooDeep {
 			t.Fatal("the server handed over a request while two earlier ones were unanswered")
 		}

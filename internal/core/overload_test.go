@@ -532,6 +532,25 @@ func TestCloseReasonTable(t *testing.T) {
 	}
 }
 
+// TestStaleKicksCountStaleReaderRemovals: a participant removed with
+// CloseStaleReader counts once in StaleKicks; repeating the disconnect for
+// the same, already removed, participant and a Kick of another leave the
+// count alone.
+func TestStaleKicksCountStaleReaderRemovals(t *testing.T) {
+	a := offlineAgent(t)
+	stale, kicked := wireJoin(t, a), wireJoin(t, a)
+	for i := 0; i < 2; i++ {
+		a.DisconnectWith(stale, CloseStaleReader)
+		if got := a.StaleKicks(); got != 1 {
+			t.Fatalf("after stale-reader disconnect #%d: StaleKicks = %d, want 1", i+1, got)
+		}
+	}
+	a.Kick(kicked)
+	if got := a.StaleKicks(); got != 1 {
+		t.Fatalf("after a Kick: StaleKicks = %d, want 1", got)
+	}
+}
+
 // mutateTitle bumps the host document version with a trivial DOM change.
 func mutateTitle(t *testing.T, w *world) {
 	t.Helper()

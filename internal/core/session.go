@@ -497,6 +497,9 @@ func (a *Agent) DisconnectWith(pid string, reason CloseReason) {
 		reason = CloseLeave
 	}
 	if a.sessions.remove(pid, reason) {
+		if reason == CloseStaleReader {
+			a.staleKicks.Add(1)
+		}
 		a.logf("rcb-agent: participant %s disconnected: %s", pid, reason)
 	}
 	// Parked polls and a live channel learn of the disconnect at once, with

@@ -293,10 +293,11 @@ func (s *Snippet) fetchContentObjects() error {
 
 // ApplyContentToDocument is the pure DOM transformation of Figure 5,
 // exported for direct testing and for the experiment harness's M6
-// measurement. It always applies in full; the snippet's own polling loop
-// goes through ApplyMemo.Apply, which skips re-parsing unchanged payloads.
+// measurement. It always applies in full: a fresh memo has installed
+// nothing, so it skips nothing. The snippet's own polling loop keeps one
+// ApplyMemo across polls, which skips re-parsing unchanged payloads.
 func ApplyContentToDocument(doc *dom.Document, content *NewContent) error {
-	return applyContent(doc, content, nil)
+	return new(ApplyMemo).Apply(doc, content)
 }
 
 // ApplyMemo remembers the payloads the last Apply installed into a
@@ -331,21 +332,14 @@ func (m *ApplyMemo) Apply(doc *dom.Document, content *NewContent) error {
 	if m.doc != doc {
 		*m = ApplyMemo{doc: doc}
 	}
-	return applyContent(doc, content, m)
-}
-
-func applyContent(doc *dom.Document, content *NewContent, memo *ApplyMemo) error {
 	root := doc.Root
-	head := doc.Head()
 
 	// Steps 1 and 2: head cleanup and rebuild — skipped entirely when the
 	// new head children match what this memo last installed.
-	if memo == nil || !memo.headOK || !headChildrenEqual(memo.head, content.Head) {
-		rebuildHead(head, content.Head)
-		if memo != nil {
-			memo.head = append(memo.head[:0], content.Head...)
-			memo.headOK = true
-		}
+	if !m.headOK || !headChildrenEqual(m.head, content.Head) {
+		rebuildHead(doc.Head(), content.Head)
+		m.head = append(m.head[:0], content.Head...)
+		m.headOK = true
 	}
 
 	// Step 3: clean up obsolete top-level elements. "If the current
@@ -378,37 +372,25 @@ func applyContent(doc *dom.Document, content *NewContent, memo *ApplyMemo) error
 	// the payload is unchanged since the memo's last pass.
 	setTop := func(tag string, te *TopElement, last *appliedTop) {
 		if te == nil {
-			if last != nil {
-				*last = appliedTop{}
-			}
+			*last = appliedTop{}
 			return
 		}
 		el := root.FirstChildElement(tag)
 		if el == nil {
 			el = dom.NewElement(tag)
 			root.AppendChild(el)
-			if last != nil {
-				*last = appliedTop{}
-			}
+			*last = appliedTop{}
 		}
 		el.Attrs = append([]dom.Attr(nil), te.Attrs...)
-		if last != nil && last.ok && last.inner == te.Inner {
+		if last.ok && last.inner == te.Inner {
 			return
 		}
 		dom.SetInnerHTML(el, te.Inner)
-		if last != nil {
-			*last = appliedTop{inner: te.Inner, ok: true}
-		}
+		*last = appliedTop{inner: te.Inner, ok: true}
 	}
-	if memo != nil {
-		setTop("body", content.Body, &memo.body)
-		setTop("frameset", content.FrameSet, &memo.frameset)
-		setTop("noframes", content.NoFrames, &memo.noframes)
-	} else {
-		setTop("body", content.Body, nil)
-		setTop("frameset", content.FrameSet, nil)
-		setTop("noframes", content.NoFrames, nil)
-	}
+	setTop("body", content.Body, &m.body)
+	setTop("frameset", content.FrameSet, &m.frameset)
+	setTop("noframes", content.NoFrames, &m.noframes)
 	return nil
 }
 

@@ -11,20 +11,18 @@ import (
 	"rcb/internal/sites"
 )
 
-// TestWakeDebounceMassPark is the thundering-herd regression test at the
-// agent boundary: park a thousand long-polls, land ONE host mutation, and
-// require that the debounced hub wakes the herd in at most two fan-out
-// rounds and that the single-flight guard builds content exactly once —
+// TestMassParkOneWake is the thundering-herd regression test at the agent
+// boundary: park a thousand long-polls, land ONE host mutation, and require
+// that the hub wakes the herd in exactly one fan-out round and that the
+// single-flight guard builds content exactly once —
 // the invariant that keeps a mass wake O(participants) in deliveries but
 // O(1) in rendering work. Runs race-clean (make race covers this package).
-func TestWakeDebounceMassPark(t *testing.T) {
+func TestMassParkOneWake(t *testing.T) {
 	parked := 1000
 	if testing.Short() {
 		parked = 200
 	}
-	w := newWorld(t, func(a *Agent) {
-		a.WakeDebounce = 10 * time.Millisecond
-	})
+	w := newWorld(t, nil)
 	w.hostNavigate(t, "http://"+sites.Table1[1].Host()+"/")
 
 	// Join at the wire level and take one synchronous full sync each, so
@@ -96,8 +94,8 @@ func TestWakeDebounceMassPark(t *testing.T) {
 		}
 	}
 
-	if d := w.agent.WakeFanouts() - fanouts0; d < 1 || d > 2 {
-		t.Errorf("one bump of %d parked polls took %d fan-out rounds, want 1..2", parked, d)
+	if d := w.agent.WakeFanouts() - fanouts0; d != 1 {
+		t.Errorf("one bump of %d parked polls took %d fan-out rounds, want exactly 1", parked, d)
 	}
 	if d := w.agent.ContentBuilds() - builds0; d != 1 {
 		t.Errorf("one bump of %d parked polls cost %d content builds, want exactly 1 "+
@@ -144,7 +142,7 @@ func TestWakePrecomputeWarmsDeltas(t *testing.T) {
 	settleJoinWarm(t, w.agent)
 
 	// The host mutates; no poll has landed yet, so no build exists for the
-	// new version when the trailing wake would fire.
+	// new version when the wake round would start.
 	if err := w.host.ApplyMutation(func(doc *dom.Document) error {
 		doc.Body().SetAttr("data-tick", "woken")
 		return nil
@@ -154,7 +152,7 @@ func TestWakePrecomputeWarmsDeltas(t *testing.T) {
 
 	diffs0, builds0 := w.agent.DiffBuilds(), w.agent.ContentBuilds()
 
-	// The waiters the trailing wake would have collected: the whole fleet
+	// The waiters the wake round would have taken: the whole fleet
 	// parked on one base, deltas advertised.
 	woken := make([]*pollWaiter, fleet)
 	for i, pid := range pids {

@@ -83,7 +83,7 @@ func (n *Network) Listen(addr string) (*Listener, error) {
 
 // listenBacklog is the accept-queue depth, sized like a kernel somaxconn so
 // a flash crowd of simultaneous dials (the scale lab joins thousands of
-// participants inside one debounce window) rides out scheduler hiccups in
+// participants at once) rides out scheduler hiccups in
 // the accept loop instead of being refused.
 const listenBacklog = 256
 

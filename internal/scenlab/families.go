@@ -24,9 +24,9 @@ const (
 	convergeDeadline = 60 * time.Second
 )
 
-// runFlashCrowd joins the whole fleet inside one debounce window — every
-// lite dials at once — and requires the join storm to share builds: the
-// single-flight guard must serve N initial syncs from O(1) renders.
+// runFlashCrowd joins the whole fleet at once — every lite dials together —
+// and requires the join storm to share builds: the single-flight guard must
+// serve N initial syncs from O(1) renders.
 func (f *fleet) runFlashCrowd() error {
 	if err := f.spawnSentinels(); err != nil {
 		return err
@@ -56,8 +56,8 @@ func (f *fleet) runFlashCrowd() error {
 }
 
 // runThunderingHerd parks the entire fleet on long polls, lands one
-// mutation per round, and requires the debounced hub to wake everyone in
-// at most a couple of fan-out rounds backed by O(1) content builds.
+// mutation per round, and requires the hub to wake everyone in exactly one
+// fan-out round backed by O(1) content builds.
 func (f *fleet) runThunderingHerd() error {
 	f.allLongPoll = true
 	f.liteWait = 8 * time.Second
@@ -84,8 +84,8 @@ func (f *fleet) runThunderingHerd() error {
 		if err := f.measuredRound(name, func() error { return f.hostMutate(name) }, roundDeadline); err != nil {
 			return err
 		}
-		if d := ag.WakeFanouts() - fan0; d < 1 || d > 3 {
-			f.violate("herd round %d: %d parked polls woke in %d fan-out rounds, want 1..3", r, len(f.lites), d)
+		if d := ag.WakeFanouts() - fan0; d != 1 {
+			f.violate("herd round %d: %d parked polls woke in %d fan-out rounds, want 1", r, len(f.lites), d)
 		}
 		if d := ag.ContentBuilds() - builds0; d > 2 {
 			f.violate("herd round %d: mass wake cost %d content builds, want <= 2 (single-flight regressed)", r, d)
@@ -150,11 +150,11 @@ func (f *fleet) runChurn() error {
 // many paced rounds with background interaction — the long-lived-session
 // shape where resets, retries, and delta recovery all have to keep
 // netting out to convergence. The whole lite fleet is delta-capable and
-// every round lands a short burst of host edits spaced wider than the
-// agent's WakeDebounce, so the round produces several builds and the slow
-// tail acks bases more than one build old: exactly the population the
-// multi-version delta ring has to keep on the delta path instead of the
-// full-snapshot path.
+// every round lands a short burst of three host edits 20 ms apart, each
+// waking the fleet on its own, so the round produces several builds and
+// the slow tail acks bases more than one build old: exactly the population
+// the multi-version delta ring has to keep on the delta path instead of
+// the full-snapshot path.
 func (f *fleet) runLongHaul() error {
 	rng := rand.New(rand.NewSource(f.cfg.Seed*0x2545F491 + 5))
 	f.allDelta = true

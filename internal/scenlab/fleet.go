@@ -255,7 +255,6 @@ func (f *fleet) startAgent(hostName, addr string) (*agentSite, error) {
 	hb := browser.New(hostName, f.net.Dialer(hostName))
 	agent := core.NewAgent(hb, addr)
 	agent.Policy = f.policy
-	agent.WakeDebounce = 10 * time.Millisecond
 	agent.MaxPollWait = 10 * time.Second
 	agent.ShedRetryAfter = 200 * time.Millisecond
 	l, err := f.net.Listen(addr)

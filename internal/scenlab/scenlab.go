@@ -21,9 +21,9 @@
 // correctness oracle the convergence check runs against.
 //
 // Families cover the shapes that break naive agents: flash-crowd joins
-// inside one debounce window, thundering-herd wakes after a mass park,
-// mass disconnect/rejoin churn, long-lived sessions over seeded lossy and
-// mobile links, role-asymmetric search co-browsing, and multi-writer
+// with the whole fleet dialing at once, thundering-herd wakes after a mass
+// park, mass disconnect/rejoin churn, long-lived sessions over seeded lossy
+// and mobile links, role-asymmetric search co-browsing, and multi-writer
 // turns across a live host handover.
 //
 // SCENLAB_N sizes the fleet (the same knob `make scale` and the CI smoke
