@@ -7,8 +7,9 @@ package main
 // with idle traffic dropping to one request per hang. The snapshot also
 // carries the upstream (action → mirror apply) staleness column: an
 // interval-mode sender's actions wait for its next request cycle, while a
-// long-poll sender pipelines each action behind its parked poll and a
-// duplex sender frames it, both delivering in transfer time.
+// long-poll sender pipelines each action behind its parked poll, as a poll
+// that takes the park over, and a duplex sender frames it, both delivering
+// in transfer time.
 
 import (
 	"encoding/json"

@@ -1,15 +1,16 @@
 package core
 
 // Tests for the pipelined action upstream: in long-poll mode an action
-// leaves at once as a poll that does not park, written on the connection the
-// parked poll holds; the agent ends that park with the plain empty answer
-// when the action poll arrives, and the client reads both answers in order.
-// The headline tests run under -race: an action fired while this
-// participant's long-poll is parked reaches the host and the mirrored
-// participants without waiting out the hang, over one socket, and is never
-// delivered twice.
+// leaves at once as a poll of its own, written on the connection the parked
+// poll holds; the agent ends that park with the plain empty answer when the
+// action poll arrives, merges its actions and parks it in the old one's
+// place, and the client reads both answers in order. The headline tests run
+// under -race: an action fired while this participant's long-poll is parked
+// reaches the host and the mirrored participants without waiting out the
+// hang, over one socket, and is never delivered twice.
 
 import (
+	"fmt"
 	"net"
 	"strconv"
 	"strings"
@@ -100,8 +101,8 @@ func countingJoin(t *testing.T, w *world, loc string, dials *atomic.Int32) *Snip
 
 // TestOneSocketCarriesEverything: a default long-poll snippet — no option
 // set — parked on a 10 s hang gets an action to the host policy within
-// 100 ms, and its join, object fetches, polls and the action all ride one
-// connection.
+// 100 ms, the action poll takes over the park, and its join, object
+// fetches, polls and the action all ride one connection.
 func TestOneSocketCarriesEverything(t *testing.T) {
 	reached := make(chan time.Time, 4)
 	w := newWorld(t, func(a *Agent) {
@@ -136,13 +137,23 @@ func TestOneSocketCarriesEverything(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("action never reached the host policy while the poll was parked")
 	}
+	// The superseded park is answered empty and the action poll parks in its
+	// place; a host pointer move answers it.
+	for deadline := time.Now().Add(5 * time.Second); s.Stats().EmptyPolls == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("parked poll not answered after the action poll superseded it")
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+	waitParked(t, w.agent, 1)
+	w.agent.HostAction(Action{Kind: ActionMouseMove, X: 8, Y: 9})
 	select {
 	case err := <-done:
 		if err != nil {
 			t.Fatal(err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("parked poll not answered after the action poll superseded it")
+		t.Fatal("the parked action poll was not answered by the host's action")
 	}
 	if n := dials.Load(); n != 1 {
 		t.Fatalf("participant dialed %d connections, want 1 for join, objects, polls and the action", n)
@@ -155,7 +166,9 @@ func TestOneSocketCarriesEverything(t *testing.T) {
 // TestPipelinedActionOvertakesParkedPoll is the motivating race: the
 // sender's long-poll is parked on the delivery hub, and its action reaches
 // the host at once, waking the mirror's parked poll — exactly one wake,
-// and no later poll delivers the action a second time.
+// and no later poll delivers the action a second time. The sender's action
+// poll is its park from then on: one poll and one empty answer per action,
+// and the next event answers it.
 func TestPipelinedActionOvertakesParkedPoll(t *testing.T) {
 	w := newWorld(t, nil)
 	w.hostNavigate(t, "http://"+sites.Table1[1].Host()+"/")
@@ -173,28 +186,45 @@ func TestPipelinedActionOvertakesParkedPoll(t *testing.T) {
 	before := sender.Stats()
 	start := time.Now()
 	sender.PointerMove(42, 7) // an action poll, pipelined behind the park
-	for _, ch := range []chan error{mirrorDone, senderDone} {
-		select {
-		case err := <-ch:
-			if err != nil {
-				t.Fatal(err)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("a parked poll waited out its hang instead of ending on the action")
+	select {
+	case err := <-mirrorDone:
+		if err != nil {
+			t.Fatal(err)
 		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the mirror's parked poll waited out its hang instead of ending on the action")
 	}
 	if took := time.Since(start); took >= time.Second {
-		t.Fatalf("mirror and sender answered after %v", took)
+		t.Fatalf("mirror answered after %v", took)
 	}
 	if got := counts.count(42); got != 1 {
 		t.Fatalf("mirror saw the action %d times, want exactly 1", got)
+	}
+	// The sender's superseded park is answered empty; its action poll is
+	// now the one parked poll, and the mirror's pointer move answers it.
+	for deadline := time.Now().Add(5 * time.Second); sender.Stats().EmptyPolls == before.EmptyPolls; {
+		if time.Now().After(deadline) {
+			t.Fatal("the sender's park was not answered when its action poll arrived")
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+	waitParked(t, w.agent, 1)
+	mirror.LongPollWait = time.Millisecond
+	mirror.PointerMove(43, 8)
+	select {
+	case err := <-senderDone:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the sender's parked action poll waited out its hang instead of ending on the mirror's action")
 	}
 	st := sender.Stats()
 	if got := st.Polls - before.Polls; got != 1 {
 		t.Fatalf("sender wrote %d polls during the park, want the one action poll", got)
 	}
-	if st.ActionsSent != 1 || st.EmptyPolls-before.EmptyPolls != 2 {
-		t.Fatalf("sender stats = %+v: want 1 action sent, the superseded park and the action poll answered empty", st)
+	if st.ActionsSent != 1 || st.EmptyPolls-before.EmptyPolls != 1 {
+		t.Fatalf("sender stats = %+v: want 1 action sent and only the superseded park answered empty", st)
 	}
 
 	// The next polls on both sides carry no duplicate.
@@ -514,5 +544,136 @@ func TestWakeCrossingSupersedeConverges(t *testing.T) {
 	}
 	if got, want := docHTML(t, s.Browser), docHTML(t, ref.Browser); got != want {
 		t.Fatalf("replica diverged from a fresh join:\n got: %s\nwant: %s", got, want)
+	}
+}
+
+// TestMirrorsCarryNoReplayStamps guards the replay filter against forgery.
+// The filter keys on the client ID alone, so a participant that learned
+// another's (CID, CSeq) could stamp a forged action far ahead of it and
+// have the victim's next actions dropped as duplicates. A mirrored action
+// holds only what a receiver applies, so the attacker learns no stamp, and
+// the victim's next pointer move still reaches the host policy.
+func TestMirrorsCarryNoReplayStamps(t *testing.T) {
+	var mu sync.Mutex
+	decided := make(map[int]int) // pointer X → policy decisions
+	w := newWorld(t, func(a *Agent) {
+		a.Policy = PolicyFunc(func(_ string, act Action) Decision {
+			mu.Lock()
+			decided[act.X]++
+			mu.Unlock()
+			return Apply
+		})
+	})
+	w.hostNavigate(t, "http://"+sites.Table1[1].Host()+"/")
+	victim := w.join(t, "victim.lan")
+	attacker := w.join(t, "attacker.lan")
+	var mirrored []Action
+	attacker.OnUserAction = func(act Action) {
+		mu.Lock()
+		mirrored = append(mirrored, act)
+		mu.Unlock()
+	}
+	poll := func(s *Snippet) {
+		t.Helper()
+		if _, err := s.PollOnce(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	poll(victim)
+	poll(attacker)
+
+	victim.PointerMove(11, 1)
+	poll(victim)
+	poll(attacker)
+	mu.Lock()
+	if len(mirrored) != 1 || mirrored[0].X != 11 {
+		mu.Unlock()
+		t.Fatalf("attacker mirrored %v, want the victim's pointer move", mirrored)
+	}
+	seen := mirrored[0]
+	mu.Unlock()
+
+	// Forge an action under whatever stamp the mirror revealed.
+	attacker.QueueAction(Action{Kind: ActionMouseMove, X: 99, Y: 1, CID: seen.CID, CSeq: seen.CSeq + 100000})
+	poll(attacker)
+	victim.PointerMove(12, 1)
+	poll(victim)
+	mu.Lock()
+	got := decided[12]
+	mu.Unlock()
+	if got != 1 {
+		t.Fatalf("host policy saw the victim's next pointer move %d times, want 1", got)
+	}
+	if got := w.agent.DuplicateActions(); got != 0 {
+		t.Fatalf("replay filter dropped %d actions, want 0", got)
+	}
+	if seen.CID != "" || seen.CSeq != 0 || seen.Seq != 0 {
+		t.Fatalf("mirror carried replay stamps cid=%q cseq=%d seq=%d, want none", seen.CID, seen.CSeq, seen.Seq)
+	}
+}
+
+// TestParkedActionPollDropReplaysOnce covers the window an action poll's
+// park opens: the agent merged the action and parked the poll, then the
+// connection drops before any answer. The client resends the poll on a
+// fresh connection; the replay filter drops the copy, which parks in the
+// old one's place, so the host policy sees the action once and the outbox
+// drains when the next change answers it.
+func TestParkedActionPollDropReplaysOnce(t *testing.T) {
+	var decisions atomic.Int64
+	w := newWorld(t, func(a *Agent) {
+		a.Policy = PolicyFunc(func(string, Action) Decision {
+			decisions.Add(1)
+			return Apply
+		})
+	})
+	w.hostNavigate(t, "http://"+sites.Table1[1].Host()+"/")
+	s := longPollJoin(t, w, "dropped.lan", 10*time.Second)
+
+	s.PointerMove(5, 6) // merged, then parked
+	for deadline := time.Now().Add(5 * time.Second); decisions.Load() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("action never reached the host policy")
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+	waitParked(t, w.agent, 1)
+	if n := w.corpus.Network.ResetConns(agentAddr); n == 0 {
+		t.Fatal("no connection to reset")
+	}
+	done := make(chan error, 1)
+	go func() {
+		updated, err := s.PollOnce()
+		if err == nil && !updated {
+			err = fmt.Errorf("replayed action poll answered without the change")
+		}
+		done <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); w.agent.DuplicateActions() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the dropped action poll was never replayed")
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+	waitParked(t, w.agent, 1)
+	mutateBody(t, w)
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the replayed action poll was not answered by the host change")
+	}
+	if got := decisions.Load(); got != 1 {
+		t.Fatalf("host policy saw the action %d times, want once", got)
+	}
+	if got := w.agent.DuplicateActions(); got != 1 {
+		t.Fatalf("DuplicateActions = %d, want 1 (the replay)", got)
+	}
+	s.mu.Lock()
+	queued := s.out.Len()
+	s.mu.Unlock()
+	if queued != 0 {
+		t.Fatalf("outbox holds %d actions after the replay was answered, want 0", queued)
 	}
 }

@@ -514,13 +514,13 @@ func parsePollForm(req *httpwire.Request) pollForm {
 // first, so a retried upstream (a poll replayed after a lost answer, rejoin
 // re-send, channel resend) merges each action once; each survivor is
 // sequenced and routed through the policy as p's: applied, queued for the
-// host's confirmation, or denied. It returns how many actions the batch
-// carried and their highest CSeq, duplicates included — a replayed batch
-// is acknowledged like the original — or the payload's decode error.
-func (a *Agent) merge(p *participantState, payload string) (n int, maxSeq int64, err error) {
+// host's confirmation, or denied. It returns the batch's highest CSeq,
+// duplicates included — a replayed batch is acknowledged like the original
+// — or the payload's decode error.
+func (a *Agent) merge(p *participantState, payload string) (maxSeq int64, err error) {
 	actions, err := DecodeActions(payload)
 	if err != nil || len(actions) == 0 {
-		return 0, 0, err
+		return 0, err
 	}
 	for _, act := range actions {
 		maxSeq = max(maxSeq, act.CSeq)
@@ -548,15 +548,17 @@ func (a *Agent) merge(p *participantState, payload string) (n int, maxSeq int64,
 	p.mu.Lock()
 	p.LastSeen = time.Now()
 	p.mu.Unlock()
-	return len(actions), maxSeq, nil
+	return maxSeq, nil
 }
 
 // pollSetup parses a polling request and runs steps 1 and 2 of §4.1.1:
 // participant lookup, data merging, and timestamp bookkeeping. It returns
-// the participant and its form, whose wait is capped at MaxPollWait and
-// zeroed when the poll carried actions — or a non-nil error response. The
-// participant's parked poll, if any, is answered first: a participant keeps
-// at most one, and its newest poll is the one that counts.
+// the participant and its form, whose wait is capped at MaxPollWait — or a
+// non-nil error response. The participant's parked poll, if any, is
+// answered first: a participant keeps at most one, and its newest poll is
+// the one that counts. A poll that carried actions parks like any other
+// once they are merged; if its exchange then fails, the client replays
+// them and the replay filter drops what was merged.
 func (a *Agent) pollSetup(req *httpwire.Request) (*participantState, pollForm, *httpwire.Response) {
 	f := parsePollForm(req)
 	p, why := a.sessions.lookup(f.pid)
@@ -564,8 +566,7 @@ func (a *Agent) pollSetup(req *httpwire.Request) (*participantState, pollForm, *
 		return nil, f, closeResponse(why)
 	}
 	a.hub.supersede(p.ID)
-	n, _, err := a.merge(p, f.actions)
-	if err != nil {
+	if _, err := a.merge(p, f.actions); err != nil {
 		return nil, f, badActionResponse
 	}
 
@@ -578,12 +579,6 @@ func (a *Agent) pollSetup(req *httpwire.Request) (*participantState, pollForm, *
 	p.mu.Unlock()
 
 	f.wait = min(f.wait, a.maxPollWait())
-	if n > 0 {
-		// A poll that carried actions is answered at once, never parked:
-		// the answer is the client's acknowledgment that they were merged.
-		// (Our own snippet sends no wait with actions; foreign clients may.)
-		f.wait = 0
-	}
 	return p, f, nil
 }
 

@@ -423,7 +423,7 @@ func (a *Agent) channelActions(ch *agentChannel, payload string) {
 		ch.requestClose(closeSignal{reason: why})
 		return
 	}
-	_, maxSeq, _ := a.merge(p, payload) // a malformed frame is dropped; the channel stays
+	maxSeq, _ := a.merge(p, payload) // a malformed frame is dropped; the channel stays
 	a.smu.RUnlock()
 	if maxSeq > 0 {
 		buf := strconv.AppendInt(make([]byte, 0, 20), maxSeq, 10)

@@ -57,8 +57,9 @@ const (
 	// response arrives. Staleness drops to the transfer time; an idle
 	// session costs one request per LongPollWait instead of one per
 	// PollInterval. An action does not wait for the park to end: it leaves
-	// at once as a poll that does not park, pipelined on the connection the
-	// parked poll holds, and the agent ends the park when it arrives.
+	// at once as a poll of its own, pipelined on the connection the parked
+	// poll holds; the agent answers the old park empty, merges the actions
+	// and parks the action poll in its place.
 	DeliveryLongPoll
 	// DeliveryDuplex upgrades the exchange to a single framed full-duplex
 	// connection (POST /channel → 101): the agent pushes content and delta
@@ -160,12 +161,17 @@ type Client struct {
 	stats SnippetStats
 	// polls holds the polls written on the agent connection whose answers
 	// are not read yet, in write order; they are appended under sendMu and
-	// read by readPolls. actionPoll holds QueueAction back: the action poll
-	// it wrote is unanswered, or its write failed and no poll has been
-	// answered since — so a dead agent costs one doomed write, not one per
+	// read by readPolls. unanswered counts every poll written and not yet
+	// answered, including the one readPolls is reading. QueueAction writes
+	// an action poll only while at most the park is unanswered, so the park
+	// and one action poll are the most ever in flight; the tail held back
+	// meanwhile goes out when the answer ahead of that action poll arrives.
+	// held stops action polls after a poll's write or answer failed, until
+	// a poll is answered: a dead agent costs one doomed write, not one per
 	// action.
 	polls      []pendingPoll
-	actionPoll bool
+	unanswered int
+	held       bool
 	// parkDenied records that the most recent poll asked the agent to park
 	// it and got an empty answer marked as a refusal (Rcb-Retry-After, or
 	// AGENT_CLOSING once Agent.Close retired the push channel), so Run must
@@ -566,42 +572,47 @@ func (c *Client) longPollWait() time.Duration {
 // call may block for up to LongPollWait before returning an empty result.
 // Every answer on the connection is read and applied in write order: first
 // those of action polls QueueAction wrote since the last call, then this
-// poll's, then those of action polls written while it was parked. Every
-// poll carries a read deadline longPollReadSlack past the hang it asked
-// for, so a silent agent can strand neither a parked nor an interval poll.
+// poll's, then those of action polls written while it hangs — each of which
+// ends the park ahead of it and parks in its place, so PollOnce returns
+// when the last park is answered, with no second one written. An action
+// poll written since the last call asked for the hang too: when its answer
+// installed a document, that is this call's park answered; otherwise
+// PollOnce parks a poll of its own, so a call that applies nothing has
+// seen everything the agent held when it began. Every poll carries a read
+// deadline longPollReadSlack past the hang it asked for, so a silent agent
+// can strand neither a parked nor an interval poll.
 func (c *Client) PollOnce() (updated bool, err error) {
 	c.mu.Lock()
 	c.parkDenied = false
 	c.agentClosing = false
 	c.retryAfter = 0
 	c.mu.Unlock()
-	if updated, err = c.readPolls(); err != nil {
+	if updated, err = c.readPolls(); err != nil || updated {
 		return updated, err
 	}
 	c.sendMu.Lock()
 	err = c.writePoll(false)
 	c.sendMu.Unlock()
 	if err != nil {
-		return updated, err
+		return false, err
 	}
-	u, err := c.readPolls()
-	return updated || u, err
+	return c.readPolls()
 }
 
 // pendingPoll is one poll written whose answer is not read yet.
 type pendingPoll struct {
-	x      *httpwire.Exchange
-	ts     int64
-	wait   time.Duration
-	batch  []Action
-	action bool // written by QueueAction
+	x     *httpwire.Exchange
+	ts    int64
+	wait  time.Duration
+	batch []Action
 }
 
 // sendActions sends the outbox's unsent tail at once: as an ACTIONS frame
 // on a live channel, or in long-poll mode (and duplex falling back to it)
-// as an action poll — one that does not park, written on the connection the
-// parked poll holds. No action poll goes out in interval mode, before a
-// join, while a rejoin is due, or while actionPoll holds it back.
+// as an action poll written on the connection the parked poll holds. No
+// action poll goes out in interval mode, before a join, while a rejoin is
+// due, while held, or while an action poll is already in flight behind the
+// park.
 func (c *Client) sendActions() {
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
@@ -614,7 +625,7 @@ func (c *Client) sendActions() {
 	}
 	hanging := c.Delivery == DeliveryLongPoll ||
 		c.Delivery == DeliveryDuplex && c.duplexUntil.After(time.Now())
-	poll := hanging && c.joined && !c.rejoinNeeded && !c.actionPoll
+	poll := hanging && c.joined && !c.rejoinNeeded && !c.held && c.unanswered <= 1
 	c.mu.Unlock()
 	if poll {
 		_ = c.writePoll(true)
@@ -622,9 +633,12 @@ func (c *Client) sendActions() {
 }
 
 // writePoll writes the outbox's unsent tail, with the acknowledged ts, as
-// one poll whose answer readPolls reads; without actions it asks for the
-// long-poll hang. An action poll with an empty tail writes nothing. The
-// caller holds sendMu.
+// one poll whose answer readPolls reads; outside interval mode it asks for
+// the long-poll hang, actions or not. The agent merges the actions before it
+// parks the poll, so a parked action poll whose exchange later fails
+// replays actions the host already applied; the agent's (CID, CSeq) filter
+// drops those. An action poll with an empty tail writes nothing. The caller
+// holds sendMu.
 func (c *Client) writePoll(action bool) error {
 	addr, err := c.agentAddr()
 	if err != nil {
@@ -639,7 +653,6 @@ func (c *Client) writePoll(action bool) error {
 	}
 	c.stats.Polls++
 	c.stats.ActionsSent += int64(len(batch))
-	c.actionPoll = c.actionPoll || action
 	c.mu.Unlock()
 
 	fields := []httpwire.FormField{{Name: "ts", Value: strconv.FormatInt(ts, 10)}}
@@ -648,18 +661,10 @@ func (c *Client) writePoll(action bool) error {
 		// decides per response whether a delta is available and worthwhile.
 		fields = append(fields, httpwire.FormField{Name: "delta", Value: "1"})
 	}
-	wait := c.longPollWait()
 	if len(batch) > 0 {
 		fields = append(fields, httpwire.FormField{Name: "actions", Value: EncodeActions(batch)})
-		// An action-carrying request never parks: the agent merges actions
-		// before deciding to park, so a parked exchange that later fails
-		// (server shutdown, dropped link, tripped read deadline) would
-		// rewind and replay actions the host already applied. Asking for
-		// an immediate answer keeps the merged-but-unanswered window at
-		// round-trip scale, as in interval mode; the next poll, action-
-		// free, parks as usual.
-		wait = 0
 	}
+	wait := c.longPollWait()
 	if wait > 0 {
 		fields = append(fields, httpwire.FormField{Name: "wait", Value: strconv.FormatInt(wait.Milliseconds(), 10)})
 	}
@@ -669,16 +674,19 @@ func (c *Client) writePoll(action bool) error {
 	if err != nil {
 		c.out.Rewind()
 		c.stats.PollFailures++
+		c.held = true
 		return fmt.Errorf("rcb-snippet: poll: %w", err)
 	}
-	c.polls = append(c.polls, pendingPoll{x: x, ts: ts, wait: wait, batch: batch, action: action})
+	c.unanswered++
+	c.polls = append(c.polls, pendingPoll{x: x, ts: ts, wait: wait, batch: batch})
 	return nil
 }
 
 // readPolls reads and applies the answer of every poll written so far, in
 // write order, including polls written while it runs, and reports whether
-// any installed a document. It returns the first failure; every failed
-// poll rewinds the outbox.
+// any installed a document. After each healthy answer it sends the outbox
+// tail held back behind the action poll in flight. It returns the first
+// failure; every failed poll rewinds the outbox.
 func (c *Client) readPolls() (updated bool, err error) {
 	for {
 		c.mu.Lock()
@@ -694,21 +702,29 @@ func (c *Client) readPolls() (updated bool, err error) {
 		if err == nil {
 			err = perr
 		}
+		if perr == nil {
+			c.sendActions()
+		}
 	}
 }
 
 // answer reads one poll's answer and handles it.
 func (c *Client) answer(p pendingPoll) (bool, error) {
 	resp, err := p.x.Read(p.wait + longPollReadSlack)
-	if err != nil || resp.StatusCode != 200 {
+	c.mu.Lock()
+	c.unanswered--
+	c.held = err != nil || resp.StatusCode != 200
+	if c.held {
 		// A failed poll rewinds the outbox so interaction is not lost on a
 		// transient drop. Replays of actions the agent did merge before the
 		// failure are absorbed by its (CID, CSeq) filter.
-		c.mu.Lock()
 		c.out.Rewind()
 		c.stats.PollFailures++
-		c.mu.Unlock()
+	} else {
+		// A 200 means the agent merged the form's actions before answering.
+		c.out.AckBatch(p.batch)
 	}
+	c.mu.Unlock()
 	if err != nil {
 		return false, fmt.Errorf("rcb-snippet: poll: %w", err)
 	}
@@ -716,13 +732,6 @@ func (c *Client) answer(p pendingPoll) (bool, error) {
 		cs := headerCloseSignal(resp.Header)
 		return false, c.closed("poll", cs, resp.StatusCode, cs.reason.Retryable())
 	}
-	// A 200 means the agent merged the form's actions before answering.
-	c.mu.Lock()
-	c.out.AckBatch(p.batch)
-	if c.actionPoll && !slices.ContainsFunc(c.polls, func(q pendingPoll) bool { return q.action }) {
-		c.actionPoll = false
-	}
-	c.mu.Unlock()
 	// "If RCB-Agent indicates no new content with an empty response
 	// content, Ajax-Snippet simply ... send[s] a new polling request after a
 	// specified time interval."
@@ -837,20 +846,28 @@ func (c *Client) Run(stop <-chan struct{}, errf func(error)) {
 		r := CloseReasonOf(err)
 		return r != CloseNone && !r.Retryable()
 	}
-	timer := time.NewTimer(0) // first poll fires immediately after page load
+	// delay is the pause before the next request: none for the first poll
+	// after page load, nor after a healthy long-poll completion. Only a
+	// positive one waits on the timer.
+	var delay time.Duration
+	timer := time.NewTimer(time.Hour)
+	timer.Stop()
 	defer timer.Stop()
 	for {
-		select {
-		case <-stop:
-			return
-		case <-timer.C:
-			// A stop that raced the timer wins: a stopped loop must not
-			// issue (and perhaps park) one more request.
+		if delay > 0 {
+			resetTimer(timer, delay)
 			select {
 			case <-stop:
 				return
-			default:
+			case <-timer.C:
 			}
+		}
+		// A stop that raced the timer or the last exchange wins: a stopped
+		// loop must not issue (and perhaps park) one more request.
+		select {
+		case <-stop:
+			return
+		default:
 		}
 		c.mu.Lock()
 		join := !c.joined || c.rejoinNeeded
@@ -862,12 +879,11 @@ func (c *Client) Run(stop <-chan struct{}, errf func(error)) {
 				}
 				c.mu.Lock()
 				_, join := c.backoffsLocked()
-				d := join.Next()
-				if c.retryAfter > d {
-					d = c.retryAfter // server-assigned pacing floors the rejoin delay too
+				delay = join.Next()
+				if c.retryAfter > delay {
+					delay = c.retryAfter // server-assigned pacing floors the rejoin delay too
 				}
 				c.mu.Unlock()
-				resetTimer(timer, d)
 				continue
 			}
 		}
@@ -875,22 +891,17 @@ func (c *Client) Run(stop <-chan struct{}, errf func(error)) {
 			if report(c.DuplexOnce(stop)) {
 				return // deliberate removal over the channel: session over
 			}
-			select {
-			case <-stop:
-				return
-			default:
-			}
 			// The channel ended (refused, lost, or closed with a reason);
 			// the next iteration rejoins if needed, or rides the long-poll
 			// fallback until duplexUntil re-admits an upgrade attempt.
-			resetTimer(timer, c.duplexDelay())
+			delay = c.duplexDelay()
 			continue
 		}
 		_, err := c.PollOnce()
 		if report(err) {
 			return // deliberate removal (LEAVE/KICKED): the session is over
 		}
-		resetTimer(timer, c.runDelay(err, interval))
+		delay = c.runDelay(err, interval)
 	}
 }
 

@@ -102,7 +102,7 @@ func TestSnippetAndDocTimeClientWireIdentical(t *testing.T) {
 		{"interval-first", DeliveryInterval, false, 0, 0},
 		{"interval-actions", DeliveryInterval, false, 1234, 2},
 		{"longpoll-parks", DeliveryLongPoll, false, 1234, 0},
-		{"longpoll-actions-no-park", DeliveryLongPoll, true, 1234, 1},
+		{"longpoll-actions-park", DeliveryLongPoll, true, 1234, 1},
 	}
 	for i, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -156,7 +156,8 @@ func TestSnippetAndDocTimeClientWireIdentical(t *testing.T) {
 					acts = append(acts, a)
 				}
 				fields = append(fields, httpwire.FormField{Name: "actions", Value: EncodeActions(acts)})
-			} else if tc.mode == DeliveryLongPoll {
+			}
+			if tc.mode == DeliveryLongPoll {
 				fields = append(fields, httpwire.FormField{Name: "wait", Value: "2000"})
 			}
 			req := httpwire.NewRequest("POST", "/poll")
@@ -168,8 +169,9 @@ func TestSnippetAndDocTimeClientWireIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			if tc.actions > 0 && tc.mode == DeliveryLongPoll {
-				// The actions left at once on a poll of their own; PollOnce
-				// then parks with the plain long-poll request.
+				// The actions left at once on a poll of their own that asks
+				// for the hang; its empty answer installed nothing, so
+				// PollOnce then parks with the plain long-poll request.
 				req.Body = []byte(httpwire.EncodeForm([]httpwire.FormField{
 					{Name: "ts", Value: strconv.FormatInt(tc.ts, 10)},
 					{Name: "wait", Value: "2000"},

@@ -151,8 +151,9 @@ func (h *deliveryHub) remove(w *pollWaiter) bool {
 
 // supersede answers pid's parked poll, if any, with the plain empty
 // response: a newer poll from the participant has arrived, on the same
-// connection (a pipelined action poll, which must not wait out the hang
-// before its own answer can go out) or on another (the old one is a ghost).
+// connection (a pipelined action poll, which takes the park over: answers
+// go out in request order, so the old park must end for the new poll's to
+// go out) or on another (the old one is a ghost).
 // The answer runs no content check and drains no mirror queue; the newer
 // poll carries whatever there is. fulfill must not block: the caller may
 // hold the serve/state barrier.

@@ -286,25 +286,63 @@ func TestAgentCloseWakesParkedPolls(t *testing.T) {
 	}
 }
 
-// TestActionCarryingLongPollNeverParks guards the double-apply window: the
-// agent merges piggybacked actions before deciding to park, so a poll that
-// carries actions must be answered immediately — a parked-then-failed
-// exchange would requeue and replay actions the host already applied.
-func TestActionCarryingLongPollNeverParks(t *testing.T) {
-	w := newWorld(t, nil)
+// TestActionCarryingLongPollParks pins the action poll's contract: it asks
+// for the hang, the agent merges its actions at once and then parks it like
+// any other poll, and the next change answers it — the action poll is the
+// participant's park, not an extra exchange in front of one.
+func TestActionCarryingLongPollParks(t *testing.T) {
+	reached := make(chan Action, 1)
+	w := newWorld(t, func(a *Agent) {
+		a.Policy = PolicyFunc(func(_ string, act Action) Decision {
+			reached <- act
+			return Apply
+		})
+	})
 	w.hostNavigate(t, "http://"+sites.Table1[1].Host()+"/")
 	s := longPollJoin(t, w, "mover.lan", 10*time.Second)
 
+	before := s.Stats()
 	s.PointerMove(3, 4) // written at once as an action poll
+	select {
+	case act := <-reached:
+		if act.X != 3 || act.Y != 4 {
+			t.Fatalf("policy saw %v, want the pointer move", act)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("action never reached the host policy")
+	}
+	waitParked(t, w.agent, 1)
+
 	start := time.Now()
-	if _, err := s.readPolls(); err != nil {
-		t.Fatal(err)
+	done := make(chan error, 1)
+	go func() {
+		updated, err := s.PollOnce()
+		if err == nil && !updated {
+			err = fmt.Errorf("parked action poll answered without the change")
+		}
+		done <- err
+	}()
+	mutateBody(t, w)
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the host change did not answer the parked action poll")
 	}
 	if took := time.Since(start); took > 2*time.Second {
-		t.Fatalf("action-carrying poll parked for %v; must answer immediately", took)
+		t.Fatalf("parked action poll answered after %v", took)
+	}
+	st := s.Stats()
+	if got := st.Polls - before.Polls; got != 1 {
+		t.Fatalf("%d polls written, want the one action poll, which was PollOnce's park", got)
+	}
+	if got := st.EmptyPolls - before.EmptyPolls; got != 0 {
+		t.Fatalf("%d empty answers, want none", got)
 	}
 	if got := w.agent.ParkedPolls(); got != 0 {
-		t.Fatalf("action-carrying poll left %d waiters parked", got)
+		t.Fatalf("%d polls still parked", got)
 	}
 }
 

@@ -226,9 +226,14 @@ func (t *sessionTable) remove(pid string, reason CloseReason) bool {
 }
 
 // broadcast queues act for every participant except its originator and
-// calls queued with each recipient's ID. The roster is only read-locked;
-// each enqueue takes that participant's own lock.
+// calls queued with each recipient's ID. The queued copy holds only what a
+// receiver applies: the replay stamps (Seq, CID, CSeq) stay at the agent,
+// since a mirrored CID would let any participant forge its sender's stamps
+// and make the replay filter drop the sender's next actions. The roster is
+// only read-locked; each enqueue takes that participant's own lock.
 func (t *sessionTable) broadcast(act Action, queued func(pid string)) {
+	mirror := Action{Kind: act.Kind, Target: act.Target, Value: act.Value,
+		Fields: act.Fields, X: act.X, Y: act.Y, From: act.From}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	for _, p := range t.roster {
@@ -236,7 +241,7 @@ func (t *sessionTable) broadcast(act Action, queued func(pid string)) {
 			continue
 		}
 		p.mu.Lock()
-		p.mirror.push(act)
+		p.mirror.push(mirror)
 		p.mu.Unlock()
 		queued(p.ID)
 	}

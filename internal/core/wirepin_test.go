@@ -66,3 +66,29 @@ func TestFigure4WireBytesPinned(t *testing.T) {
 	c.UserActions = []Action{{Kind: ActionFormInput, Target: "1.0", Value: "Straße ✓ 𝄞", From: "p1", Seq: 3}}
 	check("non-ascii", c)
 }
+
+// mirrorOnlyPin is the Figure 4 message a receiver gets for one mirrored
+// pointer move and no new document: the bulk of a pointer-heavy session's
+// downstream bytes.
+const mirrorOnlyPin = "<?xml version='1.0' encoding='utf-8'?>\n<newContent>\n" +
+	"<docTime>1700000000000</docTime>\n" +
+	"<userActions><![CDATA[%5B%7B%22kind%22%3A%22mousemove%22%2C%22x%22%3A412%2C%22y%22%3A87%2C%22from%22%3A%22p1%22%7D%5D]]></userActions>\n" +
+	"</newContent>\n"
+
+// TestMirrorOnlyWireBytesPinned pins a one-pointer-move mirror-only
+// message: the copy the session table queues for a receiver, marshaled as
+// deliver marshals an answer with no new document. The sender's replay
+// stamps (Seq, CID, CSeq) never reach the wire.
+func TestMirrorOnlyWireBytesPinned(t *testing.T) {
+	tab := newSessionTable()
+	sender, _ := tab.join(false, 0)
+	receiver, _ := tab.join(false, 0)
+	tab.broadcast(Action{Kind: ActionMouseMove, X: 412, Y: 87, From: sender,
+		Seq: 9, CID: "c1x2y3-1", CSeq: 7}, func(string) {})
+	p, _ := tab.lookup(receiver)
+	_, acts := p.drain()
+	got := string((&NewContent{DocTime: pinnedDocTime, UserActions: acts}).Marshal())
+	if got != mirrorOnlyPin {
+		t.Fatalf("mirror-only bytes changed:\n got %q\nwant %q", got, mirrorOnlyPin)
+	}
+}
