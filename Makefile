@@ -24,13 +24,14 @@ race: vet
 # applied snapshot) benchmarks plus the JSON snapshots future
 # PRs compare against: BENCH_fanout.json (serve scaling), BENCH_delivery.json
 # (interval vs long-poll staleness) and BENCH_delta.json (incremental vs
-# full apply for a small edit).
+# full apply for a small edit). The fanout, delta and scale snapshots are
+# taken at GOMAXPROCS=1, as committed; delivery runs at the host's value.
 bench: vet
 	$(GO) test -run '^$$' -bench 'FanoutScale|AblationFanout|ConcurrentPoll|MirrorSplice|LongPollFanout|DuplexFanout|DeltaApply|DeltaRing|MessageCodec|JoinPath' -benchmem .
-	$(GO) run ./cmd/rcb-bench -fanout -out BENCH_fanout.json
+	GOMAXPROCS=1 $(GO) run ./cmd/rcb-bench -fanout -out BENCH_fanout.json
 	$(GO) run ./cmd/rcb-bench -delivery -out BENCH_delivery.json
-	$(GO) run ./cmd/rcb-bench -delta -site msn.com -out BENCH_delta.json
-	$(GO) run ./cmd/rcb-bench -scale -out BENCH_scale.json
+	GOMAXPROCS=1 $(GO) run ./cmd/rcb-bench -delta -site msn.com -out BENCH_delta.json
+	GOMAXPROCS=1 $(GO) run ./cmd/rcb-bench -scale -out BENCH_scale.json
 
 # Fault-injection harness: seeded netsim chaos scenarios (lossy/mobile
 # links, server restarts, link flaps, forced disconnects) asserting

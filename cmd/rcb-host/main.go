@@ -38,7 +38,7 @@ func main() {
 	cache := flag.Bool("cache", true, "serve cached objects to participants (cache mode)")
 	channels := flag.Bool("channels", true, "accept persistent-channel upgrades (rcb-join -duplex); off refuses them and participants fall back to long-poll")
 	maxParticipants := flag.Int("max-participants", 64, "admission cap: refuse joins beyond this many participants (SESSION_FULL); 0 = unlimited")
-	maxParked := flag.Int("max-parked", 256, "cap on concurrently parked long-polls; the oldest reader beyond it is shed (OVERCOMMITTED); 0 = unlimited")
+	maxParked := flag.Int("max-parked", 256, "cap on concurrently parked long-polls; a poll beyond it is answered at once, empty, with Rcb-Retry-After; 0 = unlimited")
 	shedWatermarks := flag.String("shed-watermarks", "",
 		"shed-ladder watermarks as 'signal=high[/low],...' with signals parked, outbox, heap\n"+
 			"(heap takes size suffixes, e.g. 'parked=200/100,heap=512M'); low defaults to high/2; empty disables the ladder")

@@ -226,8 +226,8 @@ func (a *Agent) URL() string { return "http://" + a.Addr }
 // the agent-to-agent handover handshake (POST /handover/*, handover.go).
 func (a *Agent) ServeWire(req *httpwire.Request) *httpwire.Response {
 	if req.Method == "POST" && strings.HasPrefix(req.Path(), "/handover/") {
-		// The handshake manages the state barrier itself (ImportState takes
-		// the write side) and must stay reachable on a relocated agent so
+		// The handshake manages the state barrier itself (the state step
+		// takes the write side) and must stay reachable on a relocated agent so
 		// chained migrations work.
 		if errResp := a.verifyAuth(req); errResp != nil {
 			return errResp

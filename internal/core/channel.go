@@ -308,11 +308,10 @@ func (a *Agent) channelFlush(ch *agentChannel) bool {
 			return false
 		}
 		a.maybeEvalLoad()
-		if a.measuredShedLevel() >= ShedInterval {
-			// Real overload (not a handover's forced quiesce — channels must
-			// outlive that to receive the MOVED frame): shed the per-client
-			// channel state; the client falls back to interval-paced polling
-			// under the same retry hint a refused park carries.
+		if a.ShedLevel() >= ShedInterval {
+			// Overload: shed the per-client channel state; the client falls
+			// back to interval-paced polling under the same retry hint a
+			// refused park carries.
 			cs := closeSignal{reason: CloseOvercommitted, retry: a.shedRetryAfter()}
 			a.smu.RUnlock()
 			a.channelFallbacks.Add(1)

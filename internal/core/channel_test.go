@@ -249,11 +249,22 @@ func pidOf(s *Snippet) string {
 // with OVERCOMMITTED + retry-after and the snippet quietly opens its
 // fallback window instead of erroring or rejoining.
 func TestChannelShedRefusal(t *testing.T) {
-	w := newWorld(t, nil)
+	var heap atomic.Uint64
+	w := newWorld(t, func(a *Agent) {
+		a.Shed = ShedWatermarks{HeapHigh: 1000, HeapLow: 500}
+		a.ReadHeap = func() uint64 { return heap.Load() }
+	})
 	w.hostNavigate(t, "http://"+sites.Table1[1].Host()+"/")
 	s := w.join(t, "shed.lan")
 	s.Delivery = DeliveryDuplex
-	w.agent.forceShed(ShedInterval)
+	// Climb the measured ladder to ShedInterval, then hold it there inside
+	// the hysteresis band so serve-path evaluations neither climb nor recede.
+	heap.Store(2000)
+	w.agent.EvaluateLoad()
+	if got := w.agent.EvaluateLoad(); got != ShedInterval {
+		t.Fatalf("ladder at %v, want %v", got, ShedInterval)
+	}
+	heap.Store(700)
 
 	if err := s.DuplexOnce(nil); err != nil {
 		t.Fatalf("refused upgrade must degrade silently, got %v", err)
@@ -377,10 +388,9 @@ func TestChannelServerCloseFallsBack(t *testing.T) {
 	}
 }
 
-// TestChannelHandoverMoved is the ISSUE scenario: a handover completes
-// while a channel is live; the MOVED close arrives as a frame over that
-// channel (surviving the forced quiesce), the snippet follows the
-// relocation, and re-upgrades against the new agent.
+// TestChannelHandoverMoved: a handover completes while a channel is live;
+// the MOVED close arrives as a frame over that channel, the snippet follows
+// the relocation, and re-upgrades against the new agent.
 func TestChannelHandoverMoved(t *testing.T) {
 	w := newWorld(t, func(a *Agent) { a.Auth = NewAuthenticator(handoverKey) })
 	w.hostNavigate(t, "http://"+sites.Table1[1].Host()+"/")

@@ -829,7 +829,7 @@ func (c *Client) desync() {
 // RetryMax with jitter, resetting the moment a poll succeeds; a
 // server-assigned Rcb-Retry-After is honored as the floor. When the agent
 // closes the session with a retryable reason (restart, stale-reader kick,
-// shed OVERCOMMITTED), Run rejoins and resyncs automatically — a
+// relocation), Run rejoins and resyncs automatically — a
 // non-retryable close (LEAVE, KICKED) ends the loop, the one error that
 // genuinely means the session is over. Other errors are delivered to errf
 // when non-nil and the loop continues — a dropped poll must not end the

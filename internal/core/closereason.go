@@ -28,8 +28,10 @@ const (
 	// CloseSessionFull: admission refused — the session is at its
 	// participant cap or the agent is shedding joins. Rejoin later.
 	CloseSessionFull
-	// CloseOvercommitted: the agent dropped the participant to relieve
-	// resource pressure (parked-poll cap). Rejoin later.
+	// CloseOvercommitted: the agent refused or closed the participant's
+	// persistent channel to relieve resource pressure (shed ladder at
+	// ShedInterval, channels disabled, a receiver mid-handover). Fall back
+	// and re-upgrade later.
 	CloseOvercommitted
 	// CloseStaleReader: the participant's acknowledged version lagged the
 	// document beyond the configured distance, or its parked poll exceeded

@@ -14,17 +14,15 @@ import (
 //  1. POST /handover/init      — the receiver, which must opt in with
 //     AllowHandover, issues a one-time transfer token and stops admitting
 //     joins so the incoming state cannot race fresh participants.
-//  2. quiesce                  — the sender pins the shed ladder at
-//     ShedInterval (no new long-polls park) and drains the parked ones,
-//     so no request is suspended mid-protocol when the state leaves.
-//  3. relocation fence         — under the serve/state barrier's write
+//  2. relocation fence         — under the serve/state barrier's write
 //     lock the sender marks itself relocated; from that instant every
 //     request answers MOVED + Rcb-Relocate and no session state can
 //     change, which is what makes the exported snapshot the final word
-//     (replay stamps included: exactly-once survives the move).
-//  4. POST /handover/state     — the snapshot transfers; the receiver
+//     (replay stamps included: exactly-once survives the move). A hub
+//     wake then answers every parked poll and live channel MOVED too.
+//  3. POST /handover/state     — the snapshot transfers; the receiver
 //     imports it and adopts the session key.
-//  5. POST /handover/complete  — the receiver opens its doors; snippets
+//  4. POST /handover/complete  — the receiver opens its doors; snippets
 //     follow the relocation on their normal backoff/rejoin path.
 //
 // The receiver side is idempotent at every step — init re-issues the
@@ -46,10 +44,6 @@ const handoverAttempts = 5
 // handoverStepTimeout bounds one handshake round trip. State transfers are
 // a single request carrying the whole session, so this is generous.
 const handoverStepTimeout = 10 * time.Second
-
-// quiesceTimeout bounds the parked-poll drain; parked polls complete
-// within their hang anyway, so this only guards a stuck hub.
-const quiesceTimeout = 5 * time.Second
 
 // movedSignal is the close a relocated agent answers every request and
 // channel with. Caller holds at least the read side of smu.
@@ -83,7 +77,7 @@ func (a *Agent) handoverPending() bool {
 }
 
 // serveHandover is the receiver side of the handshake. Caller has already
-// verified authentication; smu is NOT held (ImportState takes the write
+// verified authentication; smu is NOT held (the state step takes the write
 // side itself).
 func (a *Agent) serveHandover(req *httpwire.Request) *httpwire.Response {
 	var token, state string
@@ -125,28 +119,31 @@ func (a *Agent) handoverInit() *httpwire.Response {
 }
 
 func (a *Agent) handoverState(token, state string) *httpwire.Response {
+	// The whole step holds the barrier's write side, so a retried /state
+	// racing a slow first import waits for it and then finds it landed.
+	a.smu.Lock()
+	defer a.smu.Unlock()
 	a.hmu.Lock()
-	if a.handoverToken == "" || token != a.handoverToken {
-		a.hmu.Unlock()
+	valid, imported := a.handoverToken != "" && token == a.handoverToken, a.handoverImported
+	a.hmu.Unlock()
+	if !valid {
 		return httpwire.NewResponse(403, "text/plain", []byte("bad handover token\n"))
 	}
-	if a.handoverImported {
+	if imported {
 		// Retry of a transfer that already landed: acknowledge, don't
-		// re-import (the session may already be live with participants).
-		a.hmu.Unlock()
+		// re-import.
 		return httpwire.NewResponse(200, "text/plain", []byte("ok\n"))
 	}
-	a.hmu.Unlock()
-
-	if err := a.ImportState([]byte(state)); err != nil {
-		// A retried /state racing a slow first import can lose to it and
-		// then find the session live; that is a success, not a conflict.
-		a.hmu.Lock()
-		imported := a.handoverImported
-		a.hmu.Unlock()
-		if imported {
-			return httpwire.NewResponse(200, "text/plain", []byte("ok\n"))
-		}
+	st, err := decodeState([]byte(state))
+	if err == nil {
+		// Every relocated snippet rejoins here, and a join mints a fresh id,
+		// so an imported roster would leave one ghost per participant holding
+		// a seat and a mirror queue. The replay stamps, the id counter,
+		// pending actions and prepared builds still import.
+		st.Participants = nil
+		err = a.importLocked(st)
+	}
+	if err != nil {
 		a.logf("rcb-agent: handover import failed: %v", err)
 		return httpwire.NewResponse(409, "text/plain", []byte("import failed: "+err.Error()+"\n"))
 	}
@@ -186,54 +183,34 @@ func (a *Agent) HandoverTo(client *httpwire.Client, addr string) error {
 	}
 	token := string(tokenResp)
 
-	// Step 2: quiesce. Pin the ladder at ShedInterval so no new long-poll
-	// parks, then wake and drain the parked ones. Polls answered during
-	// this window carry the shed retry-after, degrading the fleet to
-	// interval mode for the transfer.
-	a.forceShed(ShedInterval)
-	a.hub.notifyAll()
-	drainDeadline := time.Now().Add(quiesceTimeout)
-	for a.ParkedPolls() > 0 {
-		if time.Now().After(drainDeadline) {
-			a.forceShed(ShedNone)
-			return fmt.Errorf("rcb-agent: handover: %d polls still parked after %v", a.ParkedPolls(), quiesceTimeout)
-		}
-		time.Sleep(time.Millisecond)
-		a.hub.notifyAll()
-	}
-
-	// Step 3: the relocation fence. From here no request mutates state;
+	// Step 2: the relocation fence. From here no request mutates state;
 	// in-flight merges have drained (setRelocated waits out the barrier's
-	// readers), so the snapshot below is the session's final word.
+	// readers), so the snapshot below is the session's final word. A poll
+	// registers its park under the barrier's read side, so every park
+	// precedes the fence and the wake below answers it MOVED; so does each
+	// live channel's flush.
 	a.setRelocated(addr)
-	// Persistent channels survive the quiesce (their writers shed only on
-	// the measured ladder, not the forced floor) precisely so this wake can
-	// deliver the MOVED close frame over the live channel — the framed
-	// analogue of the MOVED response every poll now receives.
 	a.hub.notifyAll()
 	state, err := a.ExportState()
 	if err != nil {
 		a.setRelocated("")
-		a.forceShed(ShedNone)
 		return fmt.Errorf("rcb-agent: handover export: %w", err)
 	}
 
-	// Step 4: transfer. After the first successful /state the receiver
+	// Step 3: transfer. After the first successful /state the receiver
 	// owns the session: no rollback past this point, whatever happens to
 	// /complete — re-running it is idempotent.
 	fields := []httpwire.FormField{{Name: "token", Value: token}, {Name: "state", Value: string(state)}}
 	if _, err := a.handoverPost(client, addr, "/handover/state", fields); err != nil {
 		a.setRelocated("")
-		a.forceShed(ShedNone)
 		return fmt.Errorf("rcb-agent: handover state sync: %w", err)
 	}
 
-	// Step 5: complete — the receiver opens for joins.
+	// Step 4: complete — the receiver opens for joins.
 	if _, err := a.handoverPost(client, addr, "/handover/complete",
 		[]httpwire.FormField{{Name: "token", Value: token}}); err != nil {
 		return fmt.Errorf("rcb-agent: handover complete (state already transferred): %w", err)
 	}
-	a.forceShed(ShedNone)
 	a.logf("rcb-agent: session handed over to %s", addr)
 	return nil
 }

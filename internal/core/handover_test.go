@@ -354,3 +354,74 @@ func TestChainedHandover(t *testing.T) {
 		t.Fatalf("poll on the final agent: %v", err)
 	}
 }
+
+// TestHandoverLeavesNoGhosts: every relocated snippet rejoins the receiver
+// under a fresh id, so the receiver must not keep the imported roster. With
+// it kept, two handed-over participants would hold four seats — the second
+// rejoin refused SESSION_FULL under a cap of three — and one broadcast would
+// queue a mirror action for each ghost.
+func TestHandoverLeavesNoGhosts(t *testing.T) {
+	w := newWorld(t, nil)
+	w.hostNavigate(t, "http://"+sites.Table1[1].Host()+"/")
+	alice, bob := w.join(t, "alice.lan"), w.join(t, "bob.lan")
+	for _, s := range []*Snippet{alice, bob} {
+		if _, err := s.PollOnce(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rcv := newReceiver(t, w, "host2.lan", "", func(a *Agent) { a.MaxParticipants = 3 })
+	if err := w.agent.HandoverTo(handoverClient(w), rcv.addr); err != nil {
+		t.Fatal(err)
+	}
+	if got := rcv.agent.ParticipantCount(); got != 0 {
+		t.Fatalf("receiver holds %d participants before any rejoin, want 0", got)
+	}
+	for _, s := range []*Snippet{alice, bob} {
+		if _, err := s.PollOnce(); CloseReasonOf(err) != CloseMoved {
+			t.Fatalf("poll on the old address: %v, want MOVED", err)
+		}
+		if err := s.Rejoin(); err != nil {
+			t.Fatalf("relocated rejoin: %v", err)
+		}
+	}
+	if got := rcv.agent.ParticipantCount(); got != 2 {
+		t.Fatalf("receiver holds %d participants after 2 rejoins, want 2", got)
+	}
+	rcv.agent.HostAction(Action{Kind: ActionMouseMove, X: 1, Y: 1})
+	if got := rcv.agent.OutboxDepth(); got != 2 {
+		t.Fatalf("one host broadcast queued %d mirror actions, want 2", got)
+	}
+}
+
+// TestParkedPollAnsweredMovedAtFence: a long-poll parked when the handover
+// fence lands is answered MOVED at once, not left to its hang.
+func TestParkedPollAnsweredMovedAtFence(t *testing.T) {
+	w := newWorld(t, nil)
+	w.hostNavigate(t, "http://"+sites.Table1[1].Host()+"/")
+	s := longPollJoin(t, w, "alice.lan", 5*time.Second)
+
+	done := make(chan error, 1)
+	start := time.Now()
+	go func() {
+		_, err := s.PollOnce()
+		done <- err
+	}()
+	waitParked(t, w.agent, 1)
+
+	rcv := newReceiver(t, w, "host2.lan", "", nil)
+	if err := w.agent.HandoverTo(handoverClient(w), rcv.addr); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; CloseReasonOf(err) != CloseMoved {
+		t.Fatalf("parked poll answered %v, want MOVED", err)
+	}
+	if took := time.Since(start); took >= 5*time.Second {
+		t.Fatalf("parked poll waited out its hang (%v)", took)
+	}
+	if !s.RejoinNeeded() {
+		t.Fatal("MOVED on the parked poll did not schedule a rejoin")
+	}
+	if got := w.agent.ParkedPolls(); got != 0 {
+		t.Fatalf("%d polls still parked at the relocated agent", got)
+	}
+}

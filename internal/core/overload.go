@@ -180,36 +180,13 @@ type shedState struct {
 	lastEval atomic.Int64
 	ups      atomic.Int64
 	downs    atomic.Int64
-	// forced is an administrative floor under the measured level: the
-	// handover quiesce pins ShedInterval so parked polls drain and no new
-	// ones park, independent of what the load signals say.
-	forced atomic.Int32
 
 	respOnce sync.Once
 	resp     *httpwire.Response
 }
 
-// ShedLevel reports the ladder's current step: the maximum of the measured
-// level and any administratively forced floor.
-func (a *Agent) ShedLevel() ShedLevel {
-	lvl := ShedLevel(a.shed.level.Load())
-	if f := ShedLevel(a.shed.forced.Load()); f > lvl {
-		return f
-	}
-	return lvl
-}
-
-// measuredShedLevel reports the ladder's measured step alone, ignoring any
-// forced floor. The channel writer sheds on this: a handover quiesce forces
-// ShedInterval but must leave live channels attached so they can receive
-// their MOVED close frame at the fence, while genuine load-driven
-// ShedInterval does tear channels down.
-func (a *Agent) measuredShedLevel() ShedLevel { return ShedLevel(a.shed.level.Load()) }
-
-// forceShed pins the ladder at or above lvl until released with
-// forceShed(ShedNone). The measured ladder keeps evaluating underneath and
-// wins if it is higher.
-func (a *Agent) forceShed(lvl ShedLevel) { a.shed.forced.Store(int32(lvl)) }
+// ShedLevel reports the ladder's current step.
+func (a *Agent) ShedLevel() ShedLevel { return ShedLevel(a.shed.level.Load()) }
 
 // ShedTransitions reports how many times the ladder climbed (ups) and
 // recovered (downs).

@@ -380,7 +380,8 @@ func TestDuplicateActionsFiltered(t *testing.T) {
 		})
 	})
 	w.hostNavigate(t, "http://"+sites.Table1[1].Host()+"/")
-	s := longPollJoin(t, w, "dup.lan", 0)
+	// A short hang: the replayed action poll below parks until it expires.
+	s := longPollJoin(t, w, "dup.lan", 100*time.Millisecond)
 
 	act := Action{Kind: ActionMouseMove, X: 9, Y: 9}
 	s.mu.Lock()

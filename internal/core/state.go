@@ -166,17 +166,30 @@ func (a *Agent) ExportState() ([]byte, error) {
 // clobber a live session. The exporting agent's session key is adopted so
 // participant HMACs and cookies keep verifying after the move.
 func (a *Agent) ImportState(data []byte) error {
-	var st agentState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return fmt.Errorf("rcb-agent: decode state: %w", err)
+	st, err := decodeState(data)
+	if err != nil {
+		return err
 	}
-	if st.Schema != StateSchemaVersion {
-		return fmt.Errorf("rcb-agent: state schema %d, want %d", st.Schema, StateSchemaVersion)
-	}
-
 	a.smu.Lock()
 	defer a.smu.Unlock()
+	return a.importLocked(st)
+}
 
+// decodeState parses an ExportState snapshot and checks its schema.
+func decodeState(data []byte) (*agentState, error) {
+	var st agentState
+	if err := json.Unmarshal(data, &st); err != nil {
+		return nil, fmt.Errorf("rcb-agent: decode state: %w", err)
+	}
+	if st.Schema != StateSchemaVersion {
+		return nil, fmt.Errorf("rcb-agent: state schema %d, want %d", st.Schema, StateSchemaVersion)
+	}
+	return &st, nil
+}
+
+// importLocked installs a decoded snapshot. Caller holds the write side of
+// smu.
+func (a *Agent) importLocked(st *agentState) error {
 	if n := a.sessions.count(); n > 0 {
 		return fmt.Errorf("rcb-agent: refusing to import state over a live session (%d participants)", n)
 	}
@@ -191,7 +204,7 @@ func (a *Agent) ImportState(data []byte) error {
 	}
 	version := a.Browser.Version()
 
-	a.sessions.importFrom(&st)
+	a.sessions.importFrom(st)
 
 	a.amu.Lock()
 	a.actionSeq = st.ActionSeq
@@ -201,7 +214,7 @@ func (a *Agent) ImportState(data []byte) error {
 	}
 	a.amu.Unlock()
 
-	a.pipeline.importFrom(&st, version, st.Addr == a.Addr)
+	a.pipeline.importFrom(st, version, st.Addr == a.Addr)
 
 	// The imported session is live here, whatever this process was before.
 	a.relocatedTo = ""

@@ -268,8 +268,8 @@ func (f *fleet) runWriterTurns() error {
 			return err
 		}
 	}
-	if got := f.agent().ParticipantCount(); got < f.cfg.N {
-		f.violate("post-handover agent holds %d participants, want >= %d", got, f.cfg.N)
+	if got := f.agent().ParticipantCount(); got < f.cfg.N || got > f.cfg.N+f.cfg.Sentinels {
+		f.violate("post-handover agent holds %d participants, want %d..%d", got, f.cfg.N, f.cfg.N+f.cfg.Sentinels)
 	}
 	if err := f.converge(convergeDeadline); err != nil {
 		return err
@@ -279,8 +279,9 @@ func (f *fleet) runWriterTurns() error {
 }
 
 // handover moves the live session from the current agent to the standby:
-// quiesce, state transfer, fence — after which every request at the old
-// address answers MOVED with a relocate hint the fleet follows.
+// relocation fence, state transfer, completion — from the fence on, every
+// request and parked poll at the old address answers MOVED with a relocate
+// hint the fleet follows.
 func (f *fleet) handover() error {
 	from := f.cur.Load()
 	client := httpwire.NewClient(f.net.Dialer(from.hostName))
