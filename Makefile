@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race bench fuzz chaos scale perfsmoke
+.PHONY: build test vet race reach bench fuzz chaos scale perfsmoke
 
 build:
 	$(GO) build ./...
@@ -19,6 +19,12 @@ vet:
 # race-clean across every package that drives them.
 race: vet
 	$(GO) test -race ./...
+
+# Every function under internal/ must run in some binary (cmd/*, examples/*,
+# perfbench); reach lists the ones none links, minus those reach.allow names
+# with a reason, and fails if there are any.
+reach:
+	$(GO) run ./cmd/reach
 
 # Serve-path, push-path, delta and join-path (Figure 4 codec, GET / to
 # applied snapshot) benchmarks plus the JSON snapshots future

@@ -835,34 +835,6 @@ func BenchmarkJoinPath(b *testing.B) {
 	b.ReportMetric(float64(apply.Microseconds())/n, "apply_us")
 }
 
-// BenchmarkAblationResponseAuth measures the §3.4 future-work cost the
-// paper deferred: sealing (AES-CTR + HMAC) and opening a full content
-// response, as a function of page size. This is the "inefficient for large
-// responses" cost the authors avoided in JavaScript.
-func BenchmarkAblationResponseAuth(b *testing.B) {
-	for _, name := range []string{"google.com", "yahoo.com", "amazon.com"} {
-		spec, _ := sites.SiteByName(name)
-		b.Run(name, func(b *testing.B) {
-			w := newBenchWorld(b, spec)
-			prep, err := w.agent.BuildContent(false)
-			if err != nil {
-				b.Fatal(err)
-			}
-			protector := core.NewResponseProtector(core.NewSessionKey())
-			body := prep.XML()
-			b.SetBytes(int64(len(body)))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sealed := protector.Seal(body)
-				if _, err := protector.Open(sealed); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkMobileM5 measures content generation under the Fennec/N810
 // device profile of the paper's §6 preliminary mobile experiment.
 func BenchmarkMobileM5(b *testing.B) {

@@ -6,7 +6,7 @@
 //	rcb-bench -all                 # everything
 //	rcb-bench -figure 6            # one figure (6, 7 or 8)
 //	rcb-bench -table 1             # Table 1
-//	rcb-bench -shapes              # paper-claim shape checks
+//	rcb-bench -shapes              # paper-claim shape checks; exits 1 if one fails
 //	rcb-bench -ablation -site cnn.com
 //	rcb-bench -fanout -out BENCH_fanout.json       # agent serve-path scaling snapshot
 //	rcb-bench -delivery -out BENCH_delivery.json   # interval vs long-poll staleness snapshot
@@ -15,6 +15,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -124,12 +125,15 @@ func main() {
 		experiment.WriteTable1(os.Stdout, lan)
 		fmt.Println()
 	}
+	shapesPass := true
 	if *all || *shapes {
 		fmt.Println("Shape checks (paper claims vs this reproduction):")
-		for _, line := range experiment.ShapeChecks(lan, wan) {
+		lines := experiment.ShapeChecks(lan, wan)
+		for _, line := range lines {
 			fmt.Println("  " + line)
 		}
 		fmt.Println()
+		shapesPass = experiment.AllPass(lines)
 	}
 	if *all || *ablation {
 		if err := experiment.WriteAblations(os.Stdout, *site, experiment.LAN); err != nil {
@@ -142,6 +146,9 @@ func main() {
 		if err := experiment.WriteMobile(os.Stdout, names, experiment.N810, opt); err != nil {
 			fatal(err)
 		}
+	}
+	if !shapesPass {
+		fatal(errors.New("a paper-claim shape check failed"))
 	}
 }
 

@@ -2,7 +2,8 @@
 // 20-task scenario of Table 2 executed against the real RCB stack, the
 // questionnaire instrument of Table 3, and the response statistics of
 // Table 4 (computed over simulated responses whose merged distribution
-// equals the published one — see EXPERIMENTS.md).
+// equals the published one — see the README, "Reproduction method and
+// recorded deviations").
 //
 // Usage:
 //

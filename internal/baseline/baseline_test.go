@@ -96,108 +96,11 @@ func TestURLShareFailsOnSessionPages(t *testing.T) {
 	if res.Err == nil && res.SameContent {
 		t.Fatal("session-protected cart must not share cleanly")
 	}
-	if share.SessionLeaked("shop.example", "sid") {
+	// The participant never ends up inside the host's server-side session:
+	// the two sessions are independent, which is why the cart breaks.
+	hv, hok := host.Jar.Get("shop.example", "sid")
+	pv, pok := part.Jar.Get("shop.example", "sid")
+	if hok && pok && hv == pv {
 		t.Fatal("URL sharing must not propagate sessions")
-	}
-}
-
-const proxyAddr = "proxy.example:8080"
-
-func startProxy(t *testing.T, corpus *sites.Corpus) *Proxy {
-	t.Helper()
-	p := NewProxy(corpus.Network.Dialer("proxy.example"))
-	t.Cleanup(p.Close)
-	l, err := corpus.Network.Listen(proxyAddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := &httpwire.Server{Handler: p}
-	srv.Start(l)
-	t.Cleanup(srv.Close)
-	return p
-}
-
-func TestProxyForwardsAndSyncs(t *testing.T) {
-	corpus, _, _ := setup(t)
-	proxy := startProxy(t, corpus)
-
-	leader := NewProxyMember(corpus.Network.Dialer("leader.lan"), proxyAddr)
-	defer leader.Close()
-	follower := NewProxyMember(corpus.Network.Dialer("follower.lan"), proxyAddr)
-	defer follower.Close()
-
-	spec := sites.Table1[1]
-	resp, err := leader.Navigate("http://" + spec.Host() + "/")
-	if err != nil || resp.StatusCode != 200 {
-		t.Fatalf("leader nav: %v %d", err, resp.StatusCode)
-	}
-	if proxy.Seq() != 1 {
-		t.Fatalf("proxy seq = %d", proxy.Seq())
-	}
-	updated, err := follower.Poll()
-	if err != nil || !updated {
-		t.Fatalf("follower poll: %v %v", updated, err)
-	}
-	fPage, fURL := follower.Page()
-	lPage, _ := leader.Page()
-	if string(fPage) != string(lPage) {
-		t.Fatal("follower page differs from leader page")
-	}
-	if fURL != "http://"+spec.Host()+"/" {
-		t.Errorf("follower url = %q", fURL)
-	}
-	// No change → empty poll.
-	updated, err = follower.Poll()
-	if err != nil || updated {
-		t.Fatalf("idle poll: %v %v", updated, err)
-	}
-}
-
-func TestProxyRejectsRelativeTargets(t *testing.T) {
-	corpus, _, _ := setup(t)
-	startProxy(t, corpus)
-	c := httpwire.NewClient(corpus.Network.Dialer("x.lan"))
-	defer c.Close()
-	resp, err := c.Get(proxyAddr, "/not-absolute")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != 400 {
-		t.Fatalf("status = %d, want 400", resp.StatusCode)
-	}
-}
-
-func TestProxyUpstreamFailure(t *testing.T) {
-	corpus, _, _ := setup(t)
-	startProxy(t, corpus)
-	c := httpwire.NewClient(corpus.Network.Dialer("x.lan"))
-	defer c.Close()
-	req := httpwire.NewRequest("GET", "http://no.such.host/")
-	resp, err := c.Do(proxyAddr, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != 502 {
-		t.Fatalf("status = %d, want 502", resp.StatusCode)
-	}
-}
-
-func TestProxySeesAllTraffic(t *testing.T) {
-	// The privacy drawback: every request transits the proxy, including
-	// session-protected ones. (With RCB, participant traffic goes only to
-	// the host.)
-	corpus, _, _ := setup(t)
-	proxy := startProxy(t, corpus)
-	leader := NewProxyMember(corpus.Network.Dialer("leader.lan"), proxyAddr)
-	defer leader.Close()
-	if _, err := leader.Navigate("http://" + sites.ShopHost + "/"); err != nil {
-		t.Fatal(err)
-	}
-	page, _ := leader.Page()
-	if len(page) == 0 {
-		t.Fatal("no page via proxy")
-	}
-	if proxy.Seq() == 0 {
-		t.Fatal("proxy did not observe the leader's page")
 	}
 }

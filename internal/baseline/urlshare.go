@@ -1,9 +1,8 @@
-// Package baseline implements the two co-browsing architectures the paper
-// positions RCB against (paper §1–§2): URL sharing (lightweight but limited
-// to static, session-free pages) and a dedicated co-browsing proxy (full
-// synchronization, but a third party carries all traffic). The experiment
-// harness and examples use them to demonstrate the failure modes RCB avoids
-// and to quantify the architectural overhead a proxy adds.
+// Package baseline implements URL sharing, the simplest co-browsing
+// architecture the paper positions RCB against (paper §1–§2): lightweight
+// but limited to static, session-free pages. The maps example uses it to
+// demonstrate the failure modes RCB avoids. The other baseline, a dedicated
+// co-browsing proxy, is not reproduced: no figure or table measures one.
 package baseline
 
 import (
@@ -67,15 +66,6 @@ func (u *URLShare) ShareCurrent() ShareResult {
 		res.SameContent = hostBody != "" && hostBody == partBody
 	}
 	return res
-}
-
-// SessionLeaked reports whether the participant ended up inside the host's
-// server-side session (it never does with URL sharing — the sessions are
-// independent — which is exactly why session-protected pages break).
-func (u *URLShare) SessionLeaked(hostName, cookie string) bool {
-	hv, hok := u.Host.Jar.Get(hostName, cookie)
-	pv, pok := u.Participant.Jar.Get(hostName, cookie)
-	return hok && pok && hv == pv
 }
 
 // DescribeFailure renders a human-readable diagnosis for demos.

@@ -55,17 +55,6 @@ func (s *LoadStats) NetworkObjects() []netsim.Txn {
 	return out
 }
 
-// CacheHits counts object fetches served from the local cache.
-func (s *LoadStats) CacheHits() int {
-	n := 0
-	for _, o := range s.Objects {
-		if o.FromCache {
-			n++
-		}
-	}
-	return n
-}
-
 // Browser is a minimal browser model: it loads pages over httpwire, holds
 // the live DOM, caches objects, carries cookies, and notifies subscribers
 // on every document change. A Browser is safe for concurrent use; RCB-Agent
@@ -88,7 +77,6 @@ type Browser struct {
 	pageURL  string
 	doc      *dom.Document
 	version  int64
-	history  []string
 	onChange []func()
 }
 
@@ -120,13 +108,6 @@ func (b *Browser) Version() int64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.version
-}
-
-// History returns the visited URLs in order.
-func (b *Browser) History() []string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return append([]string(nil), b.history...)
 }
 
 // OnChange registers fn to run (synchronously) after every document change.
@@ -302,7 +283,6 @@ func (b *Browser) loadPage(absURL string, req *httpwire.Request) (*LoadStats, er
 	b.mu.Lock()
 	b.pageURL = absURL
 	b.doc = doc
-	b.history = append(b.history, absURL)
 	b.bumpLocked()
 	subs := append([]func(){}, b.onChange...)
 	b.mu.Unlock()
@@ -405,7 +385,6 @@ func (b *Browser) SetDocument(pageURL string, doc *dom.Document) {
 	b.mu.Lock()
 	b.pageURL = pageURL
 	b.doc = doc
-	b.history = append(b.history, pageURL)
 	b.bumpLocked()
 	subs := append([]func(){}, b.onChange...)
 	b.mu.Unlock()

@@ -1,6 +1,7 @@
 package browser
 
 import (
+	"net/url"
 	"strings"
 	"testing"
 
@@ -102,7 +103,13 @@ func TestNavigateSecondLoadHitsCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hits := stats.CacheHits(); hits != len(stats.Objects) {
+	hits := 0
+	for _, o := range stats.Objects {
+		if o.FromCache {
+			hits++
+		}
+	}
+	if hits != len(stats.Objects) {
 		t.Errorf("second load: %d/%d cache hits", hits, len(stats.Objects))
 	}
 	if len(stats.NetworkObjects()) != 0 {
@@ -127,12 +134,11 @@ func TestObserverRecordsResolutions(t *testing.T) {
 	if _, err := b.Navigate("http://" + spec.Host() + "/"); err != nil {
 		t.Fatal(err)
 	}
-	downloads := b.Observer.Downloads()
-	if len(downloads) == 0 {
+	if len(b.Observer.resolutions) == 0 {
 		t.Fatal("observer recorded nothing")
 	}
-	for _, abs := range downloads {
-		if !IsAbsolute(abs) {
+	for _, abs := range b.Observer.resolutions {
+		if u, err := url.Parse(abs); err != nil || u.Scheme == "" || u.Host == "" {
 			t.Errorf("observer holds non-absolute URL %q", abs)
 		}
 	}

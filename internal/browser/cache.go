@@ -58,8 +58,8 @@ func (c *Cache) Len() int {
 	return len(c.entries)
 }
 
-// Clear drops every entry (the experiment harness clears caches between
-// rounds, as the paper's methodology does).
+// Clear drops every entry. Tests use it to model a host cache that lost
+// what an earlier build referenced.
 func (c *Cache) Clear() {
 	c.mu.Lock()
 	c.entries = make(map[string]*CacheEntry)

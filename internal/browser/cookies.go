@@ -70,10 +70,3 @@ func (j *CookieJar) Get(host, name string) (string, bool) {
 	v, ok := j.cookies[host][name]
 	return v, ok
 }
-
-// Clear drops all cookies.
-func (j *CookieJar) Clear() {
-	j.mu.Lock()
-	j.cookies = make(map[string]map[string]string)
-	j.mu.Unlock()
-}

@@ -10,7 +10,6 @@ import "sync"
 type DownloadObserver struct {
 	mu          sync.RWMutex
 	resolutions map[string]string // document reference → absolute URL
-	order       []string          // absolute URLs in download order
 }
 
 // NewDownloadObserver returns an empty observer.
@@ -22,9 +21,6 @@ func NewDownloadObserver() *DownloadObserver {
 // the absolute URL abs and was downloaded.
 func (o *DownloadObserver) Record(ref, abs string) {
 	o.mu.Lock()
-	if _, seen := o.resolutions[ref]; !seen {
-		o.order = append(o.order, abs)
-	}
 	o.resolutions[ref] = abs
 	o.mu.Unlock()
 }
@@ -37,17 +33,9 @@ func (o *DownloadObserver) Resolve(ref string) (string, bool) {
 	return abs, ok
 }
 
-// Downloads returns the absolute URLs recorded so far, in first-seen order.
-func (o *DownloadObserver) Downloads() []string {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	return append([]string(nil), o.order...)
-}
-
 // Reset clears the observer for a new page load.
 func (o *DownloadObserver) Reset() {
 	o.mu.Lock()
 	o.resolutions = make(map[string]string)
-	o.order = nil
 	o.mu.Unlock()
 }

@@ -74,9 +74,3 @@ func HostOf(rawurl string) string {
 	}
 	return u.Hostname()
 }
-
-// IsAbsolute reports whether ref carries its own scheme and host.
-func IsAbsolute(ref string) bool {
-	u, err := url.Parse(ref)
-	return err == nil && u.Scheme != "" && u.Host != ""
-}

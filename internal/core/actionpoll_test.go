@@ -443,7 +443,7 @@ func TestPipelinedActionRejectedFallsBack(t *testing.T) {
 	if queued != 1 {
 		t.Fatalf("rejected action not preserved in the outbox (len=%d)", queued)
 	}
-	if got := s.LastCloseReason(); got != CloseLeave {
+	if got := s.Stats().LastCloseReason; got != CloseLeave {
 		t.Fatalf("close reason = %v, want LEAVE", got)
 	}
 }
@@ -607,8 +607,8 @@ func TestMirrorsCarryNoReplayStamps(t *testing.T) {
 	if got := w.agent.DuplicateActions(); got != 0 {
 		t.Fatalf("replay filter dropped %d actions, want 0", got)
 	}
-	if seen.CID != "" || seen.CSeq != 0 || seen.Seq != 0 {
-		t.Fatalf("mirror carried replay stamps cid=%q cseq=%d seq=%d, want none", seen.CID, seen.CSeq, seen.Seq)
+	if seen.CID != "" || seen.CSeq != 0 {
+		t.Fatalf("mirror carried replay stamps cid=%q cseq=%d, want none", seen.CID, seen.CSeq)
 	}
 }
 

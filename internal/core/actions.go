@@ -59,8 +59,6 @@ type Action struct {
 	Y int `json:"y,omitempty"`
 	// From identifies the originating user ("host" or a participant ID).
 	From string `json:"from,omitempty"`
-	// Seq orders actions within a session.
-	Seq int64 `json:"seq,omitempty"`
 	// CID and CSeq identify the action for replay filtering: the snippet
 	// stamps each action with its client ID and a client-local sequence
 	// number, and the agent accepts each (CID, CSeq) pair once, so the

@@ -13,14 +13,6 @@ import (
 	"rcb/internal/httpwire"
 )
 
-// PendingAction is a participant action awaiting host confirmation under a
-// moderating policy.
-type PendingAction struct {
-	Seq           int64
-	ParticipantID string
-	Action        Action
-}
-
 // Agent is RCB-Agent: the HTTP service a co-browsing host runs inside its
 // browser. It implements httpwire.Handler; back it with any listener (real
 // TCP in cmd/rcb-host, the virtual network in tests and experiments).
@@ -44,8 +36,8 @@ type PendingAction struct {
 // table (session.go: the roster under a read-mostly RWMutex plus
 // per-participant locks, and the replay filter under its own), the content
 // pipeline (pipeline.go: build cache and object table), the delivery hub
-// (delivery.go), and the agent's own three locks — amu for the moderation
-// queue, smu the serve/state barrier, hmu the handover receiver.
+// (delivery.go), and the agent's own two locks — smu the serve/state
+// barrier, hmu the handover receiver.
 type Agent struct {
 	// Browser is the host browser whose document is shared.
 	Browser *browser.Browser
@@ -98,11 +90,6 @@ type Agent struct {
 	// and the replay filter (session.go).
 	sessions *sessionTable
 
-	// amu guards the moderation queue and action sequencing.
-	amu       sync.Mutex
-	pending   []PendingAction
-	actionSeq int64
-
 	// smu is the serve/state barrier. Every request path that can mutate
 	// session state holds the read side for its synchronous extent, so
 	// ExportState — and the relocation fence a handover plants — can take
@@ -138,12 +125,8 @@ type Agent struct {
 	// deltasServed counts polls answered with a deltaContent message.
 	deltasServed atomic.Int64
 
-	// Persistent-channel observables (channel.go): frames in each
-	// direction, and upgrades refused or channels closed toward the
-	// degradation ladder.
-	framesOut        atomic.Int64
-	framesIn         atomic.Int64
-	channelFallbacks atomic.Int64
+	// framesOut counts frames written to persistent channels (channel.go).
+	framesOut atomic.Int64
 
 	// Overload-control observables: every admission or degradation decision
 	// advances a counter.
@@ -513,10 +496,9 @@ func parsePollForm(req *httpwire.Request) pollForm {
 // — piggybacked on a poll or framed on the channel. The replay filter runs
 // first, so a retried upstream (a poll replayed after a lost answer, rejoin
 // re-send, channel resend) merges each action once; each survivor is
-// sequenced and routed through the policy as p's: applied, queued for the
-// host's confirmation, or denied. It returns the batch's highest CSeq,
-// duplicates included — a replayed batch is acknowledged like the original
-// — or the payload's decode error.
+// routed through the policy as p's: applied or denied. It returns the
+// batch's highest CSeq, duplicates included — a replayed batch is
+// acknowledged like the original — or the payload's decode error.
 func (a *Agent) merge(p *participantState, payload string) (maxSeq int64, err error) {
 	actions, err := DecodeActions(payload)
 	if err != nil || len(actions) == 0 {
@@ -527,18 +509,9 @@ func (a *Agent) merge(p *participantState, payload string) (maxSeq int64, err er
 	}
 	for _, act := range a.sessions.fresh(actions) {
 		act.From = p.ID
-		a.amu.Lock()
-		a.actionSeq++
-		act.Seq = a.actionSeq
-		a.amu.Unlock()
 		switch a.Policy.Decide(p.ID, act) {
 		case Deny:
 			a.logf("rcb-agent: denied %s", act)
-		case Confirm:
-			a.amu.Lock()
-			a.pending = append(a.pending, PendingAction{Seq: act.Seq, ParticipantID: p.ID, Action: act})
-			a.amu.Unlock()
-			a.logf("rcb-agent: queued for confirmation: %s", act)
 		case Apply:
 			if err := a.ApplyAction(act); err != nil {
 				a.logf("rcb-agent: apply %s: %v", act, err)
@@ -804,38 +777,6 @@ func (a *Agent) objectURL(path string) string {
 		target = a.Auth.Sign("GET", path, nil)
 	}
 	return a.URL() + target
-}
-
-// PendingConfirmations lists actions awaiting host approval.
-func (a *Agent) PendingConfirmations() []PendingAction {
-	a.amu.Lock()
-	defer a.amu.Unlock()
-	return append([]PendingAction(nil), a.pending...)
-}
-
-// Confirm resolves a queued action by sequence number: approved actions are
-// applied, rejected ones dropped.
-func (a *Agent) Confirm(seq int64, approve bool) error {
-	a.amu.Lock()
-	idx := -1
-	for i, pa := range a.pending {
-		if pa.Seq == seq {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		a.amu.Unlock()
-		return fmt.Errorf("rcb-agent: no pending action %d", seq)
-	}
-	pa := a.pending[idx]
-	a.pending = append(a.pending[:idx], a.pending[idx+1:]...)
-	a.amu.Unlock()
-	if !approve {
-		a.logf("rcb-agent: rejected %s", pa.Action)
-		return nil
-	}
-	return a.ApplyAction(pa.Action)
 }
 
 // ApplyAction performs an action on the host browser: clicks navigate or

@@ -56,7 +56,3 @@ func (b *Backoff) Next() time.Duration {
 
 // Reset snaps the schedule back to Base after a success.
 func (b *Backoff) Reset() { b.attempts = 0 }
-
-// Attempts reports how many delays have been handed out since the last
-// reset.
-func (b *Backoff) Attempts() int { return b.attempts }

@@ -3,10 +3,12 @@ package core
 import (
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"rcb/internal/httpwire"
+	"rcb/internal/netsim"
 	"rcb/internal/sites"
 )
 
@@ -30,8 +32,8 @@ func TestBackoffGrowthCapAndReset(t *testing.T) {
 			t.Fatalf("Next() #%d = %v, want %v", i, got, w)
 		}
 	}
-	if got := b.Attempts(); got != len(want) {
-		t.Fatalf("Attempts() = %d, want %d", got, len(want))
+	if got := b.attempts; got != len(want) {
+		t.Fatalf("attempts = %d, want %d", got, len(want))
 	}
 	b.Reset()
 	if got := b.Next(); got != 100*time.Millisecond {
@@ -164,7 +166,7 @@ func TestAgentCloseMarksAgentClosing(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("drained poll errored: %v", err)
 	}
-	if got := s.LastCloseReason(); got != CloseAgentClosing {
+	if got := s.Stats().LastCloseReason; got != CloseAgentClosing {
 		t.Fatalf("close reason after drain = %v, want AGENT_CLOSING", got)
 	}
 	// The next poll (answered immediately, never parked) carries it too,
@@ -300,7 +302,7 @@ func TestRunAutoRejoinsAfterRetryableClose(t *testing.T) {
 	w.agent.DisconnectWith(parts[0].ID, CloseStaleReader)
 	waitFor("automatic rejoin", func() bool { return s.Stats().Rejoins >= 1 })
 	waitFor("post-rejoin resync", func() bool { return s.Stats().ContentPolls >= 2 })
-	if got := s.LastCloseReason(); got != CloseStaleReader {
+	if got := s.Stats().LastCloseReason; got != CloseStaleReader {
 		t.Fatalf("recorded close reason = %v, want STALE_READER", got)
 	}
 	if errSeen == nil || !strings.Contains(errSeen.Error(), "STALE_READER") {
@@ -312,14 +314,14 @@ func TestRunAutoRejoinsAfterRetryableClose(t *testing.T) {
 	if len(parts) != 1 {
 		t.Fatalf("participants after rejoin = %d", len(parts))
 	}
-	w.agent.Kick(parts[0].ID)
+	w.agent.DisconnectWith(parts[0].ID, CloseKicked)
 	select {
 	case <-ran:
 	case <-time.After(5 * time.Second):
 		t.Fatal("Run did not terminate after a KICKED close")
 	}
 	close(stop)
-	if got := s.LastCloseReason(); got != CloseKicked {
+	if got := s.Stats().LastCloseReason; got != CloseKicked {
 		t.Fatalf("final close reason = %v, want KICKED", got)
 	}
 }
@@ -354,7 +356,7 @@ func TestRejoinResetsJoinBackoffAndSyncState(t *testing.T) {
 		t.Fatalf("Rejoins = %d, want 1", got)
 	}
 	s.mu.Lock()
-	attempts := s.joinBackoff.Attempts()
+	attempts := s.joinBackoff.attempts
 	s.mu.Unlock()
 	if attempts != 0 {
 		t.Fatalf("join backoff attempts after success = %d, want 0", attempts)
@@ -363,5 +365,58 @@ func TestRejoinResetsJoinBackoffAndSyncState(t *testing.T) {
 	updated, err := s.PollOnce()
 	if err != nil || !updated {
 		t.Fatalf("post-rejoin poll: updated=%v err=%v", updated, err)
+	}
+}
+
+// TestRetryHintClampedToRetryMax: Rcb-Retry-After arrives unauthenticated,
+// so a hint of ~292 years (the largest that fits a time.Duration) must not
+// park the client past its own RetryMax, whether it rides an empty poll
+// answer or a refusal; and a hint past a Duration's range must not wrap.
+func TestRetryHintClampedToRetryMax(t *testing.T) {
+	n := netsim.NewNetwork()
+	const addr = "hint.lan:3000"
+	l, err := n.Listen(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var refuse atomic.Bool
+	srv := &httpwire.Server{Handler: httpwire.HandlerFunc(func(req *httpwire.Request) *httpwire.Response {
+		if req.Method == "GET" {
+			resp := httpwire.NewResponse(200, "text/html", []byte(`<html><body></body></html>`))
+			resp.Header.Set("Set-Cookie", "rcbpid=p1; Path=/")
+			return resp
+		}
+		resp := httpwire.NewResponse(200, "text/xml", nil)
+		if refuse.Load() {
+			resp = closeResponse(CloseOvercommitted)
+		}
+		resp.Header.Set(RetryAfterHeader, "9223372036854")
+		return resp
+	})}
+	srv.Start(l)
+	t.Cleanup(srv.Close)
+
+	hc := httpwire.NewClient(n.Dialer("c.lan"))
+	t.Cleanup(hc.Close)
+	c := NewDocTimeClient(hc, "http://"+addr, nil)
+	c.RetryMax = 5 * time.Second
+	if err := c.Join(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.PollOnce(); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.duplexDelay(); got != c.RetryMax {
+		t.Fatalf("empty answer's retry hint held as %v, want RetryMax %v", got, c.RetryMax)
+	}
+	refuse.Store(true)
+	if _, err := c.PollOnce(); err == nil {
+		t.Fatal("refused poll reported no error")
+	}
+	if got := c.duplexDelay(); got != c.RetryMax {
+		t.Fatalf("refusal's retry hint held as %v, want RetryMax %v", got, c.RetryMax)
+	}
+	if got := ParseRetryAfter("9223372036855"); got <= 0 {
+		t.Fatalf("a hint past a Duration's range parsed as %v", got)
 	}
 }

@@ -198,14 +198,6 @@ func (a *Agent) ChannelsOpen() int64 {
 // pongs, closes).
 func (a *Agent) FramesOut() int64 { return a.framesOut.Load() }
 
-// FramesIn reports frames read from channels (actions, acks, pings, closes).
-func (a *Agent) FramesIn() int64 { return a.framesIn.Load() }
-
-// ChannelFallbacks reports upgrades refused and channels closed toward the
-// degradation ladder (shed pressure, handover) — each one is a client
-// falling back to long-poll.
-func (a *Agent) ChannelFallbacks() int64 { return a.channelFallbacks.Load() }
-
 // serveChannelUpgrade answers POST /channel: admission control, then a 101
 // whose Hijack callback runs the channel session on the connection's own
 // goroutine. The request is authenticated by the caller (route), and the
@@ -219,7 +211,6 @@ func (a *Agent) serveChannelUpgrade(req *httpwire.Request) *httpwire.Response {
 		// The channel is precisely the per-client state the interval step
 		// exists to shed; refuse with the same retry-carrying answer a
 		// refused park gets, and the client degrades to long-poll.
-		a.channelFallbacks.Add(1)
 		return closeSignal{reason: CloseOvercommitted, retry: a.shedRetryAfter()}.response()
 	}
 	f := parsePollForm(req)
@@ -303,7 +294,6 @@ func (a *Agent) channelFlush(ch *agentChannel) bool {
 			// response — so it rejoins the new agent directly.
 			cs := a.movedSignal()
 			a.smu.RUnlock()
-			a.channelFallbacks.Add(1)
 			a.writeClose(ch, cs)
 			return false
 		}
@@ -314,7 +304,6 @@ func (a *Agent) channelFlush(ch *agentChannel) bool {
 			// refused park carries.
 			cs := closeSignal{reason: CloseOvercommitted, retry: a.shedRetryAfter()}
 			a.smu.RUnlock()
-			a.channelFallbacks.Add(1)
 			a.writeClose(ch, cs)
 			return false
 		}
@@ -379,7 +368,6 @@ func (a *Agent) channelReader(ch *agentChannel) {
 			ch.shutdown()
 			return
 		}
-		a.framesIn.Add(1)
 		switch f.Type {
 		case FrameActions:
 			a.channelActions(ch, string(f.Payload))

@@ -364,8 +364,8 @@ func runKillRestoreScenario(t *testing.T, seed int64) {
 		loc := fmt.Sprintf("dur%dresh%d.lan", seed, gen)
 		nb := browser.New(loc, d.w.corpus.Network.Dialer(loc))
 		t.Cleanup(nb.Close)
-		restored, err := RestoreAgent(nb, d.curAddr, state)
-		if err != nil {
+		restored := NewAgent(nb, d.curAddr)
+		if err := restored.ImportState(state); err != nil {
 			d.fail("restore: %v", err)
 		}
 		restored.Policy = d.policy
@@ -444,7 +444,7 @@ func runLiveHandoverScenario(t *testing.T, seed int64) {
 	d.runSchedule(handover)
 	d.finish(t, func() {
 		for i, old := range oldAgents {
-			if got := old.RelocatedTo(); got == "" {
+			if got := old.relocated(); got == "" {
 				d.fail("old agent %d not marked relocated after handover", i)
 			}
 		}

@@ -123,8 +123,9 @@ type Client struct {
 	ClientID string
 	// RetryBase/RetryMax shape the unified retry backoff (poll, join,
 	// channel re-upgrade): delays double from RetryBase up to RetryMax with
-	// half-to-full jitter, and reset on success. RetryBase defaults to
-	// PollInterval, RetryMax to 30 seconds.
+	// half-to-full jitter, and reset on success. RetryMax also caps the
+	// retry hint an agent sends. RetryBase defaults to PollInterval,
+	// RetryMax to 30 seconds.
 	RetryBase time.Duration
 	RetryMax  time.Duration
 	// RetryRand overrides the jitter source with a deterministic one
@@ -312,22 +313,6 @@ func (c *Client) ParticipantID() string { return rcbpidOf(c.doc.cookie(c.agentUR
 // until a relocation was followed, the new agent's URL afterwards.
 func (c *Client) CurrentAgentURL() string { return c.agentURL() }
 
-// LastCloseReason reports the most recent close reason received from the
-// agent (CloseNone when the session never saw one).
-func (c *Client) LastCloseReason() CloseReason {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats.LastCloseReason
-}
-
-// RejoinNeeded reports whether the agent closed this session with a
-// retryable reason and the client is waiting to rejoin.
-func (c *Client) RejoinNeeded() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.rejoinNeeded
-}
-
 // Join performs the new connection request (paper step 2): the participant
 // types the agent URL into the address bar, receives the initial page
 // containing Ajax-Snippet, and the channel is established.
@@ -421,7 +406,7 @@ func (c *Client) closed(op string, cs closeSignal, status int, rejoin bool) erro
 	if cs.retry > 0 {
 		// A server-assigned interval on a terminal answer is the floor for
 		// the retry delay, exactly as on shed responses.
-		c.retryAfter = cs.retry
+		c.retryAfter = c.retryHintLocked(cs.retry)
 	}
 	if cs.reason != CloseNone {
 		c.stats.LastCloseReason = cs.reason
@@ -489,6 +474,14 @@ func (c *Client) backoffsLocked() (poll, join *Backoff) {
 	return c.pollBackoff, c.joinBackoff
 }
 
+// retryHintLocked caps a server-assigned retry interval at the backoff
+// ceiling (RetryMax): the hint arrives unauthenticated, and an agent must
+// not hold the client longer than its own retry schedule ever would.
+func (c *Client) retryHintLocked(d time.Duration) time.Duration {
+	poll, _ := c.backoffsLocked()
+	return min(d, poll.Max)
+}
+
 // request builds a form POST to target: signed when the session has a key,
 // carrying the identity cookie of the agent currently served.
 func (c *Client) request(target string, fields []httpwire.FormField) *httpwire.Request {
@@ -503,17 +496,6 @@ func (c *Client) request(target string, fields []httpwire.FormField) *httpwire.R
 	}
 	req.Body = body
 	return req
-}
-
-// lastParkDenied reports whether the most recent poll asked to park and was
-// refused (answered instantly empty). Run falls back to interval pacing
-// when it holds, so a long-poll loop cannot spin at network speed against
-// an agent whose push channel has been closed but whose server still
-// serves.
-func (c *Client) lastParkDenied() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.parkDenied
 }
 
 // agentURL returns the URL of the agent currently serving this client:
@@ -752,7 +734,7 @@ func (c *Client) answer(p pendingPoll) (bool, error) {
 		if closing {
 			c.stats.LastCloseReason = CloseAgentClosing
 		}
-		c.retryAfter = max(c.retryAfter, cs.retry)
+		c.retryAfter = max(c.retryAfter, c.retryHintLocked(cs.retry))
 		c.mu.Unlock()
 		return false, nil
 	}

@@ -22,6 +22,22 @@ import (
 	"rcb/internal/sites"
 )
 
+// needsRejoin reports whether the agent closed c's session with a retryable
+// reason and c is waiting to rejoin.
+func (c *Client) needsRejoin() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.rejoinNeeded
+}
+
+// lastParkDenied reports whether c's most recent poll asked to park and was
+// refused (answered at once, empty).
+func (c *Client) lastParkDenied() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.parkDenied
+}
+
 // tapConn records every byte a client writes.
 type tapConn struct {
 	net.Conn
@@ -323,7 +339,7 @@ func TestDocTimeClientScenario(t *testing.T) {
 	if !errors.As(err, &ce) || ce.Reason != CloseMoved || ce.Relocate != "front2.lan:3000" {
 		t.Fatalf("poll at the old agent: %v, want MOVED to front2.lan:3000", err)
 	}
-	if !c.RejoinNeeded() {
+	if !c.needsRejoin() {
 		t.Fatal("MOVED scheduled no rejoin")
 	}
 	if err := c.Rejoin(); err != nil {
@@ -346,7 +362,7 @@ func TestDocTimeClientScenario(t *testing.T) {
 	if !errors.As(err, &bare) || bare.Status != 503 || CloseReasonOf(err) != CloseNone {
 		t.Fatalf("bare poll refusal: %v, want a BareStatusError 503", err)
 	}
-	if c.RejoinNeeded() {
+	if c.needsRejoin() {
 		t.Fatal("a bare refusal scheduled a rejoin")
 	}
 

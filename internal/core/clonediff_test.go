@@ -22,7 +22,7 @@ func reparsed(p *PreparedContent) *PreparedContent {
 func randomHostEdit(r *rand.Rand, doc *dom.Document) {
 	region := doc.Body()
 	if region == nil {
-		region = doc.FrameSet()
+		region = doc.Root.FirstChildElement("frameset")
 	}
 	var nodes []*dom.Node
 	region.Walk(func(n *dom.Node) bool { nodes = append(nodes, n); return true })

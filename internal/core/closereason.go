@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"time"
 
@@ -116,12 +117,16 @@ const (
 )
 
 // ParseRetryAfter parses an Rcb-Retry-After value (milliseconds), zero
-// when absent or malformed. Every client of the poll protocol reads the hint
+// when absent or malformed; a value past a Duration's range saturates
+// rather than wraps. Every client of the poll protocol reads the hint
 // through it.
 func ParseRetryAfter(v string) time.Duration {
 	ms, err := strconv.ParseInt(v, 10, 64)
 	if err != nil || ms <= 0 {
 		return 0
+	}
+	if ms > int64(math.MaxInt64/time.Millisecond) {
+		return math.MaxInt64
 	}
 	return time.Duration(ms) * time.Millisecond
 }

@@ -201,8 +201,8 @@ func TestPreparedContentUserActionSplice(t *testing.T) {
 	if !content.HasDocument {
 		t.Error("splice lost the document payload")
 	}
-	if content.DocTime != prep.DocTime() {
-		t.Errorf("docTime %d, want %d", content.DocTime, prep.DocTime())
+	if content.DocTime != prep.docTime {
+		t.Errorf("docTime %d, want %d", content.DocTime, prep.docTime)
 	}
 	if len(content.UserActions) != 2 {
 		t.Fatalf("got %d user actions, want 2", len(content.UserActions))

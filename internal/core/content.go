@@ -207,14 +207,6 @@ func prependHandler(call, original string) string {
 	return call + " " + original
 }
 
-// FindByRCBAttr locates the element carrying the given data-rcb value — how
-// the snippet side maps a user interaction back to an action target.
-func FindByRCBAttr(root *dom.Node, path string) *dom.Node {
-	return root.Find(func(n *dom.Node) bool {
-		return n.Type == dom.ElementNode && n.AttrOr(RCBAttr, "") == path
-	})
-}
-
 // hostResolver builds the reference resolver for a host browser: observer
 // resolution first, falling back to URL resolution against the page URL.
 func hostResolver(b *browser.Browser, pageURL string) func(string) string {

@@ -265,6 +265,13 @@ func TestPrependHandler(t *testing.T) {
 	}
 }
 
+// FindByRCBAttr locates the element carrying the given data-rcb value.
+func FindByRCBAttr(root *dom.Node, path string) *dom.Node {
+	return root.Find(func(n *dom.Node) bool {
+		return n.Type == dom.ElementNode && n.AttrOr(RCBAttr, "") == path
+	})
+}
+
 func TestFindByRCBAttr(t *testing.T) {
 	doc := dom.Parse(`<body><div data-rcb="1.0">x</div><div data-rcb="1.1">y</div></body>`)
 	if el := FindByRCBAttr(doc.Root, "1.1"); el == nil || el.TextContent() != "y" {

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"bytes"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"rcb/internal/browser"
 	"rcb/internal/dom"
@@ -111,70 +109,6 @@ func TestDualRoleTopology(t *testing.T) {
 		return nil
 	})
 	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestResponseProtectorRoundTrip(t *testing.T) {
-	p := NewResponseProtector("shared-session-key")
-	body := []byte("<?xml version='1.0'?><newContent>payload</newContent>")
-	sealed := p.Seal(body)
-	if bytes.Contains(sealed, []byte("newContent")) {
-		t.Fatal("sealed body leaks plaintext")
-	}
-	opened, err := p.Open(sealed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(opened, body) {
-		t.Fatalf("round trip: %q", opened)
-	}
-}
-
-func TestResponseProtectorDetectsTampering(t *testing.T) {
-	p := NewResponseProtector("k")
-	sealed := p.Seal([]byte("content"))
-	for _, idx := range []int{0, 20, len(sealed) - 1} {
-		bad := append([]byte(nil), sealed...)
-		bad[idx] ^= 0x01
-		if _, err := p.Open(bad); err == nil {
-			t.Errorf("tampered byte %d accepted", idx)
-		}
-	}
-	if _, err := p.Open([]byte("short")); err == nil {
-		t.Error("truncated sealed body accepted")
-	}
-}
-
-func TestResponseProtectorWrongKey(t *testing.T) {
-	sealed := NewResponseProtector("alice").Seal([]byte("secret"))
-	if _, err := NewResponseProtector("mallory").Open(sealed); err == nil {
-		t.Fatal("wrong key opened the response")
-	}
-}
-
-func TestResponseProtectorUniqueNonces(t *testing.T) {
-	p := NewResponseProtector("k")
-	a := p.Seal([]byte("same"))
-	b := p.Seal([]byte("same"))
-	if bytes.Equal(a, b) {
-		t.Fatal("two seals of identical plaintext must differ (nonce reuse)")
-	}
-	// Both still open.
-	for _, s := range [][]byte{a, b} {
-		if got, err := p.Open(s); err != nil || string(got) != "same" {
-			t.Fatalf("open: %q %v", got, err)
-		}
-	}
-}
-
-func TestResponseProtectorProperty(t *testing.T) {
-	p := NewResponseProtector(NewSessionKey())
-	f := func(body []byte) bool {
-		opened, err := p.Open(p.Seal(body))
-		return err == nil && bytes.Equal(opened, body)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -26,7 +26,7 @@ func TestSessionFramesetSync(t *testing.T) {
 		if doc.Body() != nil {
 			t.Error("participant body must be removed for a frameset page")
 		}
-		fs := doc.FrameSet()
+		fs := doc.Root.FirstChildElement("frameset")
 		if fs == nil {
 			t.Fatal("participant has no frameset")
 		}
@@ -46,7 +46,7 @@ func TestSessionFramesetSync(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = alice.Browser.WithDocument(func(_ string, doc *dom.Document) error {
-		if doc.FrameSet() != nil {
+		if doc.Root.FirstChildElement("frameset") != nil {
 			t.Error("stale frameset left behind")
 		}
 		if doc.Body() == nil {
@@ -145,10 +145,16 @@ func TestSessionCacheEvictionFallsBack(t *testing.T) {
 	if _, err := bob2.PollOnce(); err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range bob2.LastObjectFetches() {
-		if f.Txn.Down == 0 && !f.FromCache {
-			t.Errorf("object %s failed to fetch", f.URL)
+	err := bob2.Browser.WithDocument(func(pageURL string, doc *dom.Document) error {
+		for _, f := range bob2.Browser.RenderObjects(doc, pageURL) {
+			if f.Txn.Down == 0 && !f.FromCache {
+				t.Errorf("object %s failed to fetch", f.URL)
+			}
 		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	// A stale agent-object URL from before the eviction answers 404, not a

@@ -46,21 +46,21 @@ func refUnmarshal(data []byte) (*NewContent, error) {
 			c.Head = head
 		}
 		if payload, ok := refElementText(content, "docBody"); ok {
-			te, err := refParseTopElementPayload(jsescape.Unescape(refStripCDATA(payload)))
+			te, err := refParseTopElementPayload(string(jsescape.AppendUnescape(nil, refStripCDATA(payload))))
 			if err != nil {
 				return nil, err
 			}
 			c.Body = te
 		}
 		if payload, ok := refElementText(content, "docFrameSet"); ok {
-			te, err := refParseTopElementPayload(jsescape.Unescape(refStripCDATA(payload)))
+			te, err := refParseTopElementPayload(string(jsescape.AppendUnescape(nil, refStripCDATA(payload))))
 			if err != nil {
 				return nil, err
 			}
 			c.FrameSet = te
 		}
 		if payload, ok := refElementText(content, "docNoFrames"); ok {
-			te, err := refParseTopElementPayload(jsescape.Unescape(refStripCDATA(payload)))
+			te, err := refParseTopElementPayload(string(jsescape.AppendUnescape(nil, refStripCDATA(payload))))
 			if err != nil {
 				return nil, err
 			}
@@ -68,7 +68,7 @@ func refUnmarshal(data []byte) (*NewContent, error) {
 		}
 	}
 	if payload, ok := refElementText(s, "userActions"); ok {
-		actions, err := DecodeActions(jsescape.Unescape(refStripCDATA(payload)))
+		actions, err := DecodeActions(string(jsescape.AppendUnescape(nil, refStripCDATA(payload))))
 		if err != nil {
 			return nil, err
 		}
@@ -111,14 +111,14 @@ func refUnmarshalDelta(data []byte) (*DeltaContent, error) {
 		if !ok {
 			continue
 		}
-		patches, err := decodePatches(jsescape.Unescape(refStripCDATA(payload)))
+		patches, err := decodePatches(string(jsescape.AppendUnescape(nil, refStripCDATA(payload))))
 		if err != nil {
 			return nil, fmt.Errorf("core: %s: %w", region.name, err)
 		}
 		*region.dst = patches
 	}
 	if payload, ok := refElementText(s, "userActions"); ok {
-		actions, err := DecodeActions(jsescape.Unescape(refStripCDATA(payload)))
+		actions, err := DecodeActions(string(jsescape.AppendUnescape(nil, refStripCDATA(payload))))
 		if err != nil {
 			return nil, err
 		}
@@ -134,7 +134,7 @@ func refParseHeadSection(headSec string) ([]HeadChild, error) {
 		if !ok {
 			break
 		}
-		h, err := refParseHeadChildPayload(jsescape.Unescape(refStripCDATA(payload)))
+		h, err := refParseHeadChildPayload(string(jsescape.AppendUnescape(nil, refStripCDATA(payload))))
 		if err != nil {
 			return nil, err
 		}
@@ -195,7 +195,7 @@ func FuzzUnmarshal(f *testing.F) {
 	msn := ContentFromDocument(dom.Parse(sites.GeneratePage(spec, sites.Inventory(spec))).Root, 1700000000000)
 	f.Add(msn.Marshal())
 	astral := ContentFromDocument(dom.Parse(nonASCIIPage).Root, 1700000000001)
-	astral.UserActions = []Action{{Kind: ActionFormInput, Target: "1.0", Value: "Straße ✓ 𝄞", From: "p1", Seq: 3}}
+	astral.UserActions = []Action{{Kind: ActionFormInput, Target: "1.0", Value: "Straße ✓ 𝄞", From: "p1"}}
 	f.Add(astral.Marshal())
 	f.Add((&NewContent{DocTime: 5, UserActions: []Action{{Kind: ActionMouseMove, X: 1, Y: 2, From: "host"}}}).Marshal())
 	small := sampleContent().Marshal()

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"maps"
 	"net"
 	"strconv"
 	"sync"
@@ -48,7 +49,7 @@ func (o *orderCheck) ServeWireAsync(req *httpwire.Request, respond func(*httpwir
 			o.open--
 			o.mu.Unlock()
 			tagged := *r // the agent's responses may be shared: tag a copy
-			tagged.Header = r.Header.Clone()
+			tagged.Header = maps.Clone(r.Header)
 			tagged.Header.Set(seqHeader, strconv.Itoa(seq))
 			respond(&tagged)
 		})

@@ -51,14 +51,6 @@ func (a *Agent) movedSignal() closeSignal {
 	return closeSignal{reason: CloseMoved, retry: DefaultMovedRetryAfter, relocate: a.relocatedTo}
 }
 
-// RelocatedTo reports the address this agent's session moved to ("" while
-// the agent is live).
-func (a *Agent) RelocatedTo() string {
-	a.smu.RLock()
-	defer a.smu.RUnlock()
-	return a.relocatedTo
-}
-
 // setRelocated plants (or clears) the relocation fence under the
 // serve/state barrier: once it returns, no request path can mutate
 // session state.
@@ -138,8 +130,8 @@ func (a *Agent) handoverState(token, state string) *httpwire.Response {
 	if err == nil {
 		// Every relocated snippet rejoins here, and a join mints a fresh id,
 		// so an imported roster would leave one ghost per participant holding
-		// a seat and a mirror queue. The replay stamps, the id counter,
-		// pending actions and prepared builds still import.
+		// a seat and a mirror queue. The replay stamps, the id counter and
+		// prepared builds still import.
 		st.Participants = nil
 		err = a.importLocked(st)
 	}

@@ -18,6 +18,13 @@ import (
 	"rcb/internal/sites"
 )
 
+// relocated reports the address a's session moved to ("" while a is live).
+func (a *Agent) relocated() string {
+	a.smu.RLock()
+	defer a.smu.RUnlock()
+	return a.relocatedTo
+}
+
 const handoverKey = "handover-key"
 
 // receiver is a second agent process on the virtual network, ready to
@@ -109,8 +116,8 @@ func TestLiveHandoverEndToEnd(t *testing.T) {
 	if err := w.agent.HandoverTo(handoverClient(w), rcv.addr); err != nil {
 		t.Fatal(err)
 	}
-	if got := w.agent.RelocatedTo(); got != rcv.addr {
-		t.Fatalf("old agent RelocatedTo = %q, want %q", got, rcv.addr)
+	if got := w.agent.relocated(); got != rcv.addr {
+		t.Fatalf("old agent relocated to %q, want %q", got, rcv.addr)
 	}
 	if got := w.agent.ShedLevel(); got != ShedNone {
 		t.Fatalf("old agent shed level stuck at %v after handover", got)
@@ -125,7 +132,7 @@ func TestLiveHandoverEndToEnd(t *testing.T) {
 	if !CloseMoved.Retryable() {
 		t.Fatal("MOVED must be retryable")
 	}
-	if !alice.RejoinNeeded() {
+	if !alice.needsRejoin() {
 		t.Fatal("MOVED did not schedule a rejoin")
 	}
 
@@ -189,7 +196,7 @@ func TestHandoverRefusedWithoutOptIn(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "403") {
 		t.Fatalf("handover to non-opted-in receiver: %v, want 403 refusal", err)
 	}
-	if got := w.agent.RelocatedTo(); got != "" {
+	if got := w.agent.relocated(); got != "" {
 		t.Fatalf("sender relocated to %q after a refused handover", got)
 	}
 	if _, err := alice.PollOnce(); err != nil {
@@ -418,7 +425,7 @@ func TestParkedPollAnsweredMovedAtFence(t *testing.T) {
 	if took := time.Since(start); took >= 5*time.Second {
 		t.Fatalf("parked poll waited out its hang (%v)", took)
 	}
-	if !s.RejoinNeeded() {
+	if !s.needsRejoin() {
 		t.Fatal("MOVED on the parked poll did not schedule a rejoin")
 	}
 	if got := w.agent.ParkedPolls(); got != 0 {

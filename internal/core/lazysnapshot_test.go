@@ -33,13 +33,13 @@ func refAppendHead(dst []byte, head []HeadChild) []byte {
 	dst = append(dst, "<docHead>\n"...)
 	for i, h := range head {
 		n := strconv.Itoa(i + 1)
-		dst = append(dst, "<hChild"+n+"><![CDATA["+jsescape.Escape(refPackHead(h))+"]]></hChild"+n+">\n"...)
+		dst = append(dst, "<hChild"+n+"><![CDATA["+string(jsescape.AppendEscape(nil, refPackHead(h)))+"]]></hChild"+n+">\n"...)
 	}
 	return append(dst, "</docHead>\n"...)
 }
 
 func refAppendCDATA(dst []byte, name, payload string) []byte {
-	return append(dst, "<"+name+"><![CDATA["+jsescape.Escape(payload)+"]]></"+name+">\n"...)
+	return append(dst, "<"+name+"><![CDATA["+string(jsescape.AppendEscape(nil, payload))+"]]></"+name+">\n"...)
 }
 
 // refMarshal renders a Figure 4 message with the eager agent's packing.

@@ -178,8 +178,6 @@ type shedState struct {
 	level    atomic.Int32
 	mu       sync.Mutex // serializes EvaluateLoad transitions
 	lastEval atomic.Int64
-	ups      atomic.Int64
-	downs    atomic.Int64
 
 	respOnce sync.Once
 	resp     *httpwire.Response
@@ -187,12 +185,6 @@ type shedState struct {
 
 // ShedLevel reports the ladder's current step.
 func (a *Agent) ShedLevel() ShedLevel { return ShedLevel(a.shed.level.Load()) }
-
-// ShedTransitions reports how many times the ladder climbed (ups) and
-// recovered (downs).
-func (a *Agent) ShedTransitions() (ups, downs int64) {
-	return a.shed.ups.Load(), a.shed.downs.Load()
-}
 
 // heapInUse reads the heap signal.
 func (a *Agent) heapInUse() uint64 {
@@ -238,7 +230,6 @@ func (a *Agent) EvaluateLoad() ShedLevel {
 	case high && lvl < ShedRefuseJoins:
 		lvl++
 		a.shed.level.Store(int32(lvl))
-		a.shed.ups.Add(1)
 		if !a.deltasOn() {
 			// The rung's whole point is freeing memory: drop the delta-base
 			// ring and diff cache now rather than waiting for the next
@@ -249,7 +240,6 @@ func (a *Agent) EvaluateLoad() ShedLevel {
 	case !high && low && lvl > ShedNone:
 		lvl--
 		a.shed.level.Store(int32(lvl))
-		a.shed.downs.Add(1)
 		a.logf("rcb-agent: shed ladder down to %s (parked=%d outbox=%d heap=%d)", lvl, parked, outbox, heap)
 	}
 	return lvl

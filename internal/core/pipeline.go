@@ -517,9 +517,6 @@ func (p *PreparedContent) XML() []byte {
 	return p.xml
 }
 
-// DocTime returns the message timestamp.
-func (p *PreparedContent) DocTime() int64 { return p.docTime }
-
 // GenTime returns how long the Figure 3 pipeline took to produce this
 // content's Figure 4 message — extraction plus marshal, the paper's M5
 // metric. It forces the marshal if nothing has demanded it yet.

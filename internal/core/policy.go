@@ -1,16 +1,14 @@
 package core
 
-// Decision is a policy verdict on a participant action (paper §3.3: the
-// agent "can either immediately perform the click action on the host
-// browser, or ask the co-browsing host to inspect and explicitly confirm").
+// Decision is a policy verdict on a participant action (paper §3.3). The
+// paper's third verdict, asking the host to inspect and confirm an action,
+// is not reproduced: no host interface here could list or approve one.
 type Decision int
 
 // Policy verdicts.
 const (
 	// Apply performs the action on the host browser immediately.
 	Apply Decision = iota
-	// Confirm queues the action for explicit host approval.
-	Confirm
 	// Deny drops the action.
 	Deny
 )
@@ -20,8 +18,6 @@ func (d Decision) String() string {
 	switch d {
 	case Apply:
 		return "apply"
-	case Confirm:
-		return "confirm"
 	case Deny:
 		return "deny"
 	}
@@ -29,8 +25,8 @@ func (d Decision) String() string {
 }
 
 // Policy decides what to do with each action a participant sends. The
-// paper leaves policy specification application-dependent (§3.3); these
-// implementations cover its three discussed postures.
+// paper leaves policy specification application-dependent (§3.3); the two
+// below cover its open and watch-only postures.
 type Policy interface {
 	Decide(participantID string, act Action) Decision
 }
@@ -56,38 +52,6 @@ func ReadOnlyPolicy() Policy {
 	return PolicyFunc(func(_ string, act Action) Decision {
 		if act.Kind == ActionMouseMove || act.Kind == ActionScroll {
 			return Apply
-		}
-		return Deny
-	})
-}
-
-// ModeratedPolicy queues navigation-class actions (clicks, form submits)
-// for host confirmation while applying harmless ones immediately.
-func ModeratedPolicy() Policy {
-	return PolicyFunc(func(_ string, act Action) Decision {
-		switch act.Kind {
-		case ActionClick, ActionFormSubmit:
-			return Confirm
-		default:
-			return Apply
-		}
-	})
-}
-
-// AllowListPolicy applies actions only from the listed participants,
-// denying everyone else — the "whom are allowed to perform certain
-// interactions" scenario of §3.3.
-func AllowListPolicy(ids ...string) Policy {
-	allowed := make(map[string]bool, len(ids))
-	for _, id := range ids {
-		allowed[id] = true
-	}
-	return PolicyFunc(func(id string, act Action) Decision {
-		if allowed[id] {
-			return Apply
-		}
-		if act.Kind == ActionMouseMove || act.Kind == ActionScroll {
-			return Apply // pointer mirroring is harmless
 		}
 		return Deny
 	})

@@ -227,7 +227,7 @@ func (t *sessionTable) remove(pid string, reason CloseReason) bool {
 
 // broadcast queues act for every participant except its originator and
 // calls queued with each recipient's ID. The queued copy holds only what a
-// receiver applies: the replay stamps (Seq, CID, CSeq) stay at the agent,
+// receiver applies: the replay stamps (CID, CSeq) stay at the agent,
 // since a mirrored CID would let any participant forge its sender's stamps
 // and make the replay filter drop the sender's next actions. The roster is
 // only read-locked; each enqueue takes that participant's own lock.
@@ -365,13 +365,6 @@ func (t *sessionTable) freshLocked(act Action) bool {
 	return st.fresh(act.CSeq)
 }
 
-// clients reports how many clients hold replay-filter state.
-func (t *sessionTable) clients() int {
-	t.dmu.Lock()
-	defer t.dmu.Unlock()
-	return len(t.dedup)
-}
-
 // exportTo writes the table's half of the session state: the roster sorted
 // by ID with each mirror queue, the close-reason memory in eviction order,
 // and the replay stamps least-recently-active first, so the importer
@@ -490,10 +483,6 @@ func (a *Agent) SetParticipantMode(pid string, cacheMode bool) error {
 // waiting out the hang.
 func (a *Agent) Disconnect(pid string) { a.DisconnectWith(pid, CloseLeave) }
 
-// Kick ejects a participant by host decision. Unlike Leave-class removals
-// the reason is non-retryable: the snippet must not rejoin.
-func (a *Agent) Kick(pid string) { a.DisconnectWith(pid, CloseKicked) }
-
 // DisconnectWith removes a participant recording why, so the participant's
 // next request (or its parked long-poll, woken immediately) answers with
 // the reason instead of a bare 403. rememberedCloses bounds the memory.
@@ -534,6 +523,3 @@ func (a *Agent) DuplicateActions() int64 { return a.sessions.duplicates.Load() }
 // OutboxDepth reports the total queued mirror actions across participants —
 // one of the shed ladder's load signals.
 func (a *Agent) OutboxDepth() int64 { return a.sessions.outboxDepth.Load() }
-
-// DedupClients reports how many clients currently hold replay-filter state.
-func (a *Agent) DedupClients() int { return a.sessions.clients() }

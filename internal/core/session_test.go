@@ -200,17 +200,12 @@ func TestSessionNonCacheModeFetchesFromOrigin(t *testing.T) {
 	w.hostNavigate(t, "http://"+spec.Host()+"/")
 	alice := w.join(t, "alice.lan")
 	alice.PollOnce()
-	fetches := alice.LastObjectFetches()
-	if len(fetches) == 0 {
+	st := alice.Stats()
+	if st.ObjectFetches == 0 {
 		t.Fatal("no object fetches recorded")
 	}
-	for _, f := range fetches {
-		if strings.Contains(f.URL, agentAddr) {
-			t.Errorf("non-cache mode fetched %s from agent", f.URL)
-		}
-	}
-	if alice.Stats().ObjectsFromAgent != 0 {
-		t.Error("ObjectsFromAgent must be zero in non-cache mode")
+	if st.ObjectsFromAgent != 0 {
+		t.Errorf("non-cache mode fetched %d/%d objects from the agent", st.ObjectsFromAgent, st.ObjectFetches)
 	}
 }
 
@@ -220,20 +215,14 @@ func TestSessionCacheModeFetchesFromHost(t *testing.T) {
 	w.hostNavigate(t, "http://"+spec.Host()+"/")
 	alice := w.join(t, "alice.lan")
 	alice.PollOnce()
-	fetches := alice.LastObjectFetches()
-	if len(fetches) == 0 {
+	st := alice.Stats()
+	if st.ObjectFetches == 0 {
 		t.Fatal("no object fetches recorded")
-	}
-	fromAgent := 0
-	for _, f := range fetches {
-		if strings.Contains(f.URL, agentAddr) {
-			fromAgent++
-		}
 	}
 	// The host cached every supplementary object during its own load, so
 	// every fetch must hit the agent.
-	if fromAgent != len(fetches) {
-		t.Fatalf("%d/%d fetches from agent", fromAgent, len(fetches))
+	if st.ObjectsFromAgent != st.ObjectFetches {
+		t.Fatalf("%d/%d fetches from agent", st.ObjectsFromAgent, st.ObjectFetches)
 	}
 	if _, ok := w.agent.pipeline.object("/obj/t1"); !ok {
 		t.Error("mapping table empty")
@@ -241,9 +230,10 @@ func TestSessionCacheModeFetchesFromHost(t *testing.T) {
 	// Object bodies must match the origin's bytes.
 	inv := sites.Inventory(spec)
 	want := sites.ObjectBytes(spec.Name, inv[0].Path, inv[0].Kind, inv[0].Size)
-	got, ok := alice.Browser.Cache.Get(fetches[0].URL)
+	objURL := w.agent.URL() + "/obj/t1"
+	got, ok := alice.Browser.Cache.Get(objURL)
 	if !ok {
-		t.Fatalf("participant did not cache %s", fetches[0].URL)
+		t.Fatalf("participant did not cache %s", objURL)
 	}
 	if string(got.Body) != string(want) {
 		t.Error("object bytes differ between origin and agent path")
@@ -388,42 +378,6 @@ func TestSessionReadOnlyPolicyDeniesClicks(t *testing.T) {
 	}
 }
 
-func TestSessionModeratedPolicyConfirm(t *testing.T) {
-	w := newWorld(t, func(a *Agent) { a.Policy = ModeratedPolicy() })
-	w.hostNavigate(t, "http://"+sites.ShopHost+"/")
-	alice := w.join(t, "alice.lan")
-	alice.PollOnce()
-	alice.ClickElement("cartlink")
-	alice.PollOnce()
-
-	pending := w.agent.PendingConfirmations()
-	if len(pending) != 1 {
-		t.Fatalf("pending = %+v", pending)
-	}
-	if strings.HasSuffix(w.host.URL(), "/cart") {
-		t.Fatal("action applied before confirmation")
-	}
-	if err := w.agent.Confirm(pending[0].Seq, true); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasSuffix(w.host.URL(), "/cart") {
-		t.Fatal("confirmed action not applied")
-	}
-	if len(w.agent.PendingConfirmations()) != 0 {
-		t.Fatal("pending list not drained")
-	}
-	// Rejecting works too.
-	alice.ClickElement("cartlink")
-	alice.PollOnce()
-	p2 := w.agent.PendingConfirmations()
-	if err := w.agent.Confirm(p2[0].Seq, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.agent.Confirm(999, true); err == nil {
-		t.Fatal("confirming unknown seq must error")
-	}
-}
-
 func TestSessionAuthRequired(t *testing.T) {
 	key := NewSessionKey()
 	w := newWorld(t, func(a *Agent) {
@@ -560,7 +514,9 @@ func TestSessionPollFromUnknownParticipant(t *testing.T) {
 	w := newWorld(t, nil)
 	client := httpwire.NewClient(w.corpus.Network.Dialer("x.lan"))
 	defer client.Close()
-	resp, err := client.Post(agentAddr, "/poll", "application/x-www-form-urlencoded", []byte("ts=0"))
+	req := httpwire.NewRequest("POST", "/poll")
+	req.Body = []byte("ts=0")
+	resp, err := client.Do(agentAddr, req)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,8 +40,6 @@ type Snippet struct {
 	// (pointer moves, etc.).
 	OnUserAction func(Action)
 
-	// lastObjects is guarded by the client's mu.
-	lastObjects []browser.ObjectFetch
 	// memoMu guards memo, not mu: an apply holds it across the browser's
 	// mutation lock, and desync or Rejoin may reset the memo from another
 	// goroutine meanwhile.
@@ -71,14 +69,6 @@ func NewSnippet(b *browser.Browser, agentURL, key string) *Snippet {
 	// renderer must not race it with its own mutation-triggered fetches.
 	b.FetchOnMutate = false
 	return s
-}
-
-// LastObjectFetches reports the supplementary-object downloads of the most
-// recent content application (experiment harness hook for M3/M4).
-func (s *Snippet) LastObjectFetches() []browser.ObjectFetch {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]browser.ObjectFetch(nil), s.lastObjects...)
 }
 
 // join loads the initial page containing Ajax-Snippet into the browser;
@@ -280,7 +270,6 @@ func (s *Snippet) fetchContentObjects() error {
 	}
 	s.mu.Lock()
 	agentHost := browser.HostOf(s.agentURLLocked())
-	s.lastObjects = fetches
 	s.stats.ObjectFetches += int64(len(fetches))
 	for _, f := range fetches {
 		if browser.HostOf(f.URL) == agentHost {

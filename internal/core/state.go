@@ -4,14 +4,13 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"rcb/internal/browser"
 	"rcb/internal/dom"
 )
 
 // Versioned session state codec. ExportState serializes everything an agent
 // process owns about a live session — the participant table with its
 // delivery outboxes, the host document and docTime clock, the (CID, CSeq)
-// replay stamps, the moderation queue, the object mapping, and the prepared
+// replay stamps, the object mapping, and the prepared
 // content cache — into one self-describing JSON document; ImportState
 // rebuilds an equivalent agent from it. The codec backs both durability
 // moves: checkpoint/restore across a process death (cmd/rcb-host
@@ -39,13 +38,11 @@ type agentState struct {
 	DocHTML string `json:"docHTML,omitempty"`
 	DocTime int64  `json:"docTime"`
 
-	NextPID   int   `json:"nextPID"`
-	ActionSeq int64 `json:"actionSeq"`
+	NextPID int `json:"nextPID"`
 
 	Participants []participantSnapshot `json:"participants"`
 	Closed       []closedSnapshot      `json:"closed,omitempty"`
 	Dedup        []dedupSnapshot       `json:"dedup,omitempty"`
-	Pending      []pendingSnapshot     `json:"pending,omitempty"`
 	Objects      []objectSnapshot      `json:"objects,omitempty"`
 	Prepared     []preparedSnapshot    `json:"prepared,omitempty"`
 }
@@ -72,12 +69,6 @@ type dedupSnapshot struct {
 	MaxSeq int64   `json:"maxSeq"`
 	Recent []int64 `json:"recent,omitempty"`
 	SeenMS int64   `json:"seenMS"`
-}
-
-type pendingSnapshot struct {
-	Seq    int64  `json:"seq"`
-	PID    string `json:"pid"`
-	Action Action `json:"action"`
 }
 
 type objectSnapshot struct {
@@ -148,14 +139,6 @@ func (a *Agent) ExportState() ([]byte, error) {
 	}
 
 	a.sessions.exportTo(st)
-
-	a.amu.Lock()
-	st.ActionSeq = a.actionSeq
-	for _, pa := range a.pending {
-		st.Pending = append(st.Pending, pendingSnapshot{Seq: pa.Seq, PID: pa.ParticipantID, Action: pa.Action})
-	}
-	a.amu.Unlock()
-
 	a.pipeline.exportTo(st, version)
 
 	return json.Marshal(st)
@@ -205,30 +188,9 @@ func (a *Agent) importLocked(st *agentState) error {
 	version := a.Browser.Version()
 
 	a.sessions.importFrom(st)
-
-	a.amu.Lock()
-	a.actionSeq = st.ActionSeq
-	a.pending = a.pending[:0]
-	for _, ps := range st.Pending {
-		a.pending = append(a.pending, PendingAction{Seq: ps.Seq, ParticipantID: ps.PID, Action: ps.Action})
-	}
-	a.amu.Unlock()
-
 	a.pipeline.importFrom(st, version, st.Addr == a.Addr)
 
 	// The imported session is live here, whatever this process was before.
 	a.relocatedTo = ""
 	return nil
-}
-
-// RestoreAgent constructs an agent at addr from an ExportState snapshot,
-// installing the session document into b. The restored agent serves the
-// same participant set — PR 6's auto-rejoin loop reconnects every snippet
-// with a delta or full resync instead of a dead session.
-func RestoreAgent(b *browser.Browser, addr string, data []byte) (*Agent, error) {
-	a := NewAgent(b, addr)
-	if err := a.ImportState(data); err != nil {
-		return nil, err
-	}
-	return a, nil
 }

@@ -16,20 +16,16 @@ import (
 	"rcb/internal/sites"
 )
 
-// confirmInputsPolicy queues forminput actions for host confirmation so the
-// moderation queue has content to serialize.
-type confirmInputsPolicy struct{}
-
-func (confirmInputsPolicy) Decide(_ string, act Action) Decision {
-	if act.Kind == ActionFormInput {
-		return Confirm
-	}
-	return Apply
+// restoreAgent constructs an agent at agentAddr over b and imports an
+// ExportState snapshot into it, as rcb-host -restore does.
+func restoreAgent(b *browser.Browser, data []byte) (*Agent, error) {
+	a := NewAgent(b, agentAddr)
+	return a, a.ImportState(data)
 }
 
 // populateSession drives a world into a state exercising every section of
 // the codec: two participants at different ack points, a pending mirrored
-// action in an outbox, replay stamps, a queued confirmation, a departed
+// action in an outbox, replay stamps from both, a departed
 // participant with a close reason, and (cache mode) an object mapping.
 func populateSession(t *testing.T, w *world) (alice, bob *Snippet) {
 	t.Helper()
@@ -49,13 +45,10 @@ func populateSession(t *testing.T, w *world) (alice, bob *Snippet) {
 	if _, err := alice.PollOnce(); err != nil {
 		t.Fatal(err)
 	}
-	// A queued confirmation, stamped with bob's CID.
+	// A form input, stamped with bob's CID.
 	bob.QueueAction(Action{Kind: ActionFormInput, Target: "t1", Value: "draft"})
 	if _, err := bob.PollOnce(); err != nil {
 		t.Fatal(err)
-	}
-	if n := len(w.agent.PendingConfirmations()); n != 1 {
-		t.Fatalf("pending confirmations = %d, want 1", n)
 	}
 
 	// A departed participant whose close reason the session must remember.
@@ -78,7 +71,6 @@ func agentDocTime(a *Agent) int64 {
 // and exporting again yields byte-identical snapshots.
 func TestStateRoundTripByteIdentical(t *testing.T) {
 	w := newWorld(t, func(a *Agent) {
-		a.Policy = confirmInputsPolicy{}
 		a.DefaultCacheMode = true
 		a.Auth = NewAuthenticator("roundtrip-key")
 	})
@@ -117,7 +109,7 @@ func TestStateRoundTripByteIdentical(t *testing.T) {
 	}
 	rb := browser.New("restore.lan", w.corpus.Network.Dialer("restore.lan"))
 	t.Cleanup(rb.Close)
-	restored, err := RestoreAgent(rb, agentAddr, first)
+	restored, err := restoreAgent(rb, first)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,9 +123,6 @@ func TestStateRoundTripByteIdentical(t *testing.T) {
 	if restored.Auth == nil {
 		t.Fatal("restored agent did not adopt the session key")
 	}
-	if n := len(restored.PendingConfirmations()); n != 1 {
-		t.Fatalf("restored pending confirmations = %d, want 1", n)
-	}
 }
 
 // TestRestoredAgentServesSamePreparedBytes kills the server, restores the
@@ -141,7 +130,7 @@ func TestStateRoundTripByteIdentical(t *testing.T) {
 // participant's next poll is answered from the imported prepared content —
 // same docTime, zero rebuilds — and converges byte-identically.
 func TestRestoredAgentServesSamePreparedBytes(t *testing.T) {
-	w := newWorld(t, func(a *Agent) { a.Policy = confirmInputsPolicy{} })
+	w := newWorld(t, nil)
 	alice, bob := populateSession(t, w)
 
 	// Advance the document and let bob consume it so the delta/prepared
@@ -163,7 +152,7 @@ func TestRestoredAgentServesSamePreparedBytes(t *testing.T) {
 
 	rb := browser.New("restorehost.lan", w.corpus.Network.Dialer("restorehost.lan"))
 	t.Cleanup(rb.Close)
-	restored, err := RestoreAgent(rb, agentAddr, state)
+	restored, err := restoreAgent(rb, state)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +202,7 @@ func TestRestoreRejectsWrongSchema(t *testing.T) {
 		[]byte(`"schema":999`), 1)
 	rb := browser.New("schema.lan", w.corpus.Network.Dialer("schema.lan"))
 	t.Cleanup(rb.Close)
-	if _, err := RestoreAgent(rb, agentAddr, bad); err == nil || !strings.Contains(err.Error(), "schema") {
+	if _, err := restoreAgent(rb, bad); err == nil || !strings.Contains(err.Error(), "schema") {
 		t.Fatalf("wrong-schema import error = %v, want schema refusal", err)
 	}
 }
@@ -259,7 +248,7 @@ func TestStaleCheckpointForcesResync(t *testing.T) {
 	w.agent.Close()
 	rb := browser.New("stale.lan", w.corpus.Network.Dialer("stale.lan"))
 	t.Cleanup(rb.Close)
-	restored, err := RestoreAgent(rb, agentAddr, state)
+	restored, err := restoreAgent(rb, state)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +313,7 @@ func TestDedupTableBoundedUnderChurn(t *testing.T) {
 		if got := len(a.sessions.fresh([]Action{live})); got != 1 {
 			t.Fatalf("hour %d: active client's fresh action filtered", hour)
 		}
-		if n := a.DedupClients(); n > maxDedupClients {
+		if n := len(a.sessions.dedup); n > maxDedupClients {
 			t.Fatalf("hour %d: dedup table grew to %d clients (cap %d)", hour, n, maxDedupClients)
 		}
 	}
@@ -340,7 +329,7 @@ func TestDedupTableBoundedUnderChurn(t *testing.T) {
 	if got := len(a.sessions.fresh([]Action{ghost})); got != 1 {
 		t.Fatal("hour-0 transient client still holds dedup state after a month; eviction never ran")
 	}
-	if n := a.DedupClients(); n > maxDedupClients {
+	if n := len(a.sessions.dedup); n > maxDedupClients {
 		t.Fatalf("final dedup table %d clients, cap %d", n, maxDedupClients)
 	}
 }
@@ -387,7 +376,7 @@ func TestDeltaRingStateRoundTrip(t *testing.T) {
 
 	rb := browser.New("ringrestore.lan", w.corpus.Network.Dialer("ringrestore.lan"))
 	t.Cleanup(rb.Close)
-	restored, err := RestoreAgent(rb, agentAddr, first)
+	restored, err := restoreAgent(rb, first)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,7 +460,7 @@ func TestStateImportV1SinglePrev(t *testing.T) {
 
 	rb := browser.New("v1restore.lan", w.corpus.Network.Dialer("v1restore.lan"))
 	t.Cleanup(rb.Close)
-	restored, err := RestoreAgent(rb, agentAddr, v1)
+	restored, err := restoreAgent(rb, v1)
 	if err != nil {
 		t.Fatalf("v1 single-prev checkpoint refused: %v", err)
 	}

@@ -165,8 +165,8 @@ func TestSubscriberSetMirroredAction(t *testing.T) {
 
 func TestSubscriberSetKick(t *testing.T) {
 	sp := newSubscriberPair(t, nil)
-	sp.w.agent.Kick(sp.pollPID)
-	sp.w.agent.Kick(sp.chanPID)
+	sp.w.agent.DisconnectWith(sp.pollPID, CloseKicked)
+	sp.w.agent.DisconnectWith(sp.chanPID, CloseKicked)
 	if resp := sp.pollAnswer(t); resp.Header.Get(CloseReasonHeader) != CloseKicked.String() {
 		t.Fatalf("poll answer %d carries reason %q, want KICKED", resp.StatusCode, resp.Header.Get(CloseReasonHeader))
 	}

@@ -193,14 +193,14 @@ func TestContentFromDocument(t *testing.T) {
 
 func TestEncodeDecodeActions(t *testing.T) {
 	in := []Action{
-		{Kind: ActionClick, Target: "1.2.3", From: "p1", Seq: 7},
+		{Kind: ActionClick, Target: "1.2.3", From: "p1", CID: "c1", CSeq: 7},
 		{Kind: ActionFormSubmit, Target: "1.4", Fields: []httpwire.FormField{{Name: "q", Value: "x&y=z"}}, From: "p2"},
 	}
 	out, err := DecodeActions(EncodeActions(in))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != 2 || out[0].Target != "1.2.3" || out[0].Seq != 7 {
+	if len(out) != 2 || out[0].Target != "1.2.3" || out[0].CSeq != 7 {
 		t.Fatalf("round trip: %+v", out)
 	}
 	if _, err := DecodeActions("{broken"); err == nil {

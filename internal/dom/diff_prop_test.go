@@ -11,8 +11,19 @@ package dom
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 )
+
+// DelAttr removes the named attribute if present.
+func (n *Node) DelAttr(name string) {
+	for i, a := range n.Attrs {
+		if strings.EqualFold(a.Name, name) {
+			n.Attrs = append(n.Attrs[:i], n.Attrs[i+1:]...)
+			return
+		}
+	}
+}
 
 var genTags = []string{"div", "span", "p", "ul", "li", "table", "tr", "td", "a", "b", "i", "em", "h1", "form", "input", "img", "br", "script", "style", "title"}
 

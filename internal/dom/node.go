@@ -14,7 +14,6 @@ package dom
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -116,16 +115,6 @@ func (n *Node) SetAttr(name, value string) {
 		}
 	}
 	n.Attrs = append(n.Attrs, Attr{Name: strings.ToLower(name), Value: value})
-}
-
-// DelAttr removes the named attribute if present.
-func (n *Node) DelAttr(name string) {
-	for i, a := range n.Attrs {
-		if strings.EqualFold(a.Name, name) {
-			n.Attrs = append(n.Attrs[:i], n.Attrs[i+1:]...)
-			return
-		}
-	}
 }
 
 // AppendChild adds c as the last child of n, detaching it from any previous
@@ -320,17 +309,6 @@ func (n *Node) CountNodes() int {
 	return count
 }
 
-// AttrNames returns the attribute names of n sorted alphabetically; useful
-// for stable comparisons in tests.
-func (n *Node) AttrNames() []string {
-	names := make([]string, 0, len(n.Attrs))
-	for _, a := range n.Attrs {
-		names = append(names, a.Name)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // Document is a parsed HTML document: an optional doctype plus the <html>
 // documentElement. Root is never nil for documents produced by Parse.
 type Document struct {
@@ -357,16 +335,6 @@ func (d *Document) Head() *Node {
 // a frameset instead.
 func (d *Document) Body() *Node {
 	return d.Root.FirstChildElement("body")
-}
-
-// FrameSet returns the document's top-level <frameset> element, or nil.
-func (d *Document) FrameSet() *Node {
-	return d.Root.FirstChildElement("frameset")
-}
-
-// Clone returns a deep copy of the document.
-func (d *Document) Clone() *Document {
-	return &Document{Doctype: d.Doctype, Root: d.Root.Clone()}
 }
 
 // ByID is a convenience alias for Root.ElementByID.

@@ -212,7 +212,7 @@ func TestParseFrameset(t *testing.T) {
 	if doc.Body() != nil {
 		t.Error("frameset page must have no body")
 	}
-	fs := doc.FrameSet()
+	fs := doc.Root.FirstChildElement("frameset")
 	if fs == nil {
 		t.Fatal("frameset missing")
 	}

@@ -5,16 +5,8 @@ import (
 	"sync"
 )
 
-// EscapeAttr escapes an attribute value for double-quoted serialization.
-func EscapeAttr(s string) string {
-	if !strings.ContainsAny(s, `&"<`) {
-		return s
-	}
-	return string(appendEscapeAttr(make([]byte, 0, len(s)+8), s))
-}
-
-// appendEscapeAttr is the single source of truth for the attribute escape
-// set; EscapeAttr wraps it.
+// appendEscapeAttr escapes an attribute value for double-quoted
+// serialization.
 func appendEscapeAttr(b []byte, s string) []byte {
 	if !strings.ContainsAny(s, `&"<`) {
 		return append(b, s...)

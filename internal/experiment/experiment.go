@@ -2,13 +2,14 @@
 // real-time metrics M1–M6 over the 20-site corpus in the LAN and WAN
 // environments, producing Figures 6–8 and Table 1.
 //
-// Methodology (see DESIGN.md §2): the full RCB stack runs over instant
-// virtual-network pipes while every HTTP transaction's exact wire bytes are
-// recorded; transfer-time metrics (M1–M4) are then computed deterministically
-// by replaying those transactions through netsim.LinkModel with the paper's
-// link profiles. Processing-time metrics (M5, M6) are measured directly on
-// the running implementation. Shapes — who wins, by what factor — are the
-// reproduction target; absolute milliseconds differ from 2009 hardware.
+// Methodology (README, "Reproduction method and recorded deviations"): the
+// full RCB stack runs over instant virtual-network pipes while every HTTP
+// transaction's exact wire bytes are recorded; transfer-time metrics
+// (M1–M4) are then computed deterministically by replaying those
+// transactions through netsim.LinkModel with the paper's link profiles.
+// Processing-time metrics (M5, M6) are measured directly on the running
+// implementation. Shapes — who wins, by what factor — are the reproduction
+// target; absolute milliseconds differ from 2009 hardware.
 package experiment
 
 import (
@@ -34,8 +35,9 @@ type Environment struct {
 	// and a Table 1 origin server.
 	OriginLink func(spec sites.SiteSpec) netsim.Link
 	// ServerThink models the origin's page generation time — the dominant
-	// first-byte delay of 2009 dynamic portals, calibrated per DESIGN.md so
-	// the WAN M1/M2 crossover lands where the paper's Figure 7 puts it.
+	// first-byte delay of 2009 dynamic portals, calibrated (README,
+	// "ServerThink calibration") so the WAN M1/M2 crossover lands where the
+	// paper's Figure 7 puts it.
 	// Static supplementary objects are served without think time.
 	ServerThink func(spec sites.SiteSpec) time.Duration
 	// Parallelism is the browser's concurrent object-fetch limit.

@@ -69,9 +69,9 @@ func WriteTable1(w io.Writer, results []*SiteResult) {
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 // ShapeChecks verifies the paper's ordering claims against a result set and
-// returns human-readable pass/fail lines. It powers both EXPERIMENTS.md and
-// the regression tests: the reproduction is considered faithful when every
-// check passes.
+// returns human-readable pass/fail lines. It powers `rcb-bench -shapes`,
+// which exits non-zero on a failure, and the regression tests: the
+// reproduction is considered faithful when every check passes.
 func ShapeChecks(lan, wan []*SiteResult) []string {
 	var out []string
 	check := func(name string, ok bool) {
@@ -119,7 +119,7 @@ func ShapeChecks(lan, wan []*SiteResult) []string {
 	// by a third of a second. The paper's third Table 1 observation —
 	// "M5 cache > M5 non-cache" — was caused by Mozilla's cache service
 	// lookup cost, which this substrate's map-based cache does not
-	// reproduce (a documented deviation, see EXPERIMENTS.md); the honest
+	// reproduce (a deviation the README records); the honest
 	// transferable claim is that the two modes cost about the same here.
 	var largest, smallest *SiteResult
 	m6Bounded := true
@@ -140,7 +140,7 @@ func ShapeChecks(lan, wan []*SiteResult) []string {
 	check("Table 1: M5 larger for largest page than smallest",
 		largest.M5NonCache > smallest.M5NonCache)
 	ratio := float64(m5C) / float64(m5NC)
-	check(fmt.Sprintf("Table 1 (deviation, see EXPERIMENTS.md): M5 cache ~= M5 non-cache on this substrate (ratio %.2f)", ratio),
+	check(fmt.Sprintf("Table 1 (deviation, see README): M5 cache ~= M5 non-cache on this substrate (ratio %.2f)", ratio),
 		ratio > 0.5 && ratio < 2.0)
 	check("Table 1: M6 < 1/3 s for all sites", m6Bounded)
 	return out

@@ -158,14 +158,6 @@ func (c *Client) Get(addr, target string) (*Response, error) {
 	return c.Do(addr, NewRequest("GET", target))
 }
 
-// Post issues a POST with the given content type and body.
-func (c *Client) Post(addr, target, ctype string, body []byte) (*Response, error) {
-	req := NewRequest("POST", target)
-	req.Header.Set("Content-Type", ctype)
-	req.Body = body
-	return c.Do(addr, req)
-}
-
 // Close closes every pooled connection — an exchange blocked on one fails
 // at once — and is final: later requests fail with ErrClientClosed instead
 // of dialing.

@@ -43,37 +43,6 @@ type Frame struct {
 	Payload []byte
 }
 
-// AppendFrame appends the wire encoding of f to dst.
-func AppendFrame(dst []byte, f Frame) []byte {
-	dst = append(dst, f.Type, f.Flags)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(f.Payload)))
-	return append(dst, f.Payload...)
-}
-
-// DecodeFrame parses one frame from the front of b, returning the frame and
-// the number of bytes consumed. The payload aliases b — callers that retain
-// it across reuse of b must copy. Truncated input (fewer bytes than the
-// header announces) is ErrFrameTruncated; a length beyond MaxFramePayload is
-// ErrFrameTooLarge.
-func DecodeFrame(b []byte) (Frame, int, error) {
-	if len(b) < FrameHeaderLen {
-		return Frame{}, 0, ErrFrameTruncated
-	}
-	n := binary.BigEndian.Uint32(b[2:FrameHeaderLen])
-	if n > MaxFramePayload {
-		return Frame{}, 0, ErrFrameTooLarge
-	}
-	end := FrameHeaderLen + int(n)
-	if len(b) < end {
-		return Frame{}, 0, ErrFrameTruncated
-	}
-	f := Frame{Type: b[0], Flags: b[1]}
-	if n > 0 {
-		f.Payload = b[FrameHeaderLen:end]
-	}
-	return f, end, nil
-}
-
 // ReadFrame reads one frame from r. A clean EOF before any header byte is
 // io.EOF (peer closed between frames); EOF mid-frame is ErrFrameTruncated.
 func ReadFrame(r *bufio.Reader) (Frame, error) {

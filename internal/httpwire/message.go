@@ -4,10 +4,10 @@
 // own socket listening and request processing inside the browser extension
 // (nsIServerSocket + nsIStreamListener, paper §4.1.1). This package plays
 // that role for the Go reproduction: a minimal, dependency-free HTTP layer
-// shared by RCB-Agent, the participant client, the synthetic origin servers,
-// and the proxy baseline. Only what RCB needs is implemented — GET/POST,
-// Content-Length and chunked bodies, keep-alive — and limits are enforced so
-// a malformed peer cannot wedge the agent.
+// shared by RCB-Agent, the participant client and the synthetic origin
+// servers. Only what RCB needs is implemented — GET/POST, Content-Length and
+// chunked bodies, keep-alive — and limits are enforced so a malformed peer
+// cannot wedge the agent.
 package httpwire
 
 import (
@@ -65,22 +65,6 @@ func (h Header) Set(key, value string) {
 func (h Header) Add(key, value string) {
 	ck := CanonicalKey(key)
 	h[ck] = append(h[ck], value)
-}
-
-// Del removes all values for key.
-func (h Header) Del(key string) {
-	delete(h, CanonicalKey(key))
-}
-
-// Clone returns a deep copy of h.
-func (h Header) Clone() Header {
-	out := make(Header, len(h))
-	for k, vs := range h {
-		cp := make([]string, len(vs))
-		copy(cp, vs)
-		out[k] = cp
-	}
-	return out
 }
 
 // sortedKeys returns header keys in deterministic order for serialization.

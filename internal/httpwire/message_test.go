@@ -6,6 +6,20 @@ import (
 	"testing"
 )
 
+// Del removes all values for key.
+func (h Header) Del(key string) {
+	delete(h, CanonicalKey(key))
+}
+
+// Clone returns a deep copy of h.
+func (h Header) Clone() Header {
+	out := make(Header, len(h))
+	for k, vs := range h {
+		out[k] = append([]string(nil), vs...)
+	}
+	return out
+}
+
 func TestHeaderDelAndClone(t *testing.T) {
 	h := Header{}
 	h.Set("X-One", "1")

@@ -70,7 +70,10 @@ func TestServerPOSTRoundTrip(t *testing.T) {
 	addr, _ := startTestServer(t, HandlerFunc(echoHandler))
 	c := NewClient(tcpDialer)
 	defer c.Close()
-	resp, err := c.Post(addr, "/poll", "application/x-www-form-urlencoded", []byte("tick=9"))
+	req := NewRequest("POST", "/poll")
+	req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+	req.Body = []byte("tick=9")
+	resp, err := c.Do(addr, req)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -130,7 +130,11 @@ func readHeaders(r *bufio.Reader, h Header) error {
 
 func readBody(r *bufio.Reader, h Header) ([]byte, error) {
 	if strings.EqualFold(h.Get("Transfer-Encoding"), "chunked") {
-		return readChunked(r)
+		body, err := readChunked(r)
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF // the stream ended inside the body
+		}
+		return body, err
 	}
 	cl := h.Get("Content-Length")
 	if cl == "" {

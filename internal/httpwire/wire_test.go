@@ -298,3 +298,75 @@ func TestFormRoundTripProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// fuzzStream parses every message a peer's bytes hold, the way a server or
+// client connection reads them back to back, and checks the readers'
+// contract on each: no panic; an error is one of the readers' own; a bare
+// io.EOF only where a message would start, never partway through one; and
+// a parsed body no longer than the bytes that arrived, in a buffer at most
+// twice that (a declared length alone reserves nothing it was not sent).
+func fuzzStream(t *testing.T, data []byte, read func(*bufio.Reader) ([]byte, error)) {
+	src := bytes.NewReader(data)
+	r := bufio.NewReader(src)
+	consumed := func() int { return len(data) - src.Len() - r.Buffered() }
+	for {
+		start := consumed()
+		body, err := read(r)
+		if err != nil {
+			if err == io.EOF && start != len(data) {
+				t.Fatalf("io.EOF %d bytes into a message (at %d of %d)", consumed()-start, start, len(data))
+			}
+			if err != io.EOF && !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, ErrMalformed) &&
+				!errors.Is(err, ErrHeaderTooLarge) && !errors.Is(err, ErrBodyTooLarge) {
+				t.Fatalf("unexpected error %v", err)
+			}
+			return
+		}
+		if len(body) > len(data) || cap(body) > 2*len(data)+64 {
+			t.Fatalf("body len %d cap %d from %d bytes sent", len(body), cap(body), len(data))
+		}
+		if consumed() == start {
+			t.Fatal("a message parsed from no bytes")
+		}
+	}
+}
+
+// FuzzReadRequest fuzzes the request reader an agent runs on every byte a
+// participant sends.
+func FuzzReadRequest(f *testing.F) {
+	f.Add([]byte("GET / HTTP/1.1\r\nHost: a\r\n\r\n"))
+	f.Add([]byte("POST /poll HTTP/1.1\r\nContent-Length: 4\r\nCookie: rcbpid=p1\r\n\r\nts=0"))
+	f.Add([]byte("POST /poll HTTP/1.1\r\nContent-Length: 33554432\r\n\r\nts=0"))
+	f.Add([]byte("POST /poll HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n4;x=y\r\nts=0\r\n0\r\nT: v\r\n\r\n"))
+	f.Add([]byte("POST /a HTTP/1.1\r\nContent-Length: 1\r\n\r\nxGET /b HTTP/1.0\r\nConnection: close\r\n\r\n"))
+	f.Add([]byte("GET /\r\n\r\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fuzzStream(t, data, func(r *bufio.Reader) ([]byte, error) {
+			req, err := ReadRequest(r)
+			if err != nil {
+				return nil, err
+			}
+			return req.Body, nil
+		})
+	})
+}
+
+// FuzzReadResponse fuzzes the response reader a participant runs on every
+// byte an agent or origin sends.
+func FuzzReadResponse(f *testing.F) {
+	f.Add([]byte("HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nhi"))
+	f.Add([]byte("HTTP/1.1 204 No Content\r\n\r\nHTTP/1.1 304 Not Modified\r\n\r\n"))
+	f.Add([]byte("HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5;ext\r\nhello\r\n0\r\nX: y\r\n\r\n"))
+	f.Add([]byte("HTTP/1.1 503 Service Unavailable\r\nRcb-Close-Reason: OVERCOMMITTED\r\nRcb-Retry-After: 2000\r\nContent-Length: 0\r\n\r\n"))
+	f.Add([]byte("HTTP/1.1 200 OK\r\nContent-Length: 99999999\r\n\r\nx"))
+	f.Add([]byte("HTTP/1.1 099 X\r\n\r\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fuzzStream(t, data, func(r *bufio.Reader) ([]byte, error) {
+			resp, err := ReadResponse(r)
+			if err != nil {
+				return nil, err
+			}
+			return resp.Body, nil
+		})
+	})
+}

@@ -88,15 +88,6 @@ func bytesOf[T string | []byte](s T) []byte {
 	return unsafe.Slice(*(**byte)(unsafe.Pointer(&s)), len(s))
 }
 
-// Escape returns the JavaScript escape() encoding of s. Code points below
-// U+0100 become %XX; all others become %uXXXX. Input is treated as a sequence
-// of UTF-16 code units, exactly as a JavaScript engine would: code points
-// outside the BMP are encoded as surrogate pairs (%uD8xx%uDCxx).
-func Escape(s string) string {
-	b := AppendEscape(nil, s)
-	return unsafe.String(unsafe.SliceData(b), len(b))
-}
-
 // EscapedLen returns the length of the escape() encoding of s, summed a
 // word of ASCII bytes at a time. Callers that assemble several encodings
 // into one buffer size it exactly with this, and AppendEscape then never
@@ -142,9 +133,13 @@ func runeEscapedLen(r rune) int {
 	}
 }
 
-// AppendEscape appends the escape() encoding of s to dst and returns the
-// extended slice — the allocation-free form the agent's message assembly
-// uses to encode payloads directly into an outgoing buffer. When dst lacks
+// AppendEscape appends the JavaScript escape() encoding of s to dst and
+// returns the extended slice — the allocation-free form the agent's message
+// assembly uses to encode payloads directly into an outgoing buffer. Code
+// points below U+0100 become %XX; all others become %uXXXX. Input is treated
+// as a sequence of UTF-16 code units, exactly as a JavaScript engine would:
+// code points outside the BMP are encoded as surrogate pairs
+// (%uD8xx%uDCxx). When dst lacks
 // room it grows once, by the exact encoded size of what is left (see
 // EscapedLen); a dst presized with EscapedLen is never grown or recounted.
 // Invalid UTF-8 bytes encode as %uFFFD, as a range loop over s decodes them.
@@ -263,24 +258,14 @@ func specialLanes(w uint64) uint64 {
 	return ((x-lsb)&^x | w) & msb
 }
 
-// Unescape reverses Escape, implementing JavaScript unescape() (ECMA-262
-// B.2.2). Sequences that do not form a valid %XX or %uXXXX escape are copied
-// through literally, as JS does; there is no error case. Surrogate pairs
-// produced by Escape are recombined into their original code points; unpaired
-// surrogates decode to U+FFFD (Go strings cannot carry lone surrogates).
-// Plain bytes that are not valid UTF-8 decode as Latin-1 (see latin1Rune).
-// The result is built in its own buffer and shares no memory with s.
-func Unescape(s string) string {
-	if s == "" {
-		return ""
-	}
-	b := AppendUnescape(make([]byte, 0, len(s)), s)
-	return unsafe.String(unsafe.SliceData(b), len(b))
-}
-
-// AppendUnescape appends the unescape() decoding of s to dst and returns the
-// extended slice: the form a decoder uses to unescape payloads straight out
-// of a received message. Bytes of dst's spare capacity past the result may
+// AppendUnescape appends the JavaScript unescape() decoding of s (ECMA-262
+// B.2.2) to dst and returns the extended slice: the form a decoder uses to
+// unescape payloads straight out of a received message. Sequences that do
+// not form a valid %XX or %uXXXX escape are copied through literally, as JS
+// does; there is no error case. Surrogate pairs produced by escape() are
+// recombined into their original code points; unpaired surrogates decode to
+// U+FFFD (Go strings cannot carry lone surrogates). Plain bytes that are not
+// valid UTF-8 decode as Latin-1 (see latin1Rune). Bytes of dst's spare capacity past the result may
 // be overwritten.
 func AppendUnescape[T string | []byte](dst []byte, s T) []byte {
 	return appendUnescape(dst, bytesOf(s))
@@ -385,7 +370,7 @@ func unescapeSequence(dst, s []byte, i int) ([]byte, int) {
 // the right number of continuation bytes decodes to its code point (even
 // when overlong or a surrogate; AppendRune turns the invalid ones into
 // U+FFFD), and any other byte yields its own value (a Latin-1 fallback), so
-// Unescape(Escape(x)) == x holds for every valid x.
+// unescape(escape(x)) == x holds for every valid x.
 func latin1Rune(s []byte) (rune, int) {
 	c := s[0]
 	if c < utf8.RuneSelf {

@@ -7,6 +7,12 @@ import (
 	"unicode/utf8"
 )
 
+// Escape returns the escape() encoding of s as a string.
+func Escape(s string) string { return string(AppendEscape(nil, s)) }
+
+// Unescape returns the unescape() decoding of s as a string.
+func Unescape(s string) string { return string(AppendUnescape(nil, s)) }
+
 // The reference oracle: the original rune-at-a-time escape() and unescape(),
 // kept verbatim so the byte-table kernels can be checked against them on
 // arbitrary input (FuzzEscapeMatchesReference).

@@ -15,7 +15,7 @@ type Txn struct {
 // experiment harness runs the real RCB stack over instant pipes while
 // counting exact wire bytes, then replays the recorded transactions through
 // this model to obtain deterministic M1–M4 values for the paper's LAN and
-// WAN environments (see DESIGN.md §2).
+// WAN environments (README, "Reproduction method and recorded deviations").
 //
 // The model: a request/response costs one round trip of propagation plus
 // serialization of each direction at its bandwidth. A fresh connection adds
@@ -45,17 +45,6 @@ func (m LinkModel) RequestResponse(t Txn) time.Duration {
 	return m.RTT() + serialize(t.Up, m.Link.UpBps) + serialize(t.Down, m.Link.DownBps)
 }
 
-// FetchSequential returns the time to perform txns back-to-back on one
-// established connection (HTTP keep-alive, no pipelining) — the pattern of
-// Ajax-Snippet's poll loop.
-func (m LinkModel) FetchSequential(txns []Txn) time.Duration {
-	var total time.Duration
-	for _, t := range txns {
-		total += m.RequestResponse(t)
-	}
-	return total
-}
-
 // FetchParallel returns the time to fetch txns with up to parallelism
 // concurrent persistent connections sharing the link bandwidth — the
 // pattern of a browser downloading supplementary objects. Round-trip
@@ -83,14 +72,6 @@ func (m LinkModel) FetchParallel(txns []Txn, parallelism int) time.Duration {
 	return time.Duration(rounds)*m.RTT() +
 		serialize(up, m.Link.UpBps) +
 		serialize(down, m.Link.DownBps)
-}
-
-// PageLoad returns the time for a full page load: connection setup, the
-// document fetch, then the supplementary objects fetched with the given
-// parallelism over already-warm connections (a simplification: connection
-// setup for object fetches is folded into the document RTT budget).
-func (m LinkModel) PageLoad(document Txn, objects []Txn, parallelism int) time.Duration {
-	return m.ConnSetup() + m.RequestResponse(document) + m.FetchParallel(objects, parallelism)
 }
 
 // TCP slow-start parameters for cold-connection transfers: the 2009-era

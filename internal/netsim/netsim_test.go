@@ -359,6 +359,13 @@ func TestLinkModelLANFasterThanWANProperty(t *testing.T) {
 	}
 }
 
+// PageLoad returns the time for a full page load: connection setup, the
+// document fetch, then the supplementary objects fetched with the given
+// parallelism over already-warm connections.
+func (m LinkModel) PageLoad(document Txn, objects []Txn, parallelism int) time.Duration {
+	return m.ConnSetup() + m.RequestResponse(document) + m.FetchParallel(objects, parallelism)
+}
+
 func TestLinkModelPageLoadComposition(t *testing.T) {
 	m := LinkModel{Link: Link{Latency: 10 * time.Millisecond}}
 	doc := Txn{Up: 100, Down: 1000}

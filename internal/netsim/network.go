@@ -160,18 +160,6 @@ func (n *Network) forget(toAddr string, c *Conn) {
 	n.mu.Unlock()
 }
 
-// LiveConns reports how many dialed connections are currently established —
-// an observability hook for scale harnesses and the bookkeeping benchmark.
-func (n *Network) LiveConns() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	total := 0
-	for _, bucket := range n.conns {
-		total += len(bucket)
-	}
-	return total
-}
-
 func (n *Network) partitionedLocked(fromHost, toAddr string) bool {
 	for r := range n.partitions {
 		if r.matches(fromHost, toAddr) {

@@ -8,6 +8,17 @@ import (
 	"testing"
 )
 
+// LiveConns reports how many dialed connections are currently established.
+func (n *Network) LiveConns() int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	total := 0
+	for _, bucket := range n.conns {
+		total += len(bucket)
+	}
+	return total
+}
+
 // dialRetry dials, yielding to the accept drain on a backlog-full refusal —
 // the benchmark equivalent of a client retrying a SYN-queue overflow.
 func dialRetry(b *testing.B, n *Network, fromHost, toAddr string) net.Conn {

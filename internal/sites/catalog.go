@@ -134,15 +134,6 @@ func Inventory(spec SiteSpec) []Object {
 	return objs
 }
 
-// TotalObjectBytes sums the inventory body sizes.
-func TotalObjectBytes(objs []Object) int {
-	total := 0
-	for _, o := range objs {
-		total += o.Size
-	}
-	return total
-}
-
 // seed hashes a name to a stable PRNG seed.
 func seed(name string) uint32 {
 	h := fnv.New32a()

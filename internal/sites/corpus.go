@@ -2,7 +2,6 @@ package sites
 
 import (
 	"fmt"
-	"time"
 
 	"rcb/internal/httpwire"
 	"rcb/internal/netsim"
@@ -70,12 +69,4 @@ func (c *Corpus) Close() {
 		s.Close()
 	}
 	c.servers = nil
-}
-
-// OriginLink returns the modeled host↔origin link for a Table 1 site: the
-// site-specific one-way latency with effectively unconstrained backbone
-// bandwidth (the client access link is modeled separately by the
-// experiment's environment profile).
-func OriginLink(spec SiteSpec) netsim.Link {
-	return netsim.Link{Latency: time.Duration(spec.RTTMs) * time.Millisecond}
 }

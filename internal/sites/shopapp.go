@@ -28,8 +28,7 @@ type ShopApp struct {
 
 	mu       sync.Mutex
 	nextSID  int
-	carts    map[string][]int    // sid → product IDs
-	orders   map[string][]string // sid → order confirmation lines
+	carts    map[string][]int // sid → product IDs
 	shipping map[string][]httpwire.FormField
 }
 
@@ -46,7 +45,6 @@ func NewShopApp(host string) *ShopApp {
 			{5, "EeePC 1000HE", "$389.00"},
 		},
 		carts:    make(map[string][]int),
-		orders:   make(map[string][]string),
 		shipping: make(map[string][]httpwire.FormField),
 	}
 }
@@ -124,7 +122,6 @@ func (s *ShopApp) ServeWire(req *httpwire.Request) *httpwire.Response {
 		s.shipping[sid] = fields
 		items := s.carts[sid]
 		line := fmt.Sprintf("order of %d item(s) to %s", len(items), formValue(fields, "name"))
-		s.orders[sid] = append(s.orders[sid], line)
 		s.carts[sid] = nil
 		s.mu.Unlock()
 		body := fmt.Sprintf(`<!DOCTYPE html><html><head><title>Order placed</title></head>`+
@@ -154,13 +151,6 @@ func (s *ShopApp) CartItems(sid string) []int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return append([]int(nil), s.carts[sid]...)
-}
-
-// Orders reports placed orders for a session (test/diagnostic hook).
-func (s *ShopApp) Orders(sid string) []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]string(nil), s.orders[sid]...)
 }
 
 // ShippingField returns a submitted shipping field for a session.

@@ -17,23 +17,6 @@ const (
 	StronglyAgree    = 5
 )
 
-// ScoreName renders a Likert score.
-func ScoreName(s int) string {
-	switch s {
-	case StronglyDisagree:
-		return "Strongly disagree"
-	case Disagree:
-		return "Disagree"
-	case Neither:
-		return "Neither agree nor disagree"
-	case Agree:
-		return "Agree"
-	case StronglyAgree:
-		return "Strongly Agree"
-	}
-	return fmt.Sprintf("score(%d)", s)
-}
-
 // Question is one item of the Table 3 instrument.
 type Question struct {
 	ID       string // "Q1-P", "Q1-N", ...
@@ -91,9 +74,10 @@ type Response struct {
 // SimulateResponses generates a full response set for the 20 subjects whose
 // merged per-pair distribution equals the published Table 4 exactly. The
 // paper's human answers are unavailable; this is the closest synthetic
-// equivalent (documented in EXPERIMENTS.md). The seeded shuffle decides only
-// which subject gave which score and whether it landed on the P or the N
-// variant — both are marginalized away by the Table 4 statistics.
+// equivalent (recorded in the README's deviations). The seeded shuffle
+// decides only which subject gave which score and whether it landed on the
+// P or the N variant — both are marginalized away by the Table 4
+// statistics.
 func SimulateResponses(seed int64) []Response {
 	r := rand.New(rand.NewSource(seed))
 	var out []Response
@@ -219,12 +203,6 @@ func shortScore(s int) string {
 		return "S.Disagr"
 	}
 	return "?"
-}
-
-// PublishedRow returns the paper's Table 4 percentages for a pair (1..8),
-// for verification against Summarize output.
-func PublishedRow(pair int) [5]float64 {
-	return publishedDistribution[pair-1]
 }
 
 // SessionMinutes reports the simulated per-pair completion times, whose

@@ -8,7 +8,8 @@
 // which turns the study's 100% task-completion result into a machine-
 // checkable property. Tables 3 and 4 operate on simulated responses whose
 // merged distribution equals the published one exactly (see questionnaire.go
-// and EXPERIMENTS.md for the honest framing of that substitution).
+// and the README's recorded deviations for the framing of that
+// substitution).
 package usability
 
 import (

@@ -1,11 +1,29 @@
 package usability
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 	"testing/quick"
 )
+
+// ScoreName renders a Likert score.
+func ScoreName(s int) string {
+	switch s {
+	case StronglyDisagree:
+		return "Strongly disagree"
+	case Disagree:
+		return "Disagree"
+	case Neither:
+		return "Neither agree nor disagree"
+	case Agree:
+		return "Agree"
+	case StronglyAgree:
+		return "Strongly Agree"
+	}
+	return fmt.Sprintf("score(%d)", s)
+}
 
 func TestScenarioAllTasksComplete(t *testing.T) {
 	s, err := NewScenario()
@@ -98,7 +116,7 @@ func TestSimulatedResponsesMatchPublishedTable4(t *testing.T) {
 		t.Fatalf("have %d pairs, want 8", len(stats))
 	}
 	for _, st := range stats {
-		want := PublishedRow(st.Pair)
+		want := publishedDistribution[st.Pair-1]
 		for i := 0; i < 5; i++ {
 			if math.Abs(st.Percent[i]-want[i]) > 1e-9 {
 				t.Errorf("Q%d score %d: %.1f%%, published %.1f%%", st.Pair, i+1, st.Percent[i], want[i])
@@ -122,7 +140,7 @@ func TestSimulationSeedInvariantProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		stats := Summarize(SimulateResponses(seed))
 		for _, st := range stats {
-			want := PublishedRow(st.Pair)
+			want := publishedDistribution[st.Pair-1]
 			for i := 0; i < 5; i++ {
 				if math.Abs(st.Percent[i]-want[i]) > 1e-9 {
 					return false
